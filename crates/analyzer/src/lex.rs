@@ -66,6 +66,15 @@ pub struct Marker {
     pub reason: String,
 }
 
+/// A `//` comment's line, and whether the comment opens with `SAFETY:`.
+#[derive(Debug, Clone, Copy)]
+pub struct LineComment {
+    /// 1-based line the comment appears on.
+    pub line: u32,
+    /// True for a `// SAFETY: …` justification.
+    pub safety: bool,
+}
+
 /// One lexed source file: its tokens, its justification markers, its raw
 /// lines (for snippets), and a per-token "inside a test item" mask.
 #[derive(Debug)]
@@ -76,6 +85,8 @@ pub struct SourceFile {
     pub tokens: Vec<Token>,
     /// Justification markers found in comments.
     pub markers: Vec<Marker>,
+    /// Every `//` comment (doc comments included), in source order.
+    pub comments: Vec<LineComment>,
     /// Raw source lines, for finding snippets.
     pub lines: Vec<String>,
     /// `test_mask[i]` is true when `tokens[i]` is inside a `#[cfg(test)]` /
@@ -99,6 +110,19 @@ impl SourceFile {
             .iter()
             .any(|m| m.scope == scope && (m.line == line || m.line + 1 == line))
     }
+
+    /// True when the run of `//` comment lines ending directly above `line`
+    /// contains a `// SAFETY:` comment.
+    pub fn safety_comment_above(&self, line: u32) -> bool {
+        let mut above = line.saturating_sub(1);
+        while let Some(c) = self.comments.iter().find(|c| c.line == above) {
+            if c.safety {
+                return true;
+            }
+            above = above.saturating_sub(1);
+        }
+        false
+    }
 }
 
 /// Lexes one file. `path` is only used for display.
@@ -106,6 +130,7 @@ pub fn lex(path: &str, src: &str) -> SourceFile {
     let b = src.as_bytes();
     let mut tokens = Vec::new();
     let mut markers = Vec::new();
+    let mut comments = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     while i < b.len() {
@@ -121,7 +146,15 @@ pub fn lex(path: &str, src: &str) -> SourceFile {
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
-                if let Some(m) = parse_marker(&src[start..i], line) {
+                let text = &src[start..i];
+                comments.push(LineComment {
+                    line,
+                    safety: text
+                        .trim_start_matches('/')
+                        .trim_start()
+                        .starts_with("SAFETY:"),
+                });
+                if let Some(m) = parse_marker(text, line) {
                     markers.push(m);
                 }
             }
@@ -243,6 +276,7 @@ pub fn lex(path: &str, src: &str) -> SourceFile {
         path: path.to_string(),
         tokens,
         markers,
+        comments,
         lines: src.lines().map(str::to_string).collect(),
         test_mask,
     }
@@ -496,9 +530,11 @@ pub fn functions(file: &SourceFile) -> Vec<FnDef> {
                 if name_tok.kind == TokKind::Ident {
                     let name = name_tok.text.clone();
                     // Find the body's opening brace; a `;` first means a
-                    // bodyless trait method.
+                    // bodyless trait method (a `;` inside parentheses or
+                    // brackets, as in `[u32; 8]`, is part of a type).
                     let mut j = i + 2;
                     let mut angle = 0i32;
+                    let mut nest = 0i32;
                     let mut open = None;
                     while j < tokens.len() {
                         let u = &tokens[j];
@@ -506,7 +542,11 @@ pub fn functions(file: &SourceFile) -> Vec<FnDef> {
                             angle += 1;
                         } else if u.is('>') {
                             angle -= 1;
-                        } else if u.is(';') && angle <= 0 {
+                        } else if u.is('(') || u.is('[') {
+                            nest += 1;
+                        } else if u.is(')') || u.is(']') {
+                            nest -= 1;
+                        } else if u.is(';') && angle <= 0 && nest <= 0 {
                             break;
                         } else if u.is('{') && angle <= 0 {
                             open = Some(j);

@@ -1,7 +1,7 @@
 //! `hpcc-analyzer`: offline, std-only, token-level static analysis for the
 //! workspace's serving path.
 //!
-//! Four passes, each with a stable finding code, run over the workspace by
+//! Five passes, each with a stable finding code, run over the workspace by
 //! `cargo run --release -p hpcc-analyzer -- --workspace` (CI's lint job):
 //!
 //! * **HL001** — no-panic serving path: in the designated fuseproto modules,
@@ -18,17 +18,24 @@
 //! * **HL004** — protocol exhaustiveness: every `Operation` variant must
 //!   appear in the opcode table, encode/decode arms, and `reply_kind`;
 //!   every kernel `Errno` variant must appear in the wire errno table.
+//! * **HL005** — unsafe confinement: every crate root declares
+//!   `#![forbid(unsafe_code)]` (`deny` for a root hosting an allow-listed
+//!   site); `unsafe` and `allow(unsafe_code)` appear only at the
+//!   [`UNSAFE_SITES`], each `unsafe` block under a `// SAFETY:` comment.
 //!
 //! The passes work on a comment/string/raw-string-aware token stream
 //! ([`lex`]) — `unwrap` inside a string literal, a doc comment, or a
 //! `stringify!` token tree never fires. See `LINTS.md` at the workspace root
 //! for the full contract and the justification-marker grammar.
 
+#![forbid(unsafe_code)]
+
 pub mod lex;
 pub mod lock_order;
 pub mod no_panic;
 pub mod poison;
 pub mod protocol;
+pub mod unsafe_code;
 
 use std::fs;
 use std::io;
@@ -73,6 +80,11 @@ pub const NO_PANIC_MODULES: &[&str] = &[
     "crates/fuseproto/src/dispatch.rs",
 ];
 
+/// The functions HL005 allows to hold `unsafe` code: (file, function name).
+/// The SHA-256 compress dispatch calls the SHA-NI kernel after CPUID
+/// detection.
+pub const UNSAFE_SITES: &[(&str, &str)] = &[("crates/image/src/sha256.rs", "compress_blocks")];
+
 /// Reads and lexes one workspace file, keyed by its workspace-relative path.
 fn load(root: &Path, rel: &str) -> io::Result<SourceFile> {
     let src = fs::read_to_string(root.join(rel))?;
@@ -81,10 +93,14 @@ fn load(root: &Path, rel: &str) -> io::Result<SourceFile> {
 
 /// Collects every `.rs` file under `crates/<crate>/src`, workspace-relative.
 fn crate_src_files(root: &Path, krate: &str) -> io::Result<Vec<String>> {
+    src_files(root, &root.join("crates").join(krate).join("src"))
+}
+
+/// Collects every `.rs` file under `dir`, workspace-relative and sorted.
+fn src_files(root: &Path, dir: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
-    let dir = root.join("crates").join(krate).join("src");
     if dir.is_dir() {
-        walk(&dir, &mut out)?;
+        walk(dir, &mut out)?;
     }
     let mut rels: Vec<String> = out
         .iter()
@@ -130,7 +146,7 @@ fn lintable_crates(root: &Path) -> io::Result<Vec<String>> {
     Ok(names)
 }
 
-/// Runs all four passes over the workspace rooted at `root`, returning every
+/// Runs all five passes over the workspace rooted at `root`, returning every
 /// finding sorted by file and line.
 pub fn run_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
@@ -153,6 +169,9 @@ pub fn run_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 
     // HL004: protocol exhaustiveness.
     findings.extend(protocol_checks(root)?);
+
+    // HL005: unsafe confinement.
+    findings.extend(unsafe_checks(root)?);
 
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.code).cmp(&(b.file.as_str(), b.line, b.code)));
@@ -193,6 +212,48 @@ pub fn protocol_checks(root: &Path) -> io::Result<Vec<Finding>> {
             (&proto_errno, Region::FnBody("to_kernel")),
         ],
     }));
+    Ok(findings)
+}
+
+/// HL005 over every package's `src/` tree — the workspace root's and each
+/// `crates/*` one's, the analyzer included. Crate roots are `lib.rs`,
+/// `main.rs` and `bin/*.rs`. Tests, benches and examples are out of scope:
+/// counting allocators there need `unsafe impl GlobalAlloc`.
+pub fn unsafe_checks(root: &Path) -> io::Result<Vec<Finding>> {
+    use unsafe_code::RootLevel;
+    let mut packages = vec![String::new()];
+    for entry in fs::read_dir(root.join("crates"))? {
+        packages.push(format!("crates/{}/", entry?.file_name().to_string_lossy()));
+    }
+    packages.sort();
+    let mut findings = Vec::new();
+    for package in packages {
+        let src = format!("{package}src/");
+        for rel in src_files(root, &root.join(&src))? {
+            let file = load(root, &rel)?;
+            let sites: Vec<&str> = UNSAFE_SITES
+                .iter()
+                .filter(|(f, _)| *f == rel)
+                .map(|(_, name)| *name)
+                .collect();
+            findings.extend(unsafe_code::check_file(&file, &sites));
+            let in_src = &rel[src.len()..];
+            let is_root = matches!(in_src, "lib.rs" | "main.rs")
+                || in_src
+                    .strip_prefix("bin/")
+                    .is_some_and(|b| !b.contains('/') || b.ends_with("/main.rs"));
+            if is_root {
+                let hosts_site =
+                    in_src == "lib.rs" && UNSAFE_SITES.iter().any(|(f, _)| f.starts_with(&src));
+                let level = if hosts_site {
+                    RootLevel::Deny
+                } else {
+                    RootLevel::Forbid
+                };
+                findings.extend(unsafe_code::check_root(&file, level));
+            }
+        }
+    }
     Ok(findings)
 }
 

@@ -9,6 +9,8 @@
 //! Exit status 0 when the tree is clean, 1 when any finding fires, 2 on
 //! usage or I/O errors.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -25,12 +27,12 @@ fn main() -> ExitCode {
             },
             "--pass" => match args.next() {
                 Some(p) => pass = Some(p),
-                None => return usage("--pass needs a code (HL001..HL004)"),
+                None => return usage("--pass needs a code (HL001..HL005)"),
             },
             "--help" | "-h" => {
                 println!(
                     "hpcc-analyzer: workspace static lints (HL001 no-panic, HL002 lock-order, \
-                     HL003 poison-hygiene, HL004 protocol-exhaustiveness)\n\n\
+                     HL003 poison-hygiene, HL004 protocol-exhaustiveness, HL005 unsafe-confinement)\n\n\
                      usage: hpcc-analyzer [--workspace] [--root DIR] [--pass HLnnn]"
                 );
                 return ExitCode::SUCCESS;
@@ -67,7 +69,7 @@ fn main() -> ExitCode {
         println!("{f}\n");
     }
     if findings.is_empty() {
-        println!("hpcc-analyzer: workspace clean (HL001 HL002 HL003 HL004)");
+        println!("hpcc-analyzer: workspace clean (HL001 HL002 HL003 HL004 HL005)");
         ExitCode::SUCCESS
     } else {
         println!("hpcc-analyzer: {} finding(s)", findings.len());

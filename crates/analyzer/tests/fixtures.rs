@@ -7,6 +7,7 @@ use std::path::Path;
 
 use hpcc_analyzer::lex::{lex, SourceFile};
 use hpcc_analyzer::protocol::{self, EnumCheck, Region};
+use hpcc_analyzer::unsafe_code::{self, RootLevel};
 use hpcc_analyzer::{lock_order, no_panic, poison};
 
 fn fixture(name: &str) -> SourceFile {
@@ -170,4 +171,44 @@ fn hl004_reports_a_stale_spec_instead_of_passing_vacuously() {
     });
     assert_eq!(findings.len(), 1);
     assert!(findings[0].message.contains("stale"));
+}
+
+#[test]
+fn hl005_flags_unsafe_outside_sites_and_unjustified_blocks() {
+    let file = fixture("hl005_violating.rs");
+    let findings = unsafe_code::check_file(&file, &["dispatch"]);
+    let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines,
+        [9, 12, 15, 20, 22],
+        "expected the 5 seeded violations:\n{}",
+        findings
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    assert!(findings.iter().all(|f| f.code == "HL005"));
+    assert!(findings[1].message.contains("allow(unsafe_code)"));
+    assert!(findings[3].message.contains("SAFETY"));
+    assert!(findings[4].message.contains("blocks"));
+    let root = unsafe_code::check_root(&file, RootLevel::Forbid);
+    assert_eq!(root.len(), 1, "deny is not forbid");
+    assert!(root[0].message.contains("forbid"));
+}
+
+#[test]
+fn hl005_ignores_prose_literals_lookalike_idents_and_justified_sites() {
+    let file = fixture("hl005_bait.rs");
+    let mut findings = unsafe_code::check_file(&file, &["compress"]);
+    findings.extend(unsafe_code::check_root(&file, RootLevel::Deny));
+    assert!(
+        findings.is_empty(),
+        "bait fixture should be clean:\n{}",
+        findings
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }

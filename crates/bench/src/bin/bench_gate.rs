@@ -68,6 +68,8 @@
 //!    machinery must stay entirely off the measured path; 1.2× is the
 //!    bound on the bookkeeping it is allowed to add per call.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 

@@ -5,6 +5,8 @@
 //! cargo run -p hpcc-bench --bin repro_figures -- fig2 table1
 //! ```
 
+#![forbid(unsafe_code)]
+
 use hpcc_bench::*;
 
 fn section(title: &str, body: String) {

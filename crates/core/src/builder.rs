@@ -1169,6 +1169,51 @@ mod tests {
         assert!(img.fs.exists(&actor, "/src/app.c"));
     }
 
+    fn app_context(body: &[u8]) -> Filesystem {
+        let mut ctx = Filesystem::new_local();
+        ctx.install_file("/app.c", body.to_vec(), Uid(0), Gid(0), Mode::FILE_644)
+            .unwrap();
+        ctx
+    }
+
+    #[test]
+    fn context_copy_cache_key_binds_file_content() {
+        let mut b = Builder::ch_image(alice());
+        let df = "FROM centos:7\nCOPY app.c /app.c\n";
+        let opts = BuildOptions::new("app").with_cache();
+        let r = b.build(df, &opts, Some(&app_context(b"v1")));
+        assert!(r.success, "{}", r.transcript_text());
+        // Same Dockerfile text, edited context file: the COPY must miss and
+        // the image must carry the new bytes.
+        let r = b.build(df, &opts, Some(&app_context(b"v2")));
+        assert!(r.success, "{}", r.transcript_text());
+        assert_eq!(
+            (r.cache_hits, r.cache_misses),
+            (1, 1),
+            "FROM hits, COPY misses"
+        );
+        let creds = Credentials::host_root();
+        let ns = UserNamespace::initial();
+        let actor = Actor::new(&creds, &ns);
+        let img = b.image("app").unwrap();
+        assert_eq!(img.fs.read_file(&actor, "/app.c").unwrap(), b"v2");
+    }
+
+    #[test]
+    fn copy_install_failure_fails_the_build_naming_source_and_errno() {
+        let mut b = Builder::ch_image(alice());
+        // `/etc/redhat-release` is a regular file in the CentOS 7 base.
+        let df = "FROM centos:7\nCOPY app.c /etc/redhat-release/app.c\n";
+        let r = b.build(df, &BuildOptions::new("bad"), Some(&app_context(b"v1")));
+        assert!(!r.success, "{}", r.transcript_text());
+        let expected = "error: COPY app.c: /etc/redhat-release/app.c: ENOTDIR (Not a directory)";
+        match &r.error {
+            Some(BuildError::Execution { message, .. }) => assert_eq!(message, expected),
+            other => panic!("expected an execution error, got {other:?}"),
+        }
+        assert!(r.transcript.iter().any(|line| line == expected));
+    }
+
     #[test]
     fn from_local_tag_chains_builds() {
         let mut b = Builder::ch_image(alice());

@@ -20,11 +20,11 @@ use std::sync::Mutex;
 
 use hpcc_distro::catalog_for;
 use hpcc_fakeroot::LieDatabase;
-use hpcc_image::{Digest, ImageConfig};
+use hpcc_image::{sha256, Digest, ImageConfig};
 use hpcc_kernel::Credentials;
-use hpcc_kernel::UserNamespace;
+use hpcc_kernel::{KResult, UserNamespace};
 use hpcc_shell::ExecEnv;
-use hpcc_vfs::{Actor, Filesystem, Mode};
+use hpcc_vfs::{Actor, FileBytes, Filesystem, Mode};
 
 use crate::builder::{BuildEnv, BuildOptions, BuildReport, Builder, BuilderKind};
 use crate::cache::{BuildCache, CachedState};
@@ -268,7 +268,8 @@ impl<'a> StageCtx<'a> {
     /// to the *content* of the upstream stage: `FROM <stage>` chains from the
     /// upstream artifact's final state digest, and `COPY --from=` mixes the
     /// source stage's final state into the key, so a changed upstream stage
-    /// invalidates downstream hits.
+    /// invalidates downstream hits. A context `COPY` likewise binds each
+    /// source's SHA-256, so an edited file misses under unchanged text.
     fn state_id_for(&self, idx: usize, instruction: &Instruction) -> Digest {
         // Canonical instruction identity: the FROM alias and the raw --from
         // reference spelling (alias vs index) are naming, not content, so
@@ -287,6 +288,20 @@ impl<'a> StageCtx<'a> {
             "{}|force={}|arch={}|{}",
             self.builder_identity, self.options.force, self.options.arch, canonical
         );
+        if let Instruction::Copy {
+            sources,
+            from: None,
+            ..
+        } = instruction
+        {
+            for src in sources {
+                key.push_str("|ctx=");
+                match self.context.and_then(|ctx| context_file(ctx, src).ok()) {
+                    Some(bytes) => key.push_str(&sha256(bytes.as_slice()).to_oci_string()),
+                    None => key.push_str("missing"),
+                }
+            }
+        }
         if let Some(edge) = self.node.copy_from.iter().find(|e| e.instruction == idx) {
             key.push_str(&format!("|srcstage={}", edge.source_stage));
             if let Some(art) = self.upstream.get(&edge.source_stage) {
@@ -533,20 +548,18 @@ impl<'a> StageCtx<'a> {
             return Err(msg);
         };
         for src in sources {
+            let Ok(content) = context_file(ctx, src) else {
+                let msg = format!("error: COPY {}: not found in context", src);
+                self.report.transcript.push(msg.clone());
+                return Err(msg);
+            };
             let dst = dest_for(dest, src);
-            let root_creds = Credentials::host_root();
-            let host_ns = UserNamespace::initial();
-            let actor = Actor::new(&root_creds, &host_ns);
-            match ctx.file_bytes(&actor, &format!("/{}", src.trim_start_matches('/'))) {
-                Ok(content) => {
-                    e.fs.install_file(&dst, content, e.creds.euid, e.creds.egid, Mode::FILE_644)
-                        .ok();
-                }
-                Err(_) => {
-                    let msg = format!("error: COPY {}: not found in context", src);
-                    self.report.transcript.push(msg.clone());
-                    return Err(msg);
-                }
+            if let Err(errno) =
+                e.fs.install_file(&dst, content, e.creds.euid, e.creds.egid, Mode::FILE_644)
+            {
+                let msg = format!("error: COPY {}: {}: {}", src, dst, errno);
+                self.report.transcript.push(msg.clone());
+                return Err(msg);
             }
         }
         Ok(())
@@ -642,6 +655,14 @@ impl<'a> StageCtx<'a> {
     fn execute_passthrough(&mut self, display: &str) {
         self.report.transcript.push(display.to_string());
     }
+}
+
+/// A `COPY` source's bytes from the build context, read as host root.
+fn context_file(ctx: &Filesystem, src: &str) -> KResult<FileBytes> {
+    let root_creds = Credentials::host_root();
+    let host_ns = UserNamespace::initial();
+    let actor = Actor::new(&root_creds, &host_ns);
+    ctx.file_bytes(&actor, &format!("/{}", src.trim_start_matches('/')))
 }
 
 /// Destination path for one `COPY` source: trailing-slash destinations get

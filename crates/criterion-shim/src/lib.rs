@@ -17,6 +17,8 @@
 //! regressions against a committed baseline (see `bench_gate` in
 //! `crates/bench`).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::hint;
 use std::time::{Duration, Instant};

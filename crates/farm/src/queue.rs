@@ -28,6 +28,8 @@ pub(crate) struct FarmQueue {
     /// Jobs admitted but not yet finalized. While this is non-zero, stage
     /// tasks may still exist (or appear) on worker deques.
     active_jobs: usize,
+    /// Builds admitted so far: the next admission's index.
+    admitted: usize,
 }
 
 impl FarmQueue {
@@ -78,8 +80,10 @@ impl FarmQueue {
     /// Admits the next build under round-robin fairness: the head of the
     /// rotation whose tenant is below `max_running`. Tenants at their cap
     /// keep their place in line but are skipped this pass. Admission marks
-    /// the job active and counts it against the tenant's in-flight budget.
-    pub(crate) fn admit(&mut self, max_running: usize) -> Option<QueuedBuild> {
+    /// the job active, counts it against the tenant's in-flight budget, and
+    /// numbers it: the returned index counts admissions over the farm's
+    /// lifetime from 0, decided here under the queue lock.
+    pub(crate) fn admit(&mut self, max_running: usize) -> Option<(usize, QueuedBuild)> {
         for _ in 0..self.rotation.len() {
             let tenant = self.rotation.pop_front()?;
             let running = self.running.get(&tenant).copied().unwrap_or(0);
@@ -98,7 +102,8 @@ impl FarmQueue {
             self.queued -= 1;
             *self.running.entry(tenant).or_insert(0) += 1;
             self.active_jobs += 1;
-            return Some(build);
+            self.admitted += 1;
+            return Some((self.admitted - 1, build));
         }
         None
     }
@@ -127,10 +132,13 @@ mod tests {
         q.submit(request("a", "a1"), 100, None).unwrap();
         q.submit(request("a", "a2"), 100, None).unwrap();
         q.submit(request("b", "b1"), 100, None).unwrap();
-        let order: Vec<String> = std::iter::from_fn(|| q.admit(8))
-            .map(|b| b.request.options.tag)
+        let order: Vec<(usize, String)> = std::iter::from_fn(|| q.admit(8))
+            .map(|(index, b)| (index, b.request.options.tag))
             .collect();
-        assert_eq!(order, ["a1", "b1", "a2"]);
+        assert_eq!(
+            order,
+            [(0, "a1".into()), (1, "b1".into()), (2, "a2".into())]
+        );
         assert!(q.queued() == 0);
     }
 
@@ -164,13 +172,13 @@ mod tests {
         q.submit(request("flood", "f2"), 100, None).unwrap();
         q.submit(request("victim", "v1"), 100, None).unwrap();
         // Cap 1: the flooder's second build is skipped while its first runs.
-        let first = q.admit(1).unwrap();
+        let (_, first) = q.admit(1).unwrap();
         assert_eq!(first.request.options.tag, "f1");
-        let second = q.admit(1).unwrap();
+        let (_, second) = q.admit(1).unwrap();
         assert_eq!(second.request.options.tag, "v1");
         assert!(q.admit(1).is_none(), "flood is at its cap");
         q.job_finished("flood");
-        assert_eq!(q.admit(1).unwrap().request.options.tag, "f2");
+        assert_eq!(q.admit(1).unwrap().1.request.options.tag, "f2");
         q.job_finished("flood");
         q.job_finished("victim");
         assert!(q.idle());

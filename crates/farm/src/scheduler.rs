@@ -35,6 +35,10 @@ pub struct FarmResult {
     pub tenant: String,
     /// The tag the build targeted.
     pub tag: String,
+    /// The build's place in the farm's admission order, counted from 0 over
+    /// the farm's lifetime. The queue assigns it under its lock, so unlike
+    /// completion order it does not depend on worker timing.
+    pub admission: usize,
     /// Per-stage reports, success flag, error, and skipped stages — the same
     /// shape a direct `build_multistage` call returns.
     pub report: MultiStageReport,
@@ -47,6 +51,7 @@ pub struct FarmResult {
 /// One admitted build: its plan plus mutable per-stage progress.
 struct Job {
     tenant: String,
+    admission: usize,
     options: BuildOptions,
     context: Option<Filesystem>,
     ir: BuildIr,
@@ -236,7 +241,7 @@ impl BuildFarm {
         results: &Mutex<Vec<FarmResult>>,
     ) -> bool {
         let admitted = lock_queue(&self.queue).admit(self.config.per_tenant_max_running);
-        let Some(queued) = admitted else {
+        let Some((admission, queued)) = admitted else {
             return false;
         };
         let started_at = Instant::now();
@@ -253,6 +258,7 @@ impl BuildFarm {
                     graph.nodes.iter().map(|node| node.deps.len()).collect();
                 let job = Arc::new(Job {
                     tenant: request.tenant,
+                    admission,
                     options: request.options,
                     context: request.context,
                     ir,
@@ -296,6 +302,7 @@ impl BuildFarm {
                     FarmResult {
                         tenant: request.tenant.clone(),
                         tag: request.options.tag,
+                        admission,
                         report,
                         queue_wait,
                         elapsed,
@@ -442,6 +449,7 @@ impl BuildFarm {
             FarmResult {
                 tenant: job.tenant.clone(),
                 tag: job.options.tag.clone(),
+                admission: job.admission,
                 report,
                 queue_wait,
                 elapsed,

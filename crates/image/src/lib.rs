@@ -6,7 +6,7 @@
 //! workflow (Figure 6).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod image;
 pub mod registry;

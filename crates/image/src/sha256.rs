@@ -6,6 +6,11 @@
 //! and blob uploads hash layer bytes as they are produced instead of
 //! materializing a padded copy of the whole input. [`sha256`] is the one-shot
 //! convenience wrapper.
+//!
+//! Every full block goes through one multi-block compress entry, which runs
+//! a SHA-NI kernel when the CPU reports the `sha` and `sse4.1` extensions and
+//! portable rounds everywhere else. The choice is made at run time per call
+//! and has no knob; both produce bit-identical digests.
 
 /// Digest of a byte string.
 ///
@@ -110,6 +115,17 @@ impl Sha256 {
     /// Absorbs `data`. May be called any number of times; chunk boundaries do
     /// not affect the digest.
     pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress_blocks);
+    }
+
+    /// Pads (in a fixed scratch buffer) and returns the digest.
+    pub fn finalize(self) -> Digest {
+        self.finish(compress_blocks)
+    }
+
+    /// [`Sha256::update`] over an explicit multi-block compress function.
+    #[inline(always)]
+    fn absorb(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
         // Top up a pending partial block first.
@@ -118,151 +134,301 @@ impl Sha256 {
             self.block[self.block_len..self.block_len + take].copy_from_slice(&rest[..take]);
             self.block_len += take;
             rest = &rest[take..];
-            if self.block_len == 64 {
-                let block = self.block;
-                self.compress(&block);
-                self.block_len = 0;
+            if self.block_len < 64 {
+                return;
             }
+            compress(&mut self.h, &self.block);
+            self.block_len = 0;
         }
-        // Full blocks straight from the input, no copy.
-        let mut chunks = rest.chunks_exact(64);
-        for chunk in &mut chunks {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(chunk);
-            self.compress(&block);
+        // Every full block straight from the input in one call, no copy.
+        let (full, tail) = rest.split_at(rest.len() - rest.len() % 64);
+        if !full.is_empty() {
+            compress(&mut self.h, full);
         }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            self.block[..tail.len()].copy_from_slice(tail);
-            self.block_len = tail.len();
-        }
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.block_len = tail.len();
     }
 
-    /// Pads (in a fixed 64-byte scratch block) and returns the digest.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        let mut scratch = [0u8; 64];
+    /// [`Sha256::finalize`] over an explicit multi-block compress function.
+    #[inline(always)]
+    fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[u8])) -> Digest {
+        // The `0x80` marker and the bit length fit after the tail in one
+        // block, or spill into a second.
+        let padded = if self.block_len < 56 { 64 } else { 128 };
+        let mut scratch = [0u8; 128];
         scratch[..self.block_len].copy_from_slice(&self.block[..self.block_len]);
         scratch[self.block_len] = 0x80;
-        if self.block_len >= 56 {
-            // No room for the length: flush this block, pad a second one.
-            self.compress(&scratch);
-            scratch = [0u8; 64];
-        }
-        scratch[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&scratch);
+        scratch[padded - 8..padded].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress(&mut self.h, &scratch[..padded]);
         let mut out = [0u8; 32];
         for (i, v) in self.h.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&v.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    /// The SHA-256 compression function over one 64-byte block.
+/// The multi-block compress entry behind every [`Sha256::update`] and
+/// [`Sha256::finalize`]: `blocks` is a whole number of 64-byte blocks.
+///
+/// Runs the SHA-NI kernel ([`shani`]) when CPUID reports `sha` and
+/// `sse4.1`, and the portable rounds ([`compress_portable`]) everywhere
+/// else. Both produce bit-identical chain values; the selection has no
+/// knob. This function is the crate's one `unsafe` site (`LINTS.md`,
+/// HL005).
+#[allow(unsafe_code)]
+fn compress_blocks(h: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    #[cfg(target_arch = "x86_64")]
+    if shani::detected() {
+        // SAFETY: `shani::compress_blocks` is safe Rust whose only
+        // precondition is the `sha` and `sse4.1` target features it is
+        // compiled with, and `detected()` just read both from CPUID.
+        unsafe { shani::compress_blocks(h, blocks) };
+        return;
+    }
+    compress_portable(h, blocks);
+}
+
+/// The portable multi-block compress: [`compress`] over each block.
+fn compress_portable(h: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.as_chunks::<64>().0 {
+        compress(h, block);
+    }
+}
+
+/// The SHA-256 compression function over one 64-byte block.
+///
+/// The message schedule lives in a **fixed 16-word rolling scratch
+/// array** extended in place, instead of a fully materialized 64-entry
+/// table: each round past 15 overwrites the slot it is about to consume
+/// (`w[t mod 16]`), which keeps the whole schedule in registers/L1 and
+/// unrolls cleanly. The round loop is unrolled 8-wide via [`round`] so
+/// the state rotation compiles to plain register renaming rather than a
+/// shift chain.
+fn compress(h: &mut [u32; 8], chunk: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (slot, bytes) in w.iter_mut().zip(chunk.as_chunks::<4>().0) {
+        *slot = u32::from_be_bytes(*bytes);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    // Eight unrolled rounds at a time; the (a..hh) rotation is expressed
+    // by argument renaming, not data movement. The first 16 rounds read
+    // the loaded block directly; later rounds extend the rolling window
+    // in place — no branch inside the round body either way.
+    let mut t = 0usize;
+    while t < 16 {
+        hh = round(a, b, c, &mut d, e, f, g, hh, K[t], w[t]);
+        g = round(hh, a, b, &mut c, d, e, f, g, K[t + 1], w[t + 1]);
+        f = round(g, hh, a, &mut b, c, d, e, f, K[t + 2], w[t + 2]);
+        e = round(f, g, hh, &mut a, b, c, d, e, K[t + 3], w[t + 3]);
+        d = round(e, f, g, &mut hh, a, b, c, d, K[t + 4], w[t + 4]);
+        c = round(d, e, f, &mut g, hh, a, b, c, K[t + 5], w[t + 5]);
+        b = round(c, d, e, &mut f, g, hh, a, b, K[t + 6], w[t + 6]);
+        a = round(b, c, d, &mut e, f, g, hh, a, K[t + 7], w[t + 7]);
+        t += 8;
+    }
+    while t < 64 {
+        let w0 = extend(&mut w, t);
+        hh = round(a, b, c, &mut d, e, f, g, hh, K[t], w0);
+        let w1 = extend(&mut w, t + 1);
+        g = round(hh, a, b, &mut c, d, e, f, g, K[t + 1], w1);
+        let w2 = extend(&mut w, t + 2);
+        f = round(g, hh, a, &mut b, c, d, e, f, K[t + 2], w2);
+        let w3 = extend(&mut w, t + 3);
+        e = round(f, g, hh, &mut a, b, c, d, e, K[t + 3], w3);
+        let w4 = extend(&mut w, t + 4);
+        d = round(e, f, g, &mut hh, a, b, c, d, K[t + 4], w4);
+        let w5 = extend(&mut w, t + 5);
+        c = round(d, e, f, &mut g, hh, a, b, c, K[t + 5], w5);
+        let w6 = extend(&mut w, t + 6);
+        b = round(c, d, e, &mut f, g, hh, a, b, K[t + 6], w6);
+        let w7 = extend(&mut w, t + 7);
+        a = round(b, c, d, &mut e, f, g, hh, a, K[t + 7], w7);
+        t += 8;
+    }
+    h[0] = h[0].wrapping_add(a);
+    h[1] = h[1].wrapping_add(b);
+    h[2] = h[2].wrapping_add(c);
+    h[3] = h[3].wrapping_add(d);
+    h[4] = h[4].wrapping_add(e);
+    h[5] = h[5].wrapping_add(f);
+    h[6] = h[6].wrapping_add(g);
+    h[7] = h[7].wrapping_add(hh);
+}
+
+/// Message-schedule word for round `t ≥ 16`, extending the rolling
+/// 16-word window in place: slot `t mod 16` holds `w[t-16]` and is
+/// overwritten with `w[t]` just before the round consumes it.
+#[inline(always)]
+fn extend(w: &mut [u32; 16], t: usize) -> u32 {
+    let i = t & 15;
+    let w15 = w[(t + 1) & 15];
+    let w2 = w[(t + 14) & 15];
+    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+    w[i] = w[i]
+        .wrapping_add(s0)
+        .wrapping_add(w[(t + 9) & 15])
+        .wrapping_add(s1);
+    w[i]
+}
+
+/// One SHA-256 round. `d` is updated in place; the new working variable
+/// `a` is returned (callers rename the rest).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn round(
+    a: u32,
+    b: u32,
+    c: u32,
+    d: &mut u32,
+    e: u32,
+    f: u32,
+    g: u32,
+    hh: u32,
+    k: u32,
+    w: u32,
+) -> u32 {
+    let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+    let ch = (e & f) ^ ((!e) & g);
+    let temp1 = hh
+        .wrapping_add(s1)
+        .wrapping_add(ch)
+        .wrapping_add(k)
+        .wrapping_add(w);
+    let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+    let maj = (a & b) ^ (a & c) ^ (b & c);
+    let temp2 = s0.wrapping_add(maj);
+    *d = d.wrapping_add(temp1);
+    temp1.wrapping_add(temp2)
+}
+
+/// The SHA-NI kernel: SHA-256 on the x86-64 SHA extensions
+/// (`sha256rnds2`, `sha256msg1`, `sha256msg2`).
+///
+/// The chain value stays in two xmm registers (`abef`, `cdgh`) across every
+/// block of one call. The module is safe Rust: intrinsics are safe calls
+/// inside `#[target_feature]` functions, message words are loaded with
+/// `u32::from_be_bytes` + `_mm_set_epi32` and the state is stored with
+/// `_mm_extract_epi32`, so no raw pointer is ever dereferenced. Only the
+/// call from [`compress_blocks`] needs `unsafe`, to vouch that the CPU has
+/// the features.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    use super::K;
+
+    /// True when CPUID reports every feature [`compress_blocks`] is
+    /// compiled with. `std` caches the CPUID result, so this is two loads.
+    pub(super) fn detected() -> bool {
+        std::arch::is_x86_feature_detected!("sha") && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compresses each 64-byte block of `blocks` into `h`; a trailing
+    /// partial block is ignored (callers pass whole blocks).
     ///
-    /// The message schedule lives in a **fixed 16-word rolling scratch
-    /// array** extended in place, instead of a fully materialized 64-entry
-    /// table: each round past 15 overwrites the slot it is about to consume
-    /// (`w[t mod 16]`), which keeps the whole schedule in registers/L1 and
-    /// unrolls cleanly. The round loop is unrolled 8-wide via
-    /// [`Sha256::round`] so the state rotation compiles to plain register
-    /// renaming rather than a shift chain.
-    fn compress(&mut self, chunk: &[u8; 64]) {
-        let mut w = [0u32; 16];
-        for (slot, bytes) in w.iter_mut().zip(chunk.chunks_exact(4)) {
-            *slot = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    /// # Safety
+    ///
+    /// The function is safe Rust, but a caller not itself compiled with
+    /// `sha` and `sse4.1` must call it in `unsafe` and only after
+    /// [`detected`] returned true: on a CPU without them the instructions
+    /// fault.
+    #[target_feature(enable = "sha,sse4.1")]
+    pub(super) fn compress_blocks(h: &mut [u32; 8], blocks: &[u8]) {
+        // Repack the chain value into the lane order `sha256rnds2` works
+        // on: ABEF and CDGH, A in the top lane.
+        let dcba = _mm_set_epi32(h[3] as i32, h[2] as i32, h[1] as i32, h[0] as i32);
+        let hgfe = _mm_set_epi32(h[7] as i32, h[6] as i32, h[5] as i32, h[4] as i32);
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks.as_chunks::<64>().0 {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let [mut w0, mut w1, mut w2, mut w3] = load(block);
+            rounds4(&mut abef, &mut cdgh, w0, 0);
+            rounds4(&mut abef, &mut cdgh, w1, 1);
+            rounds4(&mut abef, &mut cdgh, w2, 2);
+            rounds4(&mut abef, &mut cdgh, w3, 3);
+            // Rounds 16..64: each group of four schedule words comes from
+            // the previous sixteen, held in the rotating w0..w3.
+            for group in [4, 8, 12] {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds4(&mut abef, &mut cdgh, w0, group);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds4(&mut abef, &mut cdgh, w1, group + 1);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds4(&mut abef, &mut cdgh, w2, group + 2);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds4(&mut abef, &mut cdgh, w3, group + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = self.h;
-        // Eight unrolled rounds at a time; the (a..hh) rotation is expressed
-        // by argument renaming, not data movement. The first 16 rounds read
-        // the loaded block directly; later rounds extend the rolling window
-        // in place — no branch inside the round body either way.
-        let mut t = 0usize;
-        while t < 16 {
-            hh = Self::round(a, b, c, &mut d, e, f, g, hh, K[t], w[t]);
-            g = Self::round(hh, a, b, &mut c, d, e, f, g, K[t + 1], w[t + 1]);
-            f = Self::round(g, hh, a, &mut b, c, d, e, f, K[t + 2], w[t + 2]);
-            e = Self::round(f, g, hh, &mut a, b, c, d, e, K[t + 3], w[t + 3]);
-            d = Self::round(e, f, g, &mut hh, a, b, c, d, K[t + 4], w[t + 4]);
-            c = Self::round(d, e, f, &mut g, hh, a, b, c, K[t + 5], w[t + 5]);
-            b = Self::round(c, d, e, &mut f, g, hh, a, b, K[t + 6], w[t + 6]);
-            a = Self::round(b, c, d, &mut e, f, g, hh, a, K[t + 7], w[t + 7]);
-            t += 8;
-        }
-        while t < 64 {
-            let w0 = Self::extend(&mut w, t);
-            hh = Self::round(a, b, c, &mut d, e, f, g, hh, K[t], w0);
-            let w1 = Self::extend(&mut w, t + 1);
-            g = Self::round(hh, a, b, &mut c, d, e, f, g, K[t + 1], w1);
-            let w2 = Self::extend(&mut w, t + 2);
-            f = Self::round(g, hh, a, &mut b, c, d, e, f, K[t + 2], w2);
-            let w3 = Self::extend(&mut w, t + 3);
-            e = Self::round(f, g, hh, &mut a, b, c, d, e, K[t + 3], w3);
-            let w4 = Self::extend(&mut w, t + 4);
-            d = Self::round(e, f, g, &mut hh, a, b, c, d, K[t + 4], w4);
-            let w5 = Self::extend(&mut w, t + 5);
-            c = Self::round(d, e, f, &mut g, hh, a, b, c, K[t + 5], w5);
-            let w6 = Self::extend(&mut w, t + 6);
-            b = Self::round(c, d, e, &mut f, g, hh, a, b, K[t + 6], w6);
-            let w7 = Self::extend(&mut w, t + 7);
-            a = Self::round(b, c, d, &mut e, f, g, hh, a, K[t + 7], w7);
-            t += 8;
-        }
-        self.h[0] = self.h[0].wrapping_add(a);
-        self.h[1] = self.h[1].wrapping_add(b);
-        self.h[2] = self.h[2].wrapping_add(c);
-        self.h[3] = self.h[3].wrapping_add(d);
-        self.h[4] = self.h[4].wrapping_add(e);
-        self.h[5] = self.h[5].wrapping_add(f);
-        self.h[6] = self.h[6].wrapping_add(g);
-        self.h[7] = self.h[7].wrapping_add(hh);
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        *h = [
+            _mm_extract_epi32(dcba, 0) as u32,
+            _mm_extract_epi32(dcba, 1) as u32,
+            _mm_extract_epi32(dcba, 2) as u32,
+            _mm_extract_epi32(dcba, 3) as u32,
+            _mm_extract_epi32(hgef, 0) as u32,
+            _mm_extract_epi32(hgef, 1) as u32,
+            _mm_extract_epi32(hgef, 2) as u32,
+            _mm_extract_epi32(hgef, 3) as u32,
+        ];
     }
 
-    /// Message-schedule word for round `t ≥ 16`, extending the rolling
-    /// 16-word window in place: slot `t mod 16` holds `w[t-16]` and is
-    /// overwritten with `w[t]` just before the round consumes it.
-    #[inline(always)]
-    fn extend(w: &mut [u32; 16], t: usize) -> u32 {
-        let i = t & 15;
-        let w15 = w[(t + 1) & 15];
-        let w2 = w[(t + 14) & 15];
-        let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
-        let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
-        w[i] = w[i]
-            .wrapping_add(s0)
-            .wrapping_add(w[(t + 9) & 15])
-            .wrapping_add(s1);
-        w[i]
+    /// A block's sixteen big-endian message words as four vectors, the
+    /// lowest-numbered word of each group in lane 0.
+    #[inline]
+    #[target_feature(enable = "sha,sse4.1")]
+    fn load(block: &[u8; 64]) -> [__m128i; 4] {
+        let mut w = [0i32; 16];
+        for (slot, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *slot = u32::from_be_bytes(*bytes) as i32;
+        }
+        [
+            _mm_set_epi32(w[3], w[2], w[1], w[0]),
+            _mm_set_epi32(w[7], w[6], w[5], w[4]),
+            _mm_set_epi32(w[11], w[10], w[9], w[8]),
+            _mm_set_epi32(w[15], w[14], w[13], w[12]),
+        ]
     }
 
-    /// One SHA-256 round. `d` is updated in place; the new working variable
-    /// `a` is returned (callers rename the rest).
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn round(
-        a: u32,
-        b: u32,
-        c: u32,
-        d: &mut u32,
-        e: u32,
-        f: u32,
-        g: u32,
-        hh: u32,
-        k: u32,
-        w: u32,
-    ) -> u32 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ ((!e) & g);
-        let temp1 = hh
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(k)
-            .wrapping_add(w);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let temp2 = s0.wrapping_add(maj);
-        *d = d.wrapping_add(temp1);
-        temp1.wrapping_add(temp2)
+    /// Rounds `4 * group .. 4 * group + 4`: two `sha256rnds2` steps over
+    /// the message words `w` plus their round constants.
+    #[inline]
+    #[target_feature(enable = "sha,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, group: usize) {
+        let t = 4 * group;
+        let k = _mm_set_epi32(
+            K[t + 3] as i32,
+            K[t + 2] as i32,
+            K[t + 1] as i32,
+            K[t] as i32,
+        );
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// The next four message-schedule words from the previous sixteen
+    /// (`w0` oldest).
+    #[inline]
+    #[target_feature(enable = "sha,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let w = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(w, w3)
     }
 }
 
@@ -318,37 +484,114 @@ pub fn sha256_str(s: &str) -> Digest {
 mod tests {
     use super::*;
 
+    /// A multi-block compress function: [`compress_blocks`] or
+    /// [`compress_portable`].
+    type Compress = fn(&mut [u32; 8], &[u8]);
+
+    /// One-shot digest of `data` through an explicit multi-block compress.
+    fn one_shot(data: &[u8], compress: Compress) -> Digest {
+        let mut h = Sha256::new();
+        h.absorb(data, compress);
+        h.finish(compress)
+    }
+
+    /// A FIPS 180-4 vector, asserted through the dispatching entry and,
+    /// explicitly, the portable rounds (which hosts with SHA-NI otherwise
+    /// never run).
+    fn assert_vector(data: &[u8], hex: &str) {
+        assert_eq!(sha256(data).to_oci_string(), hex);
+        assert_eq!(one_shot(data, compress_portable).to_oci_string(), hex);
+    }
+
     #[test]
     fn empty_string_vector() {
-        assert_eq!(
-            sha256(b"").to_oci_string(),
-            "sha256:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_vector(
+            b"",
+            "sha256:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc_vector() {
-        assert_eq!(
-            sha256(b"abc").to_oci_string(),
-            "sha256:ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_vector(
+            b"abc",
+            "sha256:ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_vector() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_oci_string(),
-            "sha256:248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "sha256:248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn long_input() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_oci_string(),
-            "sha256:cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_vector(
+            &vec![b'a'; 1_000_000],
+            "sha256:cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
+    }
+
+    #[test]
+    fn accelerated_path_matches_portable_on_every_length() {
+        // Seeded inputs of every length 0..=4200 cover every padding class
+        // (tail < 56, tail >= 56, empty tail) many times over, each hashed
+        // one-shot and under random chunk splits through both entries.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let data: Vec<u8> = (0..4200).map(|_| next() as u8).collect();
+        for len in 0..=data.len() {
+            let input = &data[..len];
+            let portable = one_shot(input, compress_portable);
+            assert_eq!(one_shot(input, compress_blocks), portable, "len={len}");
+            let mut fast = Sha256::new();
+            let mut slow = Sha256::new();
+            let mut off = 0;
+            while off < len {
+                let take = (next() as usize % 200 + 1).min(len - off);
+                fast.absorb(&input[off..off + take], compress_blocks);
+                slow.absorb(&input[off..off + take], compress_portable);
+                off += take;
+            }
+            assert_eq!(fast.finish(compress_blocks), portable, "len={len} split");
+            assert_eq!(slow.finish(compress_portable), portable, "len={len} split");
+        }
+    }
+
+    /// Same-run MB/s of the portable rounds and the dispatching entry over
+    /// the input of the `sha256_throughput/one_shot_1MiB` bench. A timing
+    /// probe, not a check: `cargo test --release -p hpcc-image --lib --
+    /// --ignored --nocapture sha256_throughput`.
+    #[test]
+    #[ignore = "timing probe; run explicitly in release"]
+    fn sha256_throughput_one_shot_1mib() {
+        let data: Vec<u8> = (0..1 << 20).map(|i| (i * 31 % 251) as u8).collect();
+        let paths: [(&str, Compress); 2] = [
+            ("portable", compress_portable),
+            ("dispatch", compress_blocks),
+        ];
+        for (name, compress) in paths {
+            one_shot(&data, compress);
+            let runs = 50;
+            let start = std::time::Instant::now();
+            for _ in 0..runs {
+                std::hint::black_box(one_shot(std::hint::black_box(&data), compress));
+            }
+            let secs = start.elapsed().as_secs_f64() / runs as f64;
+            println!(
+                "sha256_throughput/one_shot_1MiB {name}: {:.2} ms, {:.0} MB/s",
+                secs * 1e3,
+                data.len() as f64 / secs / 1e6
+            );
+        }
     }
 
     #[test]
