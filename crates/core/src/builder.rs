@@ -232,7 +232,7 @@ struct BaseEnvTemplate {
     fs: Filesystem,
     creds: Credentials,
     userns: UserNamespace,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     base_reference: String,
 }
 
@@ -426,7 +426,7 @@ pub(crate) struct BuildEnv {
     pub(crate) fs: Filesystem,
     pub(crate) creds: Credentials,
     pub(crate) userns: UserNamespace,
-    pub(crate) catalog: Catalog,
+    pub(crate) catalog: Arc<Catalog>,
     pub(crate) base_reference: String,
 }
 
@@ -558,7 +558,7 @@ impl Builder {
             fs: template.fs.clone(),
             creds: template.creds.clone(),
             userns: template.userns.clone(),
-            catalog: template.catalog.clone(),
+            catalog: Arc::clone(&template.catalog),
             base_reference: template.base_reference.clone(),
         })
     }

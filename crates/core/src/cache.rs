@@ -82,10 +82,11 @@ impl BuildCache {
         }
     }
 
-    /// Sets (or removes) the entry cap. Shrinking evicts immediately.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
+    /// Sets (or removes) the entry cap. Shrinking evicts immediately; the
+    /// evicted states are returned, as by [`Self::store`].
+    pub fn set_capacity(&mut self, capacity: Option<usize>) -> Vec<Arc<CachedState>> {
         self.capacity = capacity;
-        self.evict_to_capacity();
+        self.evict_to_capacity()
     }
 
     /// The configured entry cap.
@@ -140,18 +141,23 @@ impl BuildCache {
         })
     }
 
-    /// Stores a state, evicting LRU entries past the capacity.
-    pub fn store(&mut self, state: CachedState) {
+    /// Stores a state, evicting LRU entries past the capacity. Returns the
+    /// evicted states, so a caller that holds a lock around the cache can
+    /// free their snapshots after releasing it.
+    pub fn store(&mut self, state: CachedState) -> Vec<Arc<CachedState>> {
         self.tick += 1;
         self.entries
             .insert(state.state_id, (Arc::new(state), self.tick));
-        self.evict_to_capacity();
+        self.evict_to_capacity()
     }
 
     /// Evicts least-recently-used entries until within capacity, skipping
     /// entries pinned by in-flight stages (outstanding `Arc` references).
-    fn evict_to_capacity(&mut self) {
-        let Some(cap) = self.capacity else { return };
+    fn evict_to_capacity(&mut self) -> Vec<Arc<CachedState>> {
+        let mut evicted = Vec::new();
+        let Some(cap) = self.capacity else {
+            return evicted;
+        };
         while self.entries.len() > cap {
             let victim = self
                 .entries
@@ -159,16 +165,15 @@ impl BuildCache {
                 .filter(|(_, (state, _))| Arc::strong_count(state) == 1)
                 .min_by_key(|(_, (_, tick))| *tick)
                 .map(|(id, _)| *id);
-            match victim {
-                Some(id) => {
-                    self.entries.remove(&id);
-                    self.evictions += 1;
-                }
-                // Everything is pinned: exceed capacity rather than drop
-                // state a stage is still building on.
-                None => break,
-            }
+            // Everything is pinned: exceed capacity rather than drop state a
+            // stage is still building on.
+            let Some((state, _)) = victim.and_then(|id| self.entries.remove(&id)) else {
+                break;
+            };
+            evicted.push(state);
+            self.evictions += 1;
         }
+        evicted
     }
 
     /// Number of cached states.
@@ -210,6 +215,14 @@ pub const CACHE_SHARDS: usize = 16;
 struct FlightSlot {
     done: Mutex<bool>,
     cv: Condvar,
+}
+
+/// One step of [`ShardedBuildCache::lookup_or_lead`].
+enum Flight<'a> {
+    Hit(Arc<CachedState>),
+    Lead(FlightGuard<'a>),
+    /// Another caller leads the digest: wait for its slot to finish.
+    Wait(Arc<FlightSlot>),
 }
 
 /// Outcome of [`ShardedBuildCache::lookup_or_lead`].
@@ -326,7 +339,10 @@ impl ShardedBuildCache {
     pub fn set_capacity(&self, capacity: Option<usize>) {
         let per_shard = capacity.map(|c| c.div_ceil(CACHE_SHARDS).max(1));
         for s in &self.shards {
-            lock_recover(s).set_capacity(per_shard);
+            // The shard guard is a temporary: evicted snapshots are freed
+            // after it is released.
+            let evicted = lock_recover(s).set_capacity(per_shard);
+            drop(evicted);
         }
     }
 
@@ -358,27 +374,23 @@ impl ShardedBuildCache {
     pub fn lookup_or_lead(&self, id: &Digest) -> CacheOutcome<'_> {
         let mut waited = false;
         loop {
-            if let Some(hit) = lock_recover(self.shard(id)).probe(id) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if waited {
-                    self.deduped.fetch_add(1, Ordering::Relaxed);
-                }
-                return CacheOutcome::Hit(hit);
-            }
-            let slot = {
-                let mut flight = lock_recover(&self.flight);
-                match flight.get(id) {
-                    Some(slot) => Arc::clone(slot),
-                    None => {
-                        flight.insert(*id, Arc::new(FlightSlot::default()));
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        return CacheOutcome::Lead(FlightGuard {
-                            cache: self,
-                            id: *id,
-                            finished: false,
-                        });
+            // Bound before the match: a guard in the scrutinee would stay
+            // locked through `join_or_lead`, which takes the shard again.
+            let probed = lock_recover(self.shard(id)).probe(id);
+            let step = match probed {
+                Some(hit) => Flight::Hit(hit),
+                None => self.join_or_lead(id),
+            };
+            let slot = match step {
+                Flight::Hit(hit) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    if waited {
+                        self.deduped.fetch_add(1, Ordering::Relaxed);
                     }
+                    return CacheOutcome::Hit(hit);
                 }
+                Flight::Lead(guard) => return CacheOutcome::Lead(guard),
+                Flight::Wait(slot) => slot,
             };
             // Wait for the leader, then loop: either its result is now in
             // the shard (hit) or it aborted (race for the next leadership).
@@ -393,9 +405,36 @@ impl ShardedBuildCache {
         }
     }
 
+    /// The flight step of [`Self::lookup_or_lead`], after a shard probe
+    /// missed: wait on the digest's leader, or become the leader (counted
+    /// as the miss). Before leading, the shard is probed again under the
+    /// flight lock. A leader stores its state before it removes its slot,
+    /// so a leader that completed since the first probe shows up here as a
+    /// hit; an absent slot plus a second miss means nobody has computed the
+    /// digest.
+    fn join_or_lead(&self, id: &Digest) -> Flight<'_> {
+        let mut flight = lock_recover(&self.flight);
+        if let Some(slot) = flight.get(id) {
+            return Flight::Wait(Arc::clone(slot));
+        }
+        if let Some(hit) = lock_recover(self.shard(id)).probe(id) {
+            return Flight::Hit(hit);
+        }
+        flight.insert(*id, Arc::new(FlightSlot::default()));
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        Flight::Lead(FlightGuard {
+            cache: self,
+            id: *id,
+            finished: false,
+        })
+    }
+
     /// Stores a state in its shard (evicting LRU entries past the cap).
+    /// Evicted snapshots are freed after the shard lock is released, so
+    /// other workers probing the shard do not wait on the deallocation.
     pub fn store(&self, state: CachedState) {
-        lock_recover(self.shard(&state.state_id)).store(state);
+        let evicted = lock_recover(self.shard(&state.state_id)).store(state);
+        drop(evicted);
     }
 
     /// Number of cached states across all shards.
@@ -733,6 +772,50 @@ mod tests {
             "at least one lookup blocked and deduped"
         );
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn leader_completing_between_probe_and_flight_step_is_a_hit() {
+        let cache = ShardedBuildCache::new();
+        let id = BuildCache::state_id(None, "RUN racing step");
+        let CacheOutcome::Lead(leader) = cache.lookup_or_lead(&id) else {
+            panic!("empty cache must elect a leader");
+        };
+        // A second caller probes the shard while the leader computes…
+        assert!(lock_recover(cache.shard(&id)).probe(&id).is_none());
+        // …the leader stores its state and removes its flight slot…
+        leader.complete(dummy_state(id));
+        // …and only then does the caller reach the flight step. It finds no
+        // slot, but must adopt the stored state instead of leading again.
+        match cache.join_or_lead(&id) {
+            Flight::Hit(state) => assert_eq!(state.state_id, id),
+            Flight::Lead(_) => panic!("digest computed twice"),
+            Flight::Wait(_) => panic!("the finished leader's slot is gone"),
+        }
+        assert_eq!(cache.misses(), 1);
+        // An aborted leader stores nothing: the flight step then leads.
+        let fresh = BuildCache::state_id(None, "RUN aborted step");
+        let CacheOutcome::Lead(aborted) = cache.lookup_or_lead(&fresh) else {
+            panic!("empty cache must elect a leader");
+        };
+        drop(aborted);
+        assert!(matches!(cache.join_or_lead(&fresh), Flight::Lead(_)));
+        assert_eq!(cache.misses(), 3);
+    }
+
+    #[test]
+    fn evicted_states_are_returned_to_be_freed_outside_the_lock() {
+        let mut cache = BuildCache::with_capacity(1);
+        let a = BuildCache::state_id(None, "a");
+        let b = BuildCache::state_id(None, "b");
+        assert!(cache.store(dummy_state(a)).is_empty());
+        let evicted = cache.store(dummy_state(b));
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].state_id, a);
+        // The cache no longer references the victim: the caller's handle
+        // is the last one, so dropping it frees the snapshot.
+        assert_eq!(Arc::strong_count(&evicted[0]), 1);
+        assert_eq!(cache.evictions(), 1);
     }
 
     #[test]

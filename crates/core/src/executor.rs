@@ -458,7 +458,9 @@ impl<'a> StageCtx<'a> {
             &e.catalog,
             &self.options.arch,
         );
-        shell.fakeroot_db = self.fakeroot_db.clone();
+        // The lie database moves into the shell for this RUN and back out
+        // after it (the stage fails on any early return, dropping it).
+        shell.fakeroot_db = std::mem::take(&mut self.fakeroot_db);
 
         // --force initialization before the first modified RUN.
         if wrap && !self.force_initialized {
@@ -480,8 +482,8 @@ impl<'a> StageCtx<'a> {
                     step.apply
                 ));
                 let apply = shell.run_command(&step.apply);
-                self.report.transcript.extend(apply.lines.clone());
-                if !apply.success() {
+                self.report.transcript.extend(apply.lines);
+                if apply.status != 0 {
                     init_failed = Some(apply.status);
                     break;
                 }
@@ -507,9 +509,9 @@ impl<'a> StageCtx<'a> {
         } else {
             shell.run_command(cmd)
         };
-        self.fakeroot_db = shell.fakeroot_db.clone();
-        self.report.transcript.extend(result.lines.clone());
-        if !result.success() {
+        self.fakeroot_db = std::mem::take(&mut shell.fakeroot_db);
+        self.report.transcript.extend(result.lines);
+        if result.status != 0 {
             let msg = format!(
                 "error: build failed: RUN command exited with {}",
                 result.status

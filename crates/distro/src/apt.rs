@@ -315,8 +315,9 @@ mod tests {
     use crate::baseimage::debian10;
     use hpcc_fakeroot::Flavor;
     use hpcc_kernel::{Credentials, UserNamespace};
+    use std::sync::Arc;
 
-    fn type3_env() -> (Filesystem, Credentials, UserNamespace, Catalog) {
+    fn type3_env() -> (Filesystem, Credentials, UserNamespace, Arc<Catalog>) {
         let img = debian10("amd64");
         let mut fs = img.fs;
         fs.flatten_ownership(Uid(1000), Gid(1000));
@@ -326,7 +327,7 @@ mod tests {
         (fs, creds, ns, img.catalog)
     }
 
-    fn type2_env() -> (Filesystem, Credentials, UserNamespace, Catalog) {
+    fn type2_env() -> (Filesystem, Credentials, UserNamespace, Arc<Catalog>) {
         let img = debian10("amd64");
         let mut fs = img.fs;
         fs.flatten_ownership(Uid(1000), Gid(1000));

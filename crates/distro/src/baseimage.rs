@@ -5,6 +5,8 @@
 //! owned inside a build (flattened to the build user for Type III, subordinate
 //! IDs for Type II) is decided by the runtime that unpacks them.
 
+use std::sync::Arc;
+
 use hpcc_kernel::{Gid, Uid};
 use hpcc_vfs::{Filesystem, Mode};
 
@@ -20,8 +22,9 @@ pub struct BaseImage {
     pub reference: String,
     /// The image filesystem.
     pub fs: Filesystem,
-    /// Package catalog for the distribution.
-    pub catalog: Catalog,
+    /// Package catalog for the distribution (shared; see
+    /// [`catalog_for`]).
+    pub catalog: Arc<Catalog>,
     /// CPU architecture the image was built for.
     pub arch: String,
 }

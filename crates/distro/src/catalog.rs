@@ -6,6 +6,8 @@
 //! `openssh-client`, plus the HPC stack used by the Astra / LANL pipeline
 //! scenarios (OpenMPI, Spack environment, application).
 
+use std::sync::{Arc, OnceLock};
+
 use crate::package::{Catalog, Package, PayloadEntry, Repository, Scriptlet};
 
 /// GID used for the `ssh_keys` group created by openssh's scriptlets.
@@ -218,15 +220,34 @@ pub fn debian10_catalog(arch: &str) -> Catalog {
     Catalog::new(vec![buster])
 }
 
+/// Architectures whose catalogs [`catalog_for`] memoizes. `--arch` is a
+/// tenant-chosen string, so any other value gets a freshly built catalog
+/// and the memo never grows past this table.
+const MEMO_ARCHES: [&str; 5] = ["x86_64", "amd64", "aarch64", "arm64", "ppc64le"];
+
+/// The memo: one slot per (distribution family, memoized arch).
+static CATALOGS: [[OnceLock<Arc<Catalog>>; MEMO_ARCHES.len()]; 2] =
+    [const { [const { OnceLock::new() }; MEMO_ARCHES.len()] }; 2];
+
 /// Returns the catalog for an image reference (e.g. `centos:7`,
 /// `debian:buster`).
-pub fn catalog_for(reference: &str, arch: &str) -> Option<Catalog> {
+///
+/// A catalog is immutable reference data (which repositories are enabled
+/// lives in the image's files), so every caller shares one catalog per
+/// (distribution family, arch): the first lookup builds it with
+/// [`centos7_catalog`] or [`debian10_catalog`], later lookups are an atomic
+/// load and a reference-count bump.
+pub fn catalog_for(reference: &str, arch: &str) -> Option<Arc<Catalog>> {
     let name = reference.split(':').next().unwrap_or(reference);
-    match name {
-        "centos" | "rhel" | "rockylinux" | "almalinux" => Some(centos7_catalog(arch)),
-        "debian" | "ubuntu" => Some(debian10_catalog(arch)),
-        _ => None,
-    }
+    let (family, build): (usize, fn(&str) -> Catalog) = match name {
+        "centos" | "rhel" | "rockylinux" | "almalinux" => (0, centos7_catalog),
+        "debian" | "ubuntu" => (1, debian10_catalog),
+        _ => return None,
+    };
+    Some(match MEMO_ARCHES.iter().position(|a| *a == arch) {
+        Some(slot) => Arc::clone(CATALOGS[family][slot].get_or_init(|| Arc::new(build(arch)))),
+        None => Arc::new(build(arch)),
+    })
 }
 
 #[cfg(test)]
@@ -279,6 +300,41 @@ mod tests {
         assert!(catalog_for("centos:7", "x86_64").is_some());
         assert!(catalog_for("debian:buster", "amd64").is_some());
         assert!(catalog_for("alpine:3.12", "x86_64").is_none());
+    }
+
+    #[test]
+    fn catalog_for_shares_one_catalog_per_family_and_arch() {
+        for arch in MEMO_ARCHES {
+            let centos = catalog_for("centos:7", arch).unwrap();
+            // Every CentOS-family reference maps to the same memo slot.
+            assert!(Arc::ptr_eq(&centos, &catalog_for("rhel:7", arch).unwrap()));
+            assert!(Arc::ptr_eq(&centos, &catalog_for("centos", arch).unwrap()));
+            assert_eq!(*centos, centos7_catalog(arch));
+            let debian = catalog_for("debian:buster", arch).unwrap();
+            assert!(Arc::ptr_eq(
+                &debian,
+                &catalog_for("ubuntu:20.04", arch).unwrap()
+            ));
+            assert_eq!(*debian, debian10_catalog(arch));
+            assert!(!Arc::ptr_eq(&centos, &debian));
+        }
+        assert!(!Arc::ptr_eq(
+            &catalog_for("centos:7", "x86_64").unwrap(),
+            &catalog_for("centos:7", "aarch64").unwrap()
+        ));
+    }
+
+    #[test]
+    fn catalog_memo_stays_bounded_under_tenant_chosen_arches() {
+        for i in 0..1000 {
+            let arch = format!("tenant-arch-{}", i);
+            let first = catalog_for("debian:buster", &arch).unwrap();
+            let second = catalog_for("debian:buster", &arch).unwrap();
+            // Built fresh on every call with the requested arch: an arch
+            // outside the fixed table never takes a memo slot.
+            assert!(!Arc::ptr_eq(&first, &second));
+            assert_eq!(*first, debian10_catalog(&arch));
+        }
     }
 
     #[test]

@@ -295,10 +295,11 @@ mod tests {
     use crate::baseimage::centos7;
     use hpcc_fakeroot::Flavor;
     use hpcc_kernel::{Credentials, Gid, Uid, UserNamespace};
+    use std::sync::Arc;
 
     /// A centos:7 image tree as unpacked by an unprivileged Type III builder:
     /// everything owned by the build user.
-    fn type3_build_env() -> (Filesystem, Credentials, UserNamespace, Catalog) {
+    fn type3_build_env() -> (Filesystem, Credentials, UserNamespace, Arc<Catalog>) {
         let img = centos7("x86_64");
         let mut fs = img.fs;
         fs.flatten_ownership(Uid(1000), Gid(1000));
@@ -308,7 +309,7 @@ mod tests {
         (fs, creds, ns, img.catalog)
     }
 
-    fn type2_build_env() -> (Filesystem, Credentials, UserNamespace, Catalog) {
+    fn type2_build_env() -> (Filesystem, Credentials, UserNamespace, Arc<Catalog>) {
         let img = centos7("x86_64");
         let mut fs = img.fs;
         // Type II unpack: container root = invoking user's host UID.

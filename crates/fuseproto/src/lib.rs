@@ -12,9 +12,8 @@
 //!   `Actor`;
 //! * errno-coded failures ([`Errno`]) mapped bidirectionally from the
 //!   simulated kernel's error type — raw POSIX numbers on the wire;
-//! * a backend contract ([`FsOps`]) with two implementations: [`MemFs`]
-//!   over the in-memory CoW filesystem, and the overlay-backed read-only
-//!   variant ([`ReadOnly`]);
+//! * a backend contract ([`FsOps`]), implemented by [`MemFs`] over the
+//!   in-memory CoW filesystem;
 //! * a [`Session`] owning the open-handle table (flags, sequential offsets,
 //!   readdir cursors), and the one [`Dispatch`] trait it shares with the
 //!   read-only [`ReaderSession`], so anything that pumps requests — a queue,
@@ -62,7 +61,7 @@ pub mod wire;
 pub use dispatch::Dispatch;
 pub use errno::{Errno, OpResult};
 pub use fault::{Fault, FaultCounters, FaultPlan, FaultTransport};
-pub use memfs::{MemFs, ReadOnly};
+pub use memfs::MemFs;
 pub use op::{
     Attr, DirEntry, Entry, FsCreds, OpenFlags, Opened, Operation, ReadReply, Reply, ReplyKind,
     Request, StatfsReply, Written,
@@ -184,7 +183,7 @@ mod proptests {
                 (s_res.err().map(|e| e.code()), d_res.err().map(|e| e.code()))
             }
             _ => {
-                let mode = Mode::new(if op % 2 == 0 { 0o700 } else { 0o755 });
+                let mode = Mode::new(if op.is_multiple_of(2) { 0o700 } else { 0o755 });
                 let s_res = session.resolve_path(cred, p1, true).and_then(|e| {
                     session
                         .setattr(cred, e.ino, &Setattr::none().with_mode(mode))

@@ -1,22 +1,18 @@
-//! Backends: the in-memory CoW filesystem and a read-only wrapper.
+//! Backend: the in-memory CoW filesystem.
 //!
 //! [`MemFs`] serves an [`hpcc_vfs::Filesystem`] through the typed op
 //! protocol. It is generic over how it holds the filesystem — by value
 //! (`MemFs<Filesystem>`, what `Container::mount` uses with an O(1) CoW
 //! snapshot) or by mutable borrow (`MemFs<&mut Filesystem>`, what the shell
 //! uses to route builtins through ops without giving up ownership).
-//!
-//! [`ReadOnly`] wraps any backend and refuses every mutating op with
-//! `EROFS`; [`ReadOnly::from_overlay`] builds the overlay-backed read-only
-//! variant — the merged view of an [`OverlayFs`] materialized as a CoW
-//! snapshot (file bytes stay shared with the layers) and served immutably.
+//! Read-only mounts are served by [`crate::SharedImage`] instead.
 //!
 //! `Container::mount` is implemented in the `hpcc-runtime` crate.
 
 use std::borrow::{Borrow, BorrowMut};
 
 use hpcc_kernel::{Credentials, UserNamespace};
-use hpcc_vfs::{Actor, FileBytes, Filesystem, Ino, Mode, OverlayFs, Setattr};
+use hpcc_vfs::{Actor, FileBytes, Filesystem, Ino, Mode, Setattr};
 
 use crate::errno::OpResult;
 use crate::op::{Attr, DirEntry, Entry, FsCreds, OpenFlags, StatfsReply};
@@ -285,139 +281,5 @@ impl<F: Borrow<Filesystem> + BorrowMut<Filesystem>> FsOps for MemFs<F> {
         let creds = self.credentials(cred);
         let actor = Actor::new(&creds, &self.userns);
         self.filesystem().list_xattrs_ino(&actor, ino).map_err(wire)
-    }
-}
-
-/// A read-only wrapper: reads pass through, every mutating op is `EROFS`.
-#[derive(Debug)]
-pub struct ReadOnly<B>(B);
-
-impl<B: FsOps> ReadOnly<B> {
-    /// Wraps a backend read-only.
-    pub fn new(inner: B) -> Self {
-        ReadOnly(inner)
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.0
-    }
-}
-
-impl ReadOnly<MemFs<Filesystem>> {
-    /// The overlay-backed read-only variant: materializes the overlay's
-    /// merged view as a copy-on-write snapshot (regular-file bytes stay
-    /// shared with the layers — `squash` copies tree metadata, not content)
-    /// and serves it immutably.
-    pub fn from_overlay(overlay: &OverlayFs, userns: UserNamespace) -> Self {
-        ReadOnly(MemFs::new(overlay.squash(), userns))
-    }
-}
-
-impl<B: FsOps> FsOps for ReadOnly<B> {
-    fn root_ino(&self) -> Ino {
-        self.0.root_ino()
-    }
-
-    fn lookup(&self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<Entry> {
-        self.0.lookup(cred, parent, name)
-    }
-
-    fn getattr(&self, cred: &FsCreds, ino: Ino) -> OpResult<Attr> {
-        self.0.getattr(cred, ino)
-    }
-
-    fn setattr(&mut self, _cred: &FsCreds, _ino: Ino, _changes: &Setattr) -> OpResult<Attr> {
-        Err(Errno::EROFS)
-    }
-
-    fn readlink(&self, cred: &FsCreds, ino: Ino) -> OpResult<String> {
-        self.0.readlink(cred, ino)
-    }
-
-    fn open(&mut self, cred: &FsCreds, ino: Ino, flags: OpenFlags) -> OpResult<()> {
-        if flags.writable() || flags.truncates() {
-            return Err(Errno::EROFS);
-        }
-        self.0.open(cred, ino, flags)
-    }
-
-    fn read(&self, cred: &FsCreds, ino: Ino) -> OpResult<FileBytes> {
-        self.0.read(cred, ino)
-    }
-
-    fn write(&mut self, _cred: &FsCreds, _ino: Ino, _offset: u64, _data: &[u8]) -> OpResult<u32> {
-        Err(Errno::EROFS)
-    }
-
-    fn create(
-        &mut self,
-        _cred: &FsCreds,
-        _parent: Ino,
-        _name: &str,
-        _mode: Mode,
-    ) -> OpResult<Entry> {
-        Err(Errno::EROFS)
-    }
-
-    fn mkdir(
-        &mut self,
-        _cred: &FsCreds,
-        _parent: Ino,
-        _name: &str,
-        _mode: Mode,
-    ) -> OpResult<Entry> {
-        Err(Errno::EROFS)
-    }
-
-    fn unlink(&mut self, _cred: &FsCreds, _parent: Ino, _name: &str) -> OpResult<()> {
-        Err(Errno::EROFS)
-    }
-
-    fn rmdir(&mut self, _cred: &FsCreds, _parent: Ino, _name: &str) -> OpResult<()> {
-        Err(Errno::EROFS)
-    }
-
-    fn rename(
-        &mut self,
-        _cred: &FsCreds,
-        _parent: Ino,
-        _name: &str,
-        _new_parent: Ino,
-        _new_name: &str,
-    ) -> OpResult<()> {
-        Err(Errno::EROFS)
-    }
-
-    fn symlink(
-        &mut self,
-        _cred: &FsCreds,
-        _parent: Ino,
-        _name: &str,
-        _target: &str,
-    ) -> OpResult<Entry> {
-        Err(Errno::EROFS)
-    }
-
-    fn readdir(&self, cred: &FsCreds, ino: Ino) -> OpResult<Vec<DirEntry>> {
-        self.0.readdir(cred, ino)
-    }
-
-    fn statfs(&self, cred: &FsCreds) -> OpResult<StatfsReply> {
-        let mut s = self.0.statfs(cred)?;
-        s.readonly = true;
-        Ok(s)
-    }
-
-    fn getxattr(&self, cred: &FsCreds, ino: Ino, name: &str) -> OpResult<Vec<u8>> {
-        self.0.getxattr(cred, ino, name)
-    }
-
-    fn setxattr(&mut self, _cred: &FsCreds, _ino: Ino, _name: &str, _value: &[u8]) -> OpResult<()> {
-        Err(Errno::EROFS)
-    }
-
-    fn listxattr(&self, cred: &FsCreds, ino: Ino) -> OpResult<Vec<String>> {
-        self.0.listxattr(cred, ino)
     }
 }

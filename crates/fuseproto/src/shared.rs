@@ -78,8 +78,7 @@ impl SharedImage {
 
     /// Freezes an overlay's merged view: the squash is a CoW materialization
     /// (tree metadata only — file bytes stay shared with the layers), taken
-    /// **once** for all future readers rather than per client as
-    /// [`ReadOnly::from_overlay`](crate::ReadOnly::from_overlay) does.
+    /// **once** for all future readers rather than per client.
     pub fn from_overlay(overlay: &OverlayFs, userns: UserNamespace) -> Self {
         SharedImage::new(overlay.squash(), userns)
     }

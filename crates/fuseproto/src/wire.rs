@@ -1423,7 +1423,7 @@ mod proptests {
             gid: Gid(num.wrapping_mul(3)),
             size: ino.wrapping_mul(7),
             nlink: num.wrapping_add(1),
-            rdev: (num % 3 == 0).then_some((num, num.wrapping_add(9))),
+            rdev: num.is_multiple_of(3).then_some((num, num.wrapping_add(9))),
             mtime: ino,
         };
         match sel % 11 {
@@ -1457,7 +1457,7 @@ mod proptests {
                 Reply::Statfs(StatfsReply {
                     inodes: ino,
                     bytes: ino.wrapping_mul(11),
-                    readonly: num % 2 == 0,
+                    readonly: num.is_multiple_of(2),
                 }),
                 ReplyKind::Statfs,
             ),

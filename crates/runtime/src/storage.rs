@@ -128,10 +128,10 @@ pub fn prepare_rootfs(
     let mut fs = Filesystem::new(backend);
     let mut cost = StorageCost::default();
     for layer in &image.layers {
-        let entries = tar::list(&layer.tar)?;
-        for e in &entries {
+        for entry in tar::entries(&layer.tar) {
+            let entry = entry?;
             cost.inodes_copied += 1;
-            cost.bytes_copied += e.content.len() as u64;
+            cost.bytes_copied += entry.content.len() as u64;
         }
         let force_owner = match id_persistence {
             IdPersistence::SingleUser => Some((Uid(invoker_uid), hpcc_kernel::Gid(invoker_uid))),
@@ -283,6 +283,33 @@ mod tests {
             IdPersistence::SingleUser,
         )
         .is_ok());
+    }
+
+    #[test]
+    fn storage_cost_accounting_is_pinned() {
+        let img = sample_image();
+        let cost = |driver| {
+            prepare_rootfs(
+                &img,
+                driver,
+                FsBackend::LocalDisk,
+                &Sysctl::modern(),
+                1000,
+                IdPersistence::SingleUser,
+            )
+            .unwrap()
+            .1
+        };
+        // Two directories and two files holding 3 + 26 bytes; the units are
+        // the driver-weighted bytes plus one per inode.
+        let pinned = |cost_units| StorageCost {
+            inodes_copied: 4,
+            bytes_copied: 29,
+            cost_units,
+        };
+        assert_eq!(cost(StorageDriver::Vfs), pinned(33));
+        assert_eq!(cost(StorageDriver::OverlayFs), pinned(5));
+        assert_eq!(cost(StorageDriver::FuseOverlayFs), pinned(6));
     }
 
     #[test]

@@ -1016,7 +1016,7 @@ mod tests {
         fs: Filesystem,
         creds: Credentials,
         ns: UserNamespace,
-        catalog: Catalog,
+        catalog: std::sync::Arc<Catalog>,
         arch: String,
     }
 

@@ -161,7 +161,7 @@ mod proptests {
                 }
             }
             let byte_sum: u32 = bytes.iter().map(|&b| b as u32).sum();
-            if byte_sum % 3 == 0 && path.ends_with('/') && path.len() > 1 {
+            if byte_sum.is_multiple_of(3) && path.ends_with('/') && path.len() > 1 {
                 path.pop(); // sometimes drop the trailing slash
             }
             let new: Vec<&str> = path::PathComponents::parse(&path).as_slice().to_vec();

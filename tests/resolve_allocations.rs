@@ -7,10 +7,14 @@
 //! string, the parent-chain access re-checks borrow inodes in place, and no
 //! component is ever copied.
 //!
-//! The whole test binary runs under a counting global allocator; the single
-//! `#[test]` keeps the measurement single-threaded.
+//! The whole test binary runs under a counting global allocator that counts
+//! only the measuring thread's allocations. The test harness's main thread
+//! allocates when it gets round to waiting for the test, and on a loaded
+//! two-core host it did so mid-measurement in up to 9 of 120 runs; those
+//! allocations are not the resolver's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hpcc_repro::core::{centos7_dockerfile, BuildOptions, Builder};
@@ -19,14 +23,26 @@ use hpcc_repro::runtime::Invoker;
 use hpcc_repro::vfs::Actor;
 
 /// Counts every allocation (and reallocation) made through the global
-/// allocator.
+/// allocator by a thread that set [`COUNTING`].
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set by the measuring thread. Const-initialized and without a
+    /// destructor, so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTING.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,6 +61,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn cache_hit_resolves_on_cold_centos7_build_do_not_allocate() {
+    COUNTING.with(|c| c.set(true));
     // Cold CentOS 7 build (no instruction cache), as the acceptance
     // criterion specifies.
     let mut builder = Builder::ch_image(Invoker::user("alice", 1000, 1000));
