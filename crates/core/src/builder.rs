@@ -726,7 +726,9 @@ impl Builder {
 
     /// Stores a finished stage artifact as a locally tagged image. Exposed
     /// so external schedulers (the build farm) can finalize builds whose
-    /// stages they executed themselves.
+    /// stages they executed themselves. The image owns its config and lie
+    /// database: they are moved out of the artifact, or copied once if a
+    /// cache entry still shares them.
     pub fn store_artifact(
         &mut self,
         tag: &str,
@@ -738,8 +740,8 @@ impl Builder {
             BuiltImage {
                 tag: tag.to_string(),
                 fs: artifact.fs,
-                config: artifact.config,
-                fakeroot_db: artifact.fakeroot_db,
+                config: Arc::unwrap_or_clone(artifact.config),
+                fakeroot_db: Arc::unwrap_or_clone(artifact.fakeroot_db),
                 base_reference: artifact.base_reference,
                 arch: arch.to_string(),
                 privilege: self.privilege_type(),
@@ -747,9 +749,10 @@ impl Builder {
         );
     }
 
-    /// Folds a graph run into one report. A single-stage build returns its
-    /// stage report unchanged; a multi-stage build concatenates transcripts
-    /// (with stage headers) and sums the counters.
+    /// Folds a graph run into one report, taking the stage reports out of
+    /// `run`. A single-stage build returns its stage report unchanged; a
+    /// multi-stage build moves the stage transcripts into one (with stage
+    /// headers) and sums the counters.
     fn merge_reports(
         ir: &BuildIr,
         run: &mut crate::executor::GraphRun,
@@ -771,10 +774,10 @@ impl Builder {
             cache_hits: 0,
             cache_misses: 0,
             elapsed: std::time::Duration::ZERO,
-            error: run.error.clone(),
+            error: run.error.take(),
         };
-        for (i, slot) in run.reports.iter().enumerate() {
-            let Some(r) = slot else { continue };
+        for (i, slot) in run.reports.iter_mut().enumerate() {
+            let Some(r) = slot.take() else { continue };
             let alias = ir.stages[i]
                 .alias
                 .as_deref()
@@ -783,7 +786,7 @@ impl Builder {
             merged
                 .transcript
                 .push(format!(">>> stage {}/{}{}", i + 1, ir.stage_count(), alias));
-            merged.transcript.extend(r.transcript.iter().cloned());
+            merged.transcript.extend(r.transcript);
             merged.instructions_total += r.instructions_total;
             merged.instructions_modified += r.instructions_modified;
             merged.modifiable_runs += r.modifiable_runs;
@@ -791,7 +794,7 @@ impl Builder {
             merged.cache_misses += r.cache_misses;
             merged.elapsed += r.elapsed;
             if merged.force_config.is_none() {
-                merged.force_config = r.force_config.clone();
+                merged.force_config = r.force_config;
             }
         }
         merged
@@ -883,155 +886,242 @@ mod tests {
         Invoker::user("alice", 1000, 1000)
     }
 
-    #[test]
-    fn figure2_plain_type3_build_fails_on_chown() {
-        let mut b = Builder::ch_image(alice());
-        let r = b.build(centos7_dockerfile(), &BuildOptions::new("foo"), None);
-        assert!(!r.success);
-        let t = r.transcript_text();
-        assert!(t.contains("1 FROM centos:7"));
-        assert!(t.contains("2 RUN [ '/bin/sh', '-c', 'echo hello' ]"));
-        assert!(t.contains("hello"));
-        assert!(t.contains("Error unpacking rpm package openssh-7.4p1-21.el7.x86_64"));
-        assert!(t.contains("cpio: chown"));
-        assert!(t.contains("error: build failed: RUN command exited with 1"));
-        // The hint the paper mentions was omitted from Figure 2.
-        assert!(t.contains("--force may fix"));
+    /// The build tool of a conformance row.
+    #[derive(Debug, Clone, Copy)]
+    enum Privilege {
+        TypeI,
+        TypeII,
+        /// Rootless Podman for a user with no `/etc/subuid` range.
+        TypeIINoSubuid,
+        TypeIII,
     }
 
-    #[test]
-    fn figure3_plain_type3_debian_build_fails_on_privilege_drop() {
-        let mut b = Builder::ch_image(alice());
-        let r = b.build(
-            debian10_dockerfile(),
-            &BuildOptions::new("foo").with_arch("amd64"),
-            None,
-        );
-        assert!(!r.success);
-        let t = r.transcript_text();
-        assert!(t.contains("E: setgroups 65534 failed - setgroups (1: Operation not permitted)"));
-        assert!(t.contains("E: setegid 65534 failed - setegid (22: Invalid argument)"));
-        assert!(t.contains("E: seteuid 100 failed - seteuid (22: Invalid argument)"));
-        assert!(t.contains("error: build failed: RUN command exited with 100"));
+    #[derive(Debug, Clone, Copy)]
+    enum Distro {
+        Centos7,
+        Debian10,
     }
 
-    #[test]
-    fn figure8_manually_modified_centos_dockerfile_succeeds() {
-        let mut b = Builder::ch_image(alice());
-        let r = b.build(centos7_fr_dockerfile(), &BuildOptions::new("foo"), None);
-        assert!(r.success, "{}", r.transcript_text());
-        let t = r.transcript_text();
-        assert!(t.contains("Complete!"));
-        assert!(t.contains("grown in 5 instructions: foo"));
-        assert_eq!(r.instructions_modified, 0, "no automatic modification");
+    /// The Dockerfile of a conformance row: the paper's unmodified
+    /// Dockerfile (Figures 2, 3), its manually modified form (Figures 8,
+    /// 9), or the unmodified one built with `--force` (Figures 10, 11).
+    #[derive(Debug, Clone, Copy)]
+    enum Variant {
+        Plain,
+        Modified,
+        Force,
     }
 
-    #[test]
-    fn figure9_manually_modified_debian_dockerfile_succeeds() {
-        let mut b = Builder::ch_image(alice());
-        let r = b.build(
-            debian10_fr_dockerfile(),
-            &BuildOptions::new("foo").with_arch("amd64"),
-            None,
-        );
-        assert!(r.success, "{}", r.transcript_text());
-        let t = r.transcript_text();
-        assert!(t.contains("Setting up pseudo (1.9.0+git20180920-1) ..."));
-        assert!(t.contains("W: chown to root:adm of file /var/log/apt/term.log failed"));
-        assert!(t.contains("Setting up openssh-client (1:7.9p1-10+deb10u2) ..."));
-        assert!(t.contains("grown in 6 instructions: foo"));
+    #[derive(Debug, Clone, Copy)]
+    enum Outcome {
+        /// The build grows the image in `instructions` instructions, and
+        /// `--force` rewrites `modified` RUN instructions.
+        Success {
+            instructions: usize,
+            modified: usize,
+        },
+        /// The build fails at instruction `at` (1-based) on the named call.
+        Fails { at: usize, call: &'static str },
     }
 
-    #[test]
-    fn figure10_force_build_centos_unmodified_dockerfile() {
-        let mut b = Builder::ch_image(alice());
-        let r = b.build(
-            centos7_dockerfile(),
-            &BuildOptions::new("foo").with_force(),
-            None,
-        );
-        assert!(r.success, "{}", r.transcript_text());
-        let t = r.transcript_text();
-        assert!(t.contains("will use --force: rhel7: CentOS/RHEL 7"));
-        assert!(t.contains("workarounds: init step 1: checking: $ command -v fakeroot"));
-        assert!(t.contains("workarounds: init step 1: $ set -ex;"));
-        assert!(t.contains("+ yum install -y epel-release"));
-        assert!(t.contains(
-            "workarounds: RUN: new command: [ 'fakeroot', '/bin/sh', '-c', 'yum install -y openssh' ]"
-        ));
-        assert!(t.contains("--force: init OK & modified 1 RUN instructions"));
-        assert!(t.contains("grown in 3 instructions: foo"));
-        assert_eq!(r.force_config.as_deref(), Some("rhel7"));
-        assert_eq!(r.instructions_modified, 1);
+    /// One row of the paper's privilege outcomes (§4.1, §5, Figures 2-11).
+    #[derive(Debug)]
+    struct Row {
+        privilege: Privilege,
+        distro: Distro,
+        variant: Variant,
+        outcome: Outcome,
+        /// The `--force` configuration the build reports.
+        force_config: Option<&'static str>,
+        /// Lines the first build's transcript contains.
+        transcript: &'static [&'static str],
     }
 
-    #[test]
-    fn figure11_force_build_debian_unmodified_dockerfile() {
-        let mut b = Builder::ch_image(alice());
-        let r = b.build(
-            debian10_dockerfile(),
-            &BuildOptions::new("foo").with_force().with_arch("amd64"),
-            None,
-        );
-        assert!(r.success, "{}", r.transcript_text());
-        let t = r.transcript_text();
-        assert!(t.contains("will use --force: debderiv: Debian (9, 10) or Ubuntu (16, 18, 20)"));
-        assert!(t.contains("workarounds: init step 1: checking: $ apt-config dump"));
-        assert!(t.contains("workarounds: init step 1: $ echo 'APT::Sandbox::User"));
-        assert!(t.contains("workarounds: init step 2: checking: $ command -v fakeroot"));
-        assert!(
-            t.contains("workarounds: init step 2: $ apt-get update && apt-get install -y pseudo")
-        );
-        assert!(t.contains("Setting up pseudo (1.9.0+git20180920-1) ..."));
-        assert!(t.contains(
-            "workarounds: RUN: new command: [ 'fakeroot', '/bin/sh', '-c', 'apt-get update' ]"
-        ));
-        assert!(t.contains(
-            "workarounds: RUN: new command: [ 'fakeroot', '/bin/sh', '-c', 'apt-get install -y openssh-client' ]"
-        ));
-        assert!(t.contains("--force: init OK & modified 2 RUN instructions"));
-        assert!(t.contains("grown in 4 instructions: foo"));
-        assert_eq!(r.instructions_modified, 2);
+    /// Builds the row twice with the cache on. A successful build rebuilds
+    /// entirely from the cache; a failed one fails again at the same
+    /// instruction, with every earlier instruction served from the cache.
+    fn check_row(row: &Row) {
+        let mut builder = match row.privilege {
+            Privilege::TypeI => Builder::docker(),
+            Privilege::TypeII => Builder::rootless_podman(alice(), default_subuid_for("alice")),
+            Privilege::TypeIINoSubuid => Builder::rootless_podman(alice(), SubIdDb::new()),
+            Privilege::TypeIII => Builder::ch_image(alice()),
+        };
+        let expected_type = match row.privilege {
+            Privilege::TypeI => PrivilegeType::TypeI,
+            Privilege::TypeII | Privilege::TypeIINoSubuid => PrivilegeType::TypeII,
+            Privilege::TypeIII => PrivilegeType::TypeIII,
+        };
+        assert_eq!(builder.privilege_type(), expected_type, "{row:?}");
+        let (dockerfile, arch) = match (row.distro, row.variant) {
+            (Distro::Centos7, Variant::Modified) => (centos7_fr_dockerfile(), "x86_64"),
+            (Distro::Centos7, _) => (centos7_dockerfile(), "x86_64"),
+            (Distro::Debian10, Variant::Modified) => (debian10_fr_dockerfile(), "amd64"),
+            (Distro::Debian10, _) => (debian10_dockerfile(), "amd64"),
+        };
+        let mut options = BuildOptions::new("foo").with_arch(arch).with_cache();
+        if let Variant::Force = row.variant {
+            options = options.with_force();
+        }
+        let first = builder.build(dockerfile, &options, None);
+        let second = builder.build(dockerfile, &options, None);
+        let text = first.transcript_text();
+        for line in row.transcript {
+            assert!(text.contains(line), "{row:?}: no {line:?} in\n{text}");
+        }
+        assert_eq!(first.force_config.as_deref(), row.force_config, "{row:?}");
+        assert_eq!(second.force_config, first.force_config, "{row:?}");
+        match row.outcome {
+            Outcome::Success {
+                instructions,
+                modified,
+            } => {
+                for r in [&first, &second] {
+                    assert!(r.success, "{row:?}: {}", r.transcript_text());
+                    assert_eq!(r.instructions_total, instructions, "{row:?}");
+                }
+                let grown = format!("grown in {instructions} instructions: foo");
+                assert!(text.contains(&grown), "{row:?}: {text}");
+                assert_eq!(first.instructions_modified, modified, "{row:?}");
+                assert_eq!(
+                    (second.cache_hits, second.cache_misses),
+                    (instructions, 0),
+                    "{row:?}: {}",
+                    second.transcript_text()
+                );
+                let owners = builder.image("foo").unwrap().fs.distinct_owner_uids();
+                match row.privilege {
+                    // Type I keeps real root ownership.
+                    Privilege::TypeI => assert!(owners.contains(&Uid(0)), "{row:?}"),
+                    // Type II ownership is multi-UID (subordinate IDs).
+                    Privilege::TypeII => assert!(owners.len() > 1, "{row:?}"),
+                    _ => {}
+                }
+            }
+            Outcome::Fails { at, call } => {
+                for r in [&first, &second] {
+                    assert!(!r.success, "{row:?}");
+                    assert_eq!(r.instructions_total, at, "{row:?}");
+                    assert!(r.transcript_text().contains(call), "{row:?}");
+                }
+                assert_eq!(second.error_text(), first.error_text(), "{row:?}");
+                assert_eq!(
+                    (second.cache_hits, second.cache_misses),
+                    (at - 1, 1),
+                    "{row:?}: {}",
+                    second.transcript_text()
+                );
+            }
+        }
     }
 
-    #[test]
-    fn rootless_podman_builds_both_dockerfiles_unmodified() {
-        // Paper §4.1: "the examples detailed in Figures 2 and 3 will both
-        // succeed as expected" under properly configured rootless Podman.
-        let mut b = Builder::rootless_podman(alice(), default_subuid_for("alice"));
-        let r = b.build(centos7_dockerfile(), &BuildOptions::new("c7"), None);
-        assert!(r.success, "{}", r.transcript_text());
-        assert_eq!(r.instructions_modified, 0);
-        let r = b.build(
-            debian10_dockerfile(),
-            &BuildOptions::new("d10").with_arch("amd64"),
-            None,
-        );
-        assert!(r.success, "{}", r.transcript_text());
-        // Ownership inside the image really is multi-UID (subordinate IDs).
-        let img = b.image("c7").unwrap();
-        assert!(img.fs.distinct_owner_uids().len() > 1);
+    /// The conformance table: one test per row.
+    macro_rules! conformance {
+        ($($name:ident: $privilege:ident, $distro:ident, $variant:ident => $outcome:expr,
+            force: $force:expr, transcript: $transcript:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                check_row(&Row {
+                    privilege: Privilege::$privilege,
+                    distro: Distro::$distro,
+                    variant: Variant::$variant,
+                    outcome: $outcome,
+                    force_config: $force,
+                    transcript: $transcript,
+                });
+            }
+        )*};
     }
 
-    #[test]
-    fn docker_type1_builds_but_requires_root() {
-        let mut b = Builder::docker();
-        assert_eq!(b.privilege_type(), PrivilegeType::TypeI);
-        let r = b.build(centos7_dockerfile(), &BuildOptions::new("c7"), None);
-        assert!(r.success, "{}", r.transcript_text());
-        let img = b.image("c7").unwrap();
-        // Type I keeps real root ownership.
-        assert!(img.fs.distinct_owner_uids().contains(&Uid(0)));
+    const fn ok(instructions: usize) -> Outcome {
+        Outcome::Success {
+            instructions,
+            modified: 0,
+        }
     }
 
-    #[test]
-    fn podman_without_subuid_ranges_fails_to_create_container() {
-        let mut b = Builder::rootless_podman(alice(), SubIdDb::new());
-        let r = b.build(centos7_dockerfile(), &BuildOptions::new("c7"), None);
-        assert!(!r.success);
-        assert!(r
-            .transcript_text()
-            .contains("cannot create build container"));
+    conformance! {
+        // Type I (§4.1): a privileged build succeeds as written.
+        docker_type1_builds_but_requires_root: TypeI, Centos7, Plain => ok(3),
+            force: None, transcript: &[];
+        type1_centos7_modified: TypeI, Centos7, Modified => ok(5),
+            force: None, transcript: &["Complete!"];
+        type1_centos7_force: TypeI, Centos7, Force => ok(3), force: None, transcript: &[];
+        type1_debian10_plain: TypeI, Debian10, Plain => ok(4), force: None, transcript: &[];
+        type1_debian10_modified: TypeI, Debian10, Modified => ok(6),
+            force: None, transcript: &[];
+        type1_debian10_force: TypeI, Debian10, Force => ok(4), force: None, transcript: &[];
+
+        // Type II (§4.1): "the examples detailed in Figures 2 and 3 will
+        // both succeed as expected"; `--force` is a `ch-image` option.
+        type2_centos7_plain: TypeII, Centos7, Plain => ok(3), force: None, transcript: &[];
+        type2_centos7_modified: TypeII, Centos7, Modified => ok(5),
+            force: None, transcript: &["Complete!"];
+        type2_centos7_force: TypeII, Centos7, Force => ok(3), force: None, transcript: &[];
+        type2_debian10_plain: TypeII, Debian10, Plain => ok(4), force: None, transcript: &[];
+        type2_debian10_modified: TypeII, Debian10, Modified => ok(6),
+            force: None, transcript: &[];
+        type2_debian10_force: TypeII, Debian10, Force => ok(4), force: None, transcript: &[];
+        // Without a subuid range the privileged helper refuses the map.
+        podman_without_subuid_ranges_fails_to_create_container: TypeIINoSubuid, Centos7, Plain
+            => Outcome::Fails { at: 1, call: "cannot create build container" },
+            force: None, transcript: &[];
+
+        // Type III (§5): the unmodified Dockerfiles fail (Figures 2, 3), the
+        // manually modified ones succeed (Figures 8, 9), and so do the
+        // unmodified ones under `--force` (Figures 10, 11).
+        figure2_plain_type3_build_fails_on_chown: TypeIII, Centos7, Plain
+            => Outcome::Fails { at: 3, call: "cpio: chown" },
+            force: None, transcript: &[
+                "1 FROM centos:7",
+                "2 RUN [ '/bin/sh', '-c', 'echo hello' ]",
+                "hello",
+                "Error unpacking rpm package openssh-7.4p1-21.el7.x86_64",
+                "error: build failed: RUN command exited with 1",
+                // The hint the paper mentions was omitted from Figure 2.
+                "--force may fix",
+            ];
+        figure3_plain_type3_debian_build_fails_on_privilege_drop: TypeIII, Debian10, Plain
+            => Outcome::Fails {
+                at: 3,
+                call: "E: setgroups 65534 failed - setgroups (1: Operation not permitted)",
+            },
+            force: None, transcript: &[
+                "E: setegid 65534 failed - setegid (22: Invalid argument)",
+                "E: seteuid 100 failed - seteuid (22: Invalid argument)",
+                "error: build failed: RUN command exited with 100",
+            ];
+        figure8_manually_modified_centos_dockerfile_succeeds: TypeIII, Centos7, Modified
+            => ok(5), force: None, transcript: &["Complete!"];
+        figure9_manually_modified_debian_dockerfile_succeeds: TypeIII, Debian10, Modified
+            => ok(6), force: None, transcript: &[
+                "Setting up pseudo (1.9.0+git20180920-1) ...",
+                "W: chown to root:adm of file /var/log/apt/term.log failed",
+                "Setting up openssh-client (1:7.9p1-10+deb10u2) ...",
+            ];
+        figure10_force_build_centos_unmodified_dockerfile: TypeIII, Centos7, Force
+            => Outcome::Success { instructions: 3, modified: 1 },
+            force: Some("rhel7"), transcript: &[
+                "will use --force: rhel7: CentOS/RHEL 7",
+                "workarounds: init step 1: checking: $ command -v fakeroot",
+                "workarounds: init step 1: $ set -ex;",
+                "+ yum install -y epel-release",
+                "workarounds: RUN: new command: [ 'fakeroot', '/bin/sh', '-c', 'yum install -y openssh' ]",
+                "--force: init OK & modified 1 RUN instructions",
+            ];
+        figure11_force_build_debian_unmodified_dockerfile: TypeIII, Debian10, Force
+            => Outcome::Success { instructions: 4, modified: 2 },
+            force: Some("debderiv"), transcript: &[
+                "will use --force: debderiv: Debian (9, 10) or Ubuntu (16, 18, 20)",
+                "workarounds: init step 1: checking: $ apt-config dump",
+                "workarounds: init step 1: $ echo 'APT::Sandbox::User",
+                "workarounds: init step 2: checking: $ command -v fakeroot",
+                "workarounds: init step 2: $ apt-get update && apt-get install -y pseudo",
+                "Setting up pseudo (1.9.0+git20180920-1) ...",
+                "workarounds: RUN: new command: [ 'fakeroot', '/bin/sh', '-c', 'apt-get update' ]",
+                "workarounds: RUN: new command: [ 'fakeroot', '/bin/sh', '-c', 'apt-get install -y openssh-client' ]",
+                "--force: init OK & modified 2 RUN instructions",
+            ];
     }
 
     #[test]

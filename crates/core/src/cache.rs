@@ -33,16 +33,91 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     })
 }
 
+/// A build-cache chain key under construction: the parent state and every
+/// bound input stream into one SHA-256, with no intermediate string.
+///
+/// Each field is fixed-size (a one-byte tag, a `u64`, a digest) or carries
+/// its length first, and which fields follow is decided by the tags already
+/// written. The byte stream therefore decodes back to exactly one input
+/// sequence, so two different inputs can never share a key, whatever bytes
+/// (`|`, `=`, newlines) their values contain.
+pub(crate) struct StateKey(Sha256);
+
+impl StateKey {
+    /// Starts the key of an instruction executed on top of `parent` (`None`
+    /// for a stage's first instruction on a base image).
+    pub(crate) fn new(parent: Option<&Digest>) -> Self {
+        let mut key = StateKey(Sha256::new());
+        key.opt_digest(parent);
+        key
+    }
+
+    /// Binds a one-byte tag: an instruction kind, a flag, or a marker.
+    pub(crate) fn tag(&mut self, tag: u8) -> &mut Self {
+        self.0.update(&[tag]);
+        self
+    }
+
+    /// Binds a number.
+    pub(crate) fn u64(&mut self, n: u64) -> &mut Self {
+        self.0.update(&n.to_le_bytes());
+        self
+    }
+
+    /// Binds a string, length first.
+    pub(crate) fn str(&mut self, s: &str) -> &mut Self {
+        self.u64(s.len() as u64);
+        self.0.update(s.as_bytes());
+        self
+    }
+
+    /// Binds a list of strings, count first.
+    pub(crate) fn strs(&mut self, items: &[String]) -> &mut Self {
+        self.u64(items.len() as u64);
+        for item in items {
+            self.str(item);
+        }
+        self
+    }
+
+    /// Binds an optional string: a presence tag, then the string.
+    pub(crate) fn opt_str(&mut self, s: Option<&str>) -> &mut Self {
+        match s {
+            Some(s) => self.tag(1).str(s),
+            None => self.tag(0),
+        }
+    }
+
+    /// Binds an optional digest: a presence tag, then its raw bytes.
+    pub(crate) fn opt_digest(&mut self, digest: Option<&Digest>) -> &mut Self {
+        match digest {
+            Some(d) => {
+                self.tag(1);
+                self.0.update(&d.0);
+                self
+            }
+            None => self.tag(0),
+        }
+    }
+
+    /// The finished key.
+    pub(crate) fn finish(self) -> Digest {
+        self.0.finalize()
+    }
+}
+
 /// A cached build state: the filesystem and metadata after executing an
-/// instruction.
+/// instruction. Every field is shared: storing or adopting a state bumps
+/// reference counts, and the executor copies the config or lie database
+/// only when an instruction writes to it.
 #[derive(Debug, Clone)]
 pub struct CachedState {
     /// Image filesystem snapshot.
     pub fs: Filesystem,
     /// Image configuration snapshot.
-    pub config: ImageConfig,
+    pub config: Arc<ImageConfig>,
     /// Fakeroot lie database snapshot.
-    pub fakeroot_db: LieDatabase,
+    pub fakeroot_db: Arc<LieDatabase>,
     /// State identifier (chain digest).
     pub state_id: Digest,
 }
@@ -97,21 +172,6 @@ impl BuildCache {
     /// Entries evicted so far.
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// Computes the state id for executing `instruction` on top of `parent`.
-    ///
-    /// Hashes the parent digest's raw bytes and the instruction text through
-    /// one incremental hasher — no intermediate strings are allocated.
-    pub fn state_id(parent: Option<&Digest>, instruction: &str) -> Digest {
-        let mut h = Sha256::new();
-        match parent {
-            Some(d) => h.update(&d.0),
-            None => h.update(b"scratch"),
-        }
-        h.update(b"\n");
-        h.update(instruction.as_bytes());
-        h.finalize()
     }
 
     /// Looks up a state, counting a hit or miss. A hit shares the snapshot:
@@ -490,31 +550,66 @@ mod tests {
     fn dummy_state(id: Digest) -> CachedState {
         CachedState {
             fs: Filesystem::new_local(),
-            config: ImageConfig::default(),
-            fakeroot_db: LieDatabase::new(),
+            config: Arc::new(ImageConfig::default()),
+            fakeroot_db: Arc::new(LieDatabase::new()),
             state_id: id,
         }
     }
 
+    /// The key of a one-field input on top of `parent`.
+    fn key(parent: Option<&Digest>, field: &str) -> Digest {
+        let mut key = StateKey::new(parent);
+        key.str(field);
+        key.finish()
+    }
+
     #[test]
     fn state_id_chains() {
-        let a = BuildCache::state_id(None, "FROM centos:7");
-        let b = BuildCache::state_id(Some(&a), "RUN echo hello");
-        let b2 = BuildCache::state_id(Some(&a), "RUN echo hello");
+        let a = key(None, "FROM centos:7");
+        let b = key(Some(&a), "RUN echo hello");
+        let b2 = key(Some(&a), "RUN echo hello");
         assert_eq!(b, b2);
         assert_ne!(a, b);
         // Different parent -> different id for the same instruction.
-        let other_parent = BuildCache::state_id(None, "FROM debian:buster");
-        assert_ne!(
-            BuildCache::state_id(Some(&other_parent), "RUN echo hello"),
-            b
-        );
+        let other_parent = key(None, "FROM debian:buster");
+        assert_ne!(key(Some(&other_parent), "RUN echo hello"), b);
+        // No parent is not the all-zero parent.
+        assert_ne!(key(None, "x"), key(Some(&Digest([0; 32])), "x"));
+    }
+
+    #[test]
+    fn state_key_fields_are_unambiguous() {
+        fn two(first: &str, second: &str) -> Digest {
+            let mut key = StateKey::new(None);
+            key.str(first).str(second);
+            key.finish()
+        }
+        // Moving bytes across a field boundary changes the key, including
+        // a separator that also occurs inside a value.
+        assert_ne!(two("ab", "c"), two("a", "bc"));
+        assert_ne!(two("a|b", "c"), two("a", "b|c"));
+        assert_ne!(two("k=v", "w"), two("k", "v=w"));
+        // Lists bind their length, and an absent value is not an empty one.
+        let list = |items: &[&str]| {
+            let items: Vec<String> = items.iter().map(|s| s.to_string()).collect();
+            let mut key = StateKey::new(None);
+            key.strs(&items);
+            key.finish()
+        };
+        assert_ne!(list(&["a", "b"]), list(&["ab"]));
+        assert_ne!(list(&[]), list(&[""]));
+        let opt = |s: Option<&str>| {
+            let mut key = StateKey::new(None);
+            key.opt_str(s);
+            key.finish()
+        };
+        assert_ne!(opt(None), opt(Some("")));
     }
 
     #[test]
     fn lookup_hit_and_miss_counting() {
         let mut cache = BuildCache::new();
-        let id = BuildCache::state_id(None, "FROM centos:7");
+        let id = key(None, "FROM centos:7");
         assert!(cache.lookup(&id).is_none());
         cache.store(dummy_state(id));
         assert!(cache.lookup(&id).is_some());
@@ -526,7 +621,7 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut cache = BuildCache::new();
-        let id = BuildCache::state_id(None, "x");
+        let id = key(None, "x");
         cache.store(dummy_state(id));
         cache.lookup(&id);
         cache.clear();
@@ -543,7 +638,7 @@ mod tests {
         let ns = UserNamespace::initial();
         let actor = Actor::new(&creds, &ns);
 
-        let id = BuildCache::state_id(None, "FROM centos:7");
+        let id = key(None, "FROM centos:7");
         let mut state = dummy_state(id);
         state
             .fs
@@ -581,7 +676,7 @@ mod tests {
         let mut shard_indices = std::collections::HashSet::new();
         let mut ids = Vec::new();
         for i in 0..64 {
-            let id = BuildCache::state_id(None, &format!("RUN step {}", i));
+            let id = key(None, &format!("RUN step {}", i));
             shard_indices.insert((id.0[0] & (CACHE_SHARDS as u8 - 1)) as usize);
             cache.store(dummy_state(id));
             ids.push(id);
@@ -596,9 +691,7 @@ mod tests {
         for id in &ids {
             assert!(cache.lookup(id).is_some());
         }
-        assert!(cache
-            .lookup(&BuildCache::state_id(None, "missing"))
-            .is_none());
+        assert!(cache.lookup(&key(None, "missing")).is_none());
         assert_eq!(cache.hits(), 64);
         assert_eq!(cache.misses(), 1);
         cache.clear();
@@ -615,7 +708,7 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 scope.spawn(move || {
                     for i in 0..32 {
-                        let id = BuildCache::state_id(None, &format!("t{} i{}", t, i));
+                        let id = key(None, &format!("t{} i{}", t, i));
                         cache.store(dummy_state(id));
                         assert!(cache.lookup(&id).is_some());
                     }
@@ -630,7 +723,7 @@ mod tests {
     fn lru_eviction_respects_capacity_and_recency() {
         let mut cache = BuildCache::with_capacity(3);
         let ids: Vec<Digest> = (0..4)
-            .map(|i| BuildCache::state_id(None, &format!("RUN step {}", i)))
+            .map(|i| key(None, &format!("RUN step {}", i)))
             .collect();
         for &id in &ids[..3] {
             cache.store(dummy_state(id));
@@ -648,16 +741,13 @@ mod tests {
     #[test]
     fn eviction_never_drops_entries_pinned_by_in_flight_stages() {
         let mut cache = BuildCache::with_capacity(2);
-        let pinned_id = BuildCache::state_id(None, "FROM centos:7");
+        let pinned_id = key(None, "FROM centos:7");
         cache.store(dummy_state(pinned_id));
         // An in-flight stage holds the snapshot it adopted from the cache.
         let pinned = cache.lookup(&pinned_id).expect("just stored");
         // Flood the cache well past capacity.
         for i in 0..8 {
-            cache.store(dummy_state(BuildCache::state_id(
-                None,
-                &format!("RUN flood {}", i),
-            )));
+            cache.store(dummy_state(key(None, &format!("RUN flood {}", i))));
         }
         assert!(
             cache.lookup(&pinned_id).is_some(),
@@ -674,8 +764,8 @@ mod tests {
     #[test]
     fn when_everything_is_pinned_capacity_is_exceeded_not_violated() {
         let mut cache = BuildCache::new();
-        let a = BuildCache::state_id(None, "a");
-        let b = BuildCache::state_id(None, "b");
+        let a = key(None, "a");
+        let b = key(None, "b");
         cache.store(dummy_state(a));
         cache.store(dummy_state(b));
         let pin_a = cache.lookup(&a).unwrap();
@@ -688,7 +778,7 @@ mod tests {
         drop(pin_a);
         // One entry unpinned: the next store can now evict down toward the
         // cap (the unpinned LRU entry goes first).
-        let c = BuildCache::state_id(None, "c");
+        let c = key(None, "c");
         cache.store(dummy_state(c));
         assert!(cache.lookup(&a).is_none(), "unpinned LRU entry evicted");
         assert!(cache.lookup(&b).is_some(), "pinned entry survived");
@@ -699,19 +789,14 @@ mod tests {
     fn sharded_capacity_splits_across_shards_and_counts_atomically() {
         let cache = ShardedBuildCache::with_capacity(16);
         for i in 0..256 {
-            cache.store(dummy_state(BuildCache::state_id(
-                None,
-                &format!("RUN fill {}", i),
-            )));
+            cache.store(dummy_state(key(None, &format!("RUN fill {}", i))));
         }
         // Each shard holds at most ceil(16/16) = 1 entry.
         assert!(cache.len() <= CACHE_SHARDS, "len = {}", cache.len());
         assert!(cache.evictions() >= 200);
         // Atomic counters: reads do not require consistent shard locks.
         let before_hits = cache.hits();
-        assert!(cache
-            .lookup(&BuildCache::state_id(None, "definitely missing"))
-            .is_none());
+        assert!(cache.lookup(&key(None, "definitely missing")).is_none());
         assert_eq!(cache.hits(), before_hits);
         assert!(cache.misses() >= 1);
     }
@@ -719,7 +804,7 @@ mod tests {
     #[test]
     fn shard_locks_survive_poisoning() {
         let cache = ShardedBuildCache::new();
-        let id = BuildCache::state_id(None, "FROM centos:7");
+        let id = key(None, "FROM centos:7");
         cache.store(dummy_state(id));
         // Poison the shard the way a panicking build thread would: die while
         // holding the shard guard.
@@ -732,7 +817,7 @@ mod tests {
         assert!(shard.is_poisoned());
         // Every operation on the shard still works for other tenants…
         assert!(cache.lookup(&id).is_some());
-        cache.store(dummy_state(BuildCache::state_id(Some(&id), "RUN x")));
+        cache.store(dummy_state(key(Some(&id), "RUN x")));
         assert_eq!(cache.len(), 2);
         cache.set_capacity(Some(64));
         assert_eq!(cache.evictions(), 0);
@@ -747,7 +832,7 @@ mod tests {
     fn lookup_or_lead_dedups_concurrent_identical_misses() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let cache = Arc::new(ShardedBuildCache::new());
-        let id = BuildCache::state_id(None, "RUN expensive step");
+        let id = key(None, "RUN expensive step");
         let computed = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -777,7 +862,7 @@ mod tests {
     #[test]
     fn leader_completing_between_probe_and_flight_step_is_a_hit() {
         let cache = ShardedBuildCache::new();
-        let id = BuildCache::state_id(None, "RUN racing step");
+        let id = key(None, "RUN racing step");
         let CacheOutcome::Lead(leader) = cache.lookup_or_lead(&id) else {
             panic!("empty cache must elect a leader");
         };
@@ -794,7 +879,7 @@ mod tests {
         }
         assert_eq!(cache.misses(), 1);
         // An aborted leader stores nothing: the flight step then leads.
-        let fresh = BuildCache::state_id(None, "RUN aborted step");
+        let fresh = key(None, "RUN aborted step");
         let CacheOutcome::Lead(aborted) = cache.lookup_or_lead(&fresh) else {
             panic!("empty cache must elect a leader");
         };
@@ -806,8 +891,8 @@ mod tests {
     #[test]
     fn evicted_states_are_returned_to_be_freed_outside_the_lock() {
         let mut cache = BuildCache::with_capacity(1);
-        let a = BuildCache::state_id(None, "a");
-        let b = BuildCache::state_id(None, "b");
+        let a = key(None, "a");
+        let b = key(None, "b");
         assert!(cache.store(dummy_state(a)).is_empty());
         let evicted = cache.store(dummy_state(b));
         assert_eq!(evicted.len(), 1);
@@ -821,7 +906,7 @@ mod tests {
     #[test]
     fn aborted_leader_promotes_a_waiter() {
         let cache = Arc::new(ShardedBuildCache::new());
-        let id = BuildCache::state_id(None, "RUN flaky step");
+        let id = key(None, "RUN flaky step");
         // First leader aborts by dropping its guard (failed instruction).
         let CacheOutcome::Lead(first) = cache.lookup_or_lead(&id) else {
             panic!("empty cache must elect a leader");
@@ -850,7 +935,7 @@ mod tests {
     #[test]
     fn leader_panic_unblocks_waiters_via_guard_drop() {
         let cache = Arc::new(ShardedBuildCache::new());
-        let id = BuildCache::state_id(None, "RUN panicking step");
+        let id = key(None, "RUN panicking step");
         std::thread::scope(|scope| {
             let leader = {
                 let cache = Arc::clone(&cache);
@@ -876,7 +961,7 @@ mod tests {
     #[test]
     fn hit_returns_shared_snapshot_without_deep_copy() {
         let mut cache = BuildCache::new();
-        let id = BuildCache::state_id(None, "FROM centos:7");
+        let id = key(None, "FROM centos:7");
         let mut state = dummy_state(id);
         state
             .fs

@@ -16,7 +16,7 @@
 //! graphs serializing on a single cache lock.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use hpcc_distro::catalog_for;
 use hpcc_fakeroot::LieDatabase;
@@ -27,23 +27,24 @@ use hpcc_shell::ExecEnv;
 use hpcc_vfs::{Actor, FileBytes, Filesystem, Mode};
 
 use crate::builder::{BuildEnv, BuildOptions, BuildReport, Builder, BuilderKind};
-use crate::cache::{BuildCache, CachedState};
+use crate::cache::{CachedState, StateKey};
 use crate::dockerfile::Instruction;
 use crate::error::BuildError;
 use crate::force::{detect_config, ForceConfig};
-use crate::graph::{BuildGraph, GraphNode, StageBase};
+use crate::graph::{BuildGraph, CopyFromEdge, GraphNode, StageBase};
 use crate::ir::{BuildIr, IrStage};
 
 /// What a completed stage passes downstream: a CoW filesystem snapshot plus
-/// the metadata later stages or the final image need.
+/// the metadata later stages or the final image need. Cloning an artifact
+/// bumps reference counts; nothing is deep-copied.
 #[derive(Debug, Clone)]
 pub struct StageArtifact {
     /// Stage filesystem (copy-on-write snapshot; cloning is O(1)).
     pub fs: Filesystem,
-    /// Image configuration accumulated by the stage.
-    pub config: ImageConfig,
-    /// Fakeroot lie database accumulated by the stage.
-    pub fakeroot_db: LieDatabase,
+    /// Image configuration accumulated by the stage (shared).
+    pub config: Arc<ImageConfig>,
+    /// Fakeroot lie database accumulated by the stage (shared).
+    pub fakeroot_db: Arc<LieDatabase>,
     /// The underlying base-image reference (for catalogs and `BuiltImage`).
     pub base_reference: String,
     /// Chain digest after the stage's last instruction (present when the
@@ -77,8 +78,11 @@ struct StageCtx<'a> {
     upstream: &'a HashMap<usize, StageArtifact>,
     report: BuildReport,
     env: Option<BuildEnv>,
-    config: ImageConfig,
-    fakeroot_db: LieDatabase,
+    /// Shared with the cache entries and artifacts made from this stage;
+    /// instructions that change it copy on write (`Arc::make_mut`).
+    config: Arc<ImageConfig>,
+    /// Shared like `config`; `RUN` moves it into the shell and back.
+    fakeroot_db: Arc<LieDatabase>,
     force_cfg: Option<ForceConfig>,
     force_initialized: bool,
     parent: Option<Digest>,
@@ -122,11 +126,11 @@ impl<'a> StageCtx<'a> {
                 error: None,
             },
             env: None,
-            config: ImageConfig {
+            config: Arc::new(ImageConfig {
                 architecture: options.arch.clone(),
                 ..Default::default()
-            },
-            fakeroot_db: LieDatabase::new(),
+            }),
+            fakeroot_db: Arc::new(LieDatabase::new()),
             force_cfg: None,
             force_initialized: false,
             parent: None,
@@ -172,8 +176,8 @@ impl<'a> StageCtx<'a> {
         self.report.success = true;
         let artifact = StageArtifact {
             fs: env.fs,
-            config: self.config.clone(),
-            fakeroot_db: self.fakeroot_db.clone(),
+            config: Arc::clone(&self.config),
+            fakeroot_db: Arc::clone(&self.fakeroot_db),
             base_reference: env.base_reference,
             final_state: self.parent,
         };
@@ -208,7 +212,7 @@ impl<'a> StageCtx<'a> {
             match self.builder.cache.lookup_or_lead(&id) {
                 crate::cache::CacheOutcome::Hit(hit) => {
                     self.cache_hits += 1;
-                    self.adopt_cached(&display, instruction, &hit)?;
+                    self.adopt_cached(display, instruction, &hit)?;
                     self.parent = Some(id);
                     return Ok(());
                 }
@@ -219,34 +223,46 @@ impl<'a> StageCtx<'a> {
             }
         }
 
+        // Every handler starts its transcript with the instruction line.
+        self.report.transcript.push(display);
         match instruction {
-            Instruction::From { .. } => self.execute_from(&display)?,
-            Instruction::Run(cmd) => self.execute_run(&display, cmd)?,
+            Instruction::From { .. } => self.execute_from()?,
+            Instruction::Run(cmd) => self.execute_run(cmd)?,
             Instruction::Copy {
                 sources,
                 dest,
                 from,
             } => match from {
-                Some(_) => self.execute_copy_from(&display, idx, sources, dest)?,
-                None => self.execute_copy(&display, sources, dest)?,
+                Some(_) => self.execute_copy_from(idx, sources, dest)?,
+                None => self.execute_copy(sources, dest)?,
             },
-            Instruction::Env { key, value } => self.execute_env(&display, key, value),
-            Instruction::Workdir(path) => self.execute_workdir(&display, path),
-            Instruction::Label { key, value } => self.execute_label(&display, key, value),
-            Instruction::Cmd(args) => self.execute_cmd(&display, args),
-            Instruction::Entrypoint(args) => self.execute_entrypoint(&display, args),
+            Instruction::Env { key, value } => {
+                Arc::make_mut(&mut self.config)
+                    .env
+                    .insert(key.clone(), value.clone());
+            }
+            Instruction::Workdir(path) => self.execute_workdir(path),
+            Instruction::Label { key, value } => {
+                Arc::make_mut(&mut self.config)
+                    .labels
+                    .insert(key.clone(), value.clone());
+            }
+            Instruction::Cmd(args) => Arc::make_mut(&mut self.config).cmd = args.clone(),
+            Instruction::Entrypoint(args) => {
+                Arc::make_mut(&mut self.config).entrypoint = args.clone();
+            }
             Instruction::User(_)
             | Instruction::Arg { .. }
             | Instruction::Expose(_)
-            | Instruction::Volume(_) => self.execute_passthrough(&display),
+            | Instruction::Volume(_) => {}
         }
 
         if let Some(id) = state_id {
             if let Some(env) = &self.env {
                 let state = CachedState {
                     fs: env.fs.clone(),
-                    config: self.config.clone(),
-                    fakeroot_db: self.fakeroot_db.clone(),
+                    config: Arc::clone(&self.config),
+                    fakeroot_db: Arc::clone(&self.fakeroot_db),
                     state_id: id,
                 };
                 match flight.take() {
@@ -270,67 +286,70 @@ impl<'a> StageCtx<'a> {
     /// source stage's final state into the key, so a changed upstream stage
     /// invalidates downstream hits. A context `COPY` likewise binds each
     /// source's SHA-256, so an edited file misses under unchanged text.
+    ///
+    /// The inputs stream straight into one SHA-256 (see [`StateKey`]): the
+    /// parent, the launch identity, `--force`, the arch, the instruction
+    /// ([`bind_instruction`]), then each context source's digest or a
+    /// missing marker, or the `COPY --from` source stage and its final state.
     fn state_id_for(&self, idx: usize, instruction: &Instruction) -> Digest {
-        // Canonical instruction identity: the FROM alias and the raw --from
-        // reference spelling (alias vs index) are naming, not content, so
-        // they stay out of the key — cross-stage content is bound through
-        // the upstream digests appended below.
-        let canonical = match instruction {
-            Instruction::From { image, .. } => format!("FROM {}", image),
+        let parent = match (idx, &self.node.base) {
+            (0, StageBase::Stage(s)) => self.upstream.get(s).and_then(|a| a.final_state),
+            (0, StageBase::Image(_)) => None,
+            _ => self.parent,
+        };
+        let mut key = StateKey::new(parent.as_ref());
+        key.str(&self.builder_identity)
+            .tag(self.options.force.into())
+            .str(&self.options.arch);
+        bind_instruction(&mut key, instruction);
+        match instruction {
             Instruction::Copy {
                 sources,
-                dest,
-                from: Some(_),
-            } => format!("COPY --from {:?} {}", sources, dest),
-            other => format!("{:?}", other),
-        };
-        let mut key = format!(
-            "{}|force={}|arch={}|{}",
-            self.builder_identity, self.options.force, self.options.arch, canonical
-        );
-        if let Instruction::Copy {
-            sources,
-            from: None,
-            ..
-        } = instruction
-        {
-            for src in sources {
-                key.push_str("|ctx=");
-                match self.context.and_then(|ctx| context_file(ctx, src).ok()) {
-                    Some(bytes) => key.push_str(&sha256(bytes.as_slice()).to_oci_string()),
-                    None => key.push_str("missing"),
+                from: None,
+                ..
+            } => {
+                for src in sources {
+                    let bytes = self.context.and_then(|ctx| context_file(ctx, src).ok());
+                    key.opt_digest(bytes.map(|b| sha256(b.as_slice())).as_ref());
                 }
             }
-        }
-        if let Some(edge) = self.node.copy_from.iter().find(|e| e.instruction == idx) {
-            key.push_str(&format!("|srcstage={}", edge.source_stage));
-            if let Some(art) = self.upstream.get(&edge.source_stage) {
-                if let Some(d) = &art.final_state {
-                    key.push_str("|src=");
-                    key.push_str(&d.to_oci_string());
+            Instruction::Copy { from: Some(_), .. } => match self.copy_from_edge(idx) {
+                Some(edge) => {
+                    let source_state = self
+                        .upstream
+                        .get(&edge.source_stage)
+                        .and_then(|art| art.final_state.as_ref());
+                    key.tag(1)
+                        .u64(edge.source_stage as u64)
+                        .opt_digest(source_state);
                 }
-            }
+                None => {
+                    key.tag(0);
+                }
+            },
+            _ => {}
         }
-        let upstream_parent = match (idx, &self.node.base) {
-            (0, StageBase::Stage(s)) => self.upstream.get(s).and_then(|a| a.final_state),
-            _ => None,
-        };
-        let parent = if idx == 0 {
-            upstream_parent
-        } else {
-            self.parent
-        };
-        BuildCache::state_id(parent.as_ref(), &key)
+        key.finish()
     }
 
-    /// A cache hit: adopt the snapshot (a refcount bump, not a deep copy).
+    /// The planned `COPY --from` edge of instruction `idx`, if it has one.
+    fn copy_from_edge(&self, idx: usize) -> Option<CopyFromEdge> {
+        self.node
+            .copy_from
+            .iter()
+            .find(|e| e.instruction == idx)
+            .copied()
+    }
+
+    /// A cache hit: adopt the snapshot (refcount bumps, not deep copies).
     fn adopt_cached(
         &mut self,
-        display: &str,
+        mut display: String,
         instruction: &Instruction,
         hit: &CachedState,
     ) -> Result<(), String> {
-        self.report.transcript.push(format!("{} (cached)", display));
+        display.push_str(" (cached)");
+        self.report.transcript.push(display);
         if let Some(e) = self.env.as_mut() {
             e.fs = hit.fs.clone();
         } else if let Instruction::From { .. } = instruction {
@@ -352,8 +371,8 @@ impl<'a> StageCtx<'a> {
                 }
             }
         }
-        self.config = hit.config.clone();
-        self.fakeroot_db = hit.fakeroot_db.clone();
+        self.config = Arc::clone(&hit.config);
+        self.fakeroot_db = Arc::clone(&hit.fakeroot_db);
         // Force-config detection still applies after FROM.
         if let (Instruction::From { .. }, BuilderKind::ChImage) = (instruction, &self.builder.kind)
         {
@@ -396,8 +415,7 @@ impl<'a> StageCtx<'a> {
         })
     }
 
-    fn execute_from(&mut self, display: &str) -> Result<(), String> {
-        self.report.transcript.push(display.to_string());
+    fn execute_from(&mut self) -> Result<(), String> {
         let env = match &self.node.base {
             StageBase::Image(reference) => self.builder.setup_from(reference, &self.options.arch),
             StageBase::Stage(s) => {
@@ -433,8 +451,7 @@ impl<'a> StageCtx<'a> {
         }
     }
 
-    fn execute_run(&mut self, display: &str, cmd: &str) -> Result<(), String> {
-        self.report.transcript.push(display.to_string());
+    fn execute_run(&mut self, cmd: &str) -> Result<(), String> {
         let Some(e) = self.env.as_mut() else {
             let msg = "error: RUN before FROM".to_string();
             self.report.transcript.push(msg.clone());
@@ -459,8 +476,9 @@ impl<'a> StageCtx<'a> {
             &self.options.arch,
         );
         // The lie database moves into the shell for this RUN and back out
-        // after it (the stage fails on any early return, dropping it).
-        shell.fakeroot_db = std::mem::take(&mut self.fakeroot_db);
+        // after it (the stage fails on any early return, dropping it). A
+        // database still shared with a cache entry is copied first.
+        shell.fakeroot_db = std::mem::take(Arc::make_mut(&mut self.fakeroot_db));
 
         // --force initialization before the first modified RUN.
         if wrap && !self.force_initialized {
@@ -509,7 +527,7 @@ impl<'a> StageCtx<'a> {
         } else {
             shell.run_command(cmd)
         };
-        self.fakeroot_db = std::mem::take(&mut shell.fakeroot_db);
+        *Arc::make_mut(&mut self.fakeroot_db) = std::mem::take(&mut shell.fakeroot_db);
         self.report.transcript.extend(result.lines);
         if result.status != 0 {
             let msg = format!(
@@ -532,13 +550,7 @@ impl<'a> StageCtx<'a> {
     }
 
     /// `COPY` from the user-provided build context.
-    fn execute_copy(
-        &mut self,
-        display: &str,
-        sources: &[String],
-        dest: &str,
-    ) -> Result<(), String> {
-        self.report.transcript.push(display.to_string());
+    fn execute_copy(&mut self, sources: &[String], dest: &str) -> Result<(), String> {
         let Some(e) = self.env.as_mut() else {
             let msg = "error: COPY before FROM".to_string();
             self.report.transcript.push(msg.clone());
@@ -571,19 +583,11 @@ impl<'a> StageCtx<'a> {
     /// artifact as CoW subtree copies (file bytes stay shared).
     fn execute_copy_from(
         &mut self,
-        display: &str,
         idx: usize,
         sources: &[String],
         dest: &str,
     ) -> Result<(), String> {
-        self.report.transcript.push(display.to_string());
-        let edge = self
-            .node
-            .copy_from
-            .iter()
-            .find(|e| e.instruction == idx)
-            .copied();
-        let Some(edge) = edge else {
+        let Some(edge) = self.copy_from_edge(idx) else {
             let msg = "error: COPY --from not planned for this instruction".to_string();
             self.report.transcript.push(msg.clone());
             return Err(msg);
@@ -620,14 +624,8 @@ impl<'a> StageCtx<'a> {
         Ok(())
     }
 
-    fn execute_env(&mut self, display: &str, key: &str, value: &str) {
-        self.report.transcript.push(display.to_string());
-        self.config.env.insert(key.to_string(), value.to_string());
-    }
-
-    fn execute_workdir(&mut self, display: &str, path: &str) {
-        self.report.transcript.push(display.to_string());
-        self.config.workdir = path.to_string();
+    fn execute_workdir(&mut self, path: &str) {
+        Arc::make_mut(&mut self.config).workdir = path.to_string();
         if let Some(e) = self.env.as_mut() {
             let actor = Actor::new(&e.creds, &e.userns);
             if !e.fs.exists(&actor, path) {
@@ -636,27 +634,36 @@ impl<'a> StageCtx<'a> {
             }
         }
     }
+}
 
-    fn execute_label(&mut self, display: &str, key: &str, value: &str) {
-        self.report.transcript.push(display.to_string());
-        self.config
-            .labels
-            .insert(key.to_string(), value.to_string());
-    }
-
-    fn execute_cmd(&mut self, display: &str, args: &[String]) {
-        self.report.transcript.push(display.to_string());
-        self.config.cmd = args.to_vec();
-    }
-
-    fn execute_entrypoint(&mut self, display: &str, args: &[String]) {
-        self.report.transcript.push(display.to_string());
-        self.config.entrypoint = args.to_vec();
-    }
-
-    fn execute_passthrough(&mut self, display: &str) {
-        self.report.transcript.push(display.to_string());
-    }
+/// Binds an instruction's content to a cache key: one tag per kind, then
+/// every field. The `FROM` alias and the `--from` spelling (alias or index)
+/// are naming, not content, so they stay out; the executor binds the
+/// upstream stage and its final state instead.
+fn bind_instruction(key: &mut StateKey, instruction: &Instruction) {
+    match instruction {
+        Instruction::From { image, alias: _ } => key.tag(1).str(image),
+        Instruction::Run(cmd) => key.tag(2).str(cmd),
+        Instruction::Copy {
+            sources,
+            dest,
+            from: None,
+        } => key.tag(3).strs(sources).str(dest),
+        Instruction::Copy {
+            sources,
+            dest,
+            from: Some(_),
+        } => key.tag(4).strs(sources).str(dest),
+        Instruction::Env { key: k, value } => key.tag(5).str(k).str(value),
+        Instruction::Arg { name, default } => key.tag(6).str(name).opt_str(default.as_deref()),
+        Instruction::Workdir(path) => key.tag(7).str(path),
+        Instruction::User(user) => key.tag(8).str(user),
+        Instruction::Label { key: k, value } => key.tag(9).str(k).str(value),
+        Instruction::Cmd(args) => key.tag(10).strs(args),
+        Instruction::Entrypoint(args) => key.tag(11).strs(args),
+        Instruction::Expose(port) => key.tag(12).u64(u64::from(*port)),
+        Instruction::Volume(path) => key.tag(13).str(path),
+    };
 }
 
 /// A `COPY` source's bytes from the build context, read as host root.
@@ -920,5 +927,384 @@ pub(crate) fn run_graph(
         success,
         error,
         skipped,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The cache-key contract: a key changes with every input it binds and
+    //! with nothing else, and no two different inputs share one.
+
+    use super::*;
+    use hpcc_kernel::{Gid, Uid};
+    use hpcc_runtime::Invoker;
+
+    /// Every input [`StageCtx::state_id_for`] reads. The stage under test
+    /// has two upstream stages, and its instruction 1 is planned as a
+    /// `COPY --from` of `source_stage`.
+    #[derive(Clone)]
+    struct Case {
+        identity: &'static str,
+        force: bool,
+        arch: &'static str,
+        parent: Option<Digest>,
+        /// Bytes of the context file `app.c`; `None` leaves it out.
+        app_c: Option<&'static [u8]>,
+        base: StageBase,
+        source_stage: usize,
+        /// Final states of upstream stages 0 and 1.
+        upstream: [Option<Digest>; 2],
+        idx: usize,
+        instruction: Instruction,
+    }
+
+    fn digest(label: &str) -> Digest {
+        sha256(label.as_bytes())
+    }
+
+    fn case(instruction: Instruction) -> Case {
+        Case {
+            identity: "type3|Uid(1000)|Gid(1000)",
+            force: true,
+            arch: "x86_64",
+            parent: Some(digest("parent")),
+            app_c: Some(b"int main(){}"),
+            base: StageBase::Image("centos:7".to_string()),
+            source_stage: 0,
+            upstream: [Some(digest("stage 0")), Some(digest("stage 1"))],
+            idx: 1,
+            instruction,
+        }
+    }
+
+    fn key(case: &Case) -> Digest {
+        let builder = Builder::ch_image(Invoker::user("alice", 1000, 1000));
+        let mut options = BuildOptions::new("contract");
+        options.force = case.force;
+        options.arch = case.arch.to_string();
+        let mut context = Filesystem::new_local();
+        if let Some(bytes) = case.app_c {
+            context
+                .install_file("/app.c", bytes.to_vec(), Uid(0), Gid(0), Mode::FILE_644)
+                .unwrap();
+        }
+        let artifact = |final_state| StageArtifact {
+            fs: Filesystem::new_local(),
+            config: Arc::default(),
+            fakeroot_db: Arc::default(),
+            base_reference: "centos:7".to_string(),
+            final_state,
+        };
+        let upstream = HashMap::from([
+            (0, artifact(case.upstream[0])),
+            (1, artifact(case.upstream[1])),
+        ]);
+        let stage = IrStage {
+            index: 2,
+            alias: None,
+            base: String::new(),
+            instructions: Vec::new(),
+            spans: Vec::new(),
+        };
+        let node = GraphNode {
+            stage: 2,
+            base: case.base.clone(),
+            copy_from: vec![CopyFromEdge {
+                instruction: 1,
+                source_stage: case.source_stage,
+            }],
+            deps: vec![0, 1],
+            dependents: Vec::new(),
+        };
+        let mut ctx = StageCtx::new(
+            &builder,
+            &options,
+            Some(&context),
+            &stage,
+            &node,
+            &upstream,
+            String::new(),
+        );
+        ctx.builder_identity = case.identity.to_string();
+        ctx.parent = case.parent;
+        ctx.state_id_for(case.idx, &case.instruction)
+    }
+
+    fn strings(items: &[&str]) -> Vec<String> {
+        items.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn context_copy(sources: &[&str], dest: &str) -> Instruction {
+        Instruction::Copy {
+            sources: strings(sources),
+            dest: dest.to_string(),
+            from: None,
+        }
+    }
+
+    fn copy_from(sources: &[&str], dest: &str, from: &str) -> Instruction {
+        Instruction::Copy {
+            sources: strings(sources),
+            dest: dest.to_string(),
+            from: Some(from.to_string()),
+        }
+    }
+
+    /// One row per instruction kind: a base instruction, then variants that
+    /// each change exactly one of its fields.
+    fn variants() -> Vec<(Instruction, Vec<Instruction>)> {
+        use Instruction::*;
+        let env = |k: &str, v: &str| Env {
+            key: k.to_string(),
+            value: v.to_string(),
+        };
+        let label = |k: &str, v: &str| Label {
+            key: k.to_string(),
+            value: v.to_string(),
+        };
+        let arg = |name: &str, default: Option<&str>| Arg {
+            name: name.to_string(),
+            default: default.map(str::to_string),
+        };
+        vec![
+            (
+                From {
+                    image: "centos:7".to_string(),
+                    alias: None,
+                },
+                vec![From {
+                    image: "debian:10".to_string(),
+                    alias: None,
+                }],
+            ),
+            (
+                Run("yum install -y gcc".to_string()),
+                vec![Run("yum install -y gcc ".to_string())],
+            ),
+            (
+                context_copy(&["app.c"], "/src/app.c"),
+                vec![
+                    context_copy(&["app.c", "app.c"], "/src/app.c"),
+                    context_copy(&["app.c"], "/src/"),
+                    copy_from(&["app.c"], "/src/app.c", "0"),
+                ],
+            ),
+            (
+                copy_from(&["/opt/spack"], "/opt/spack", "toolchain"),
+                vec![
+                    copy_from(&["/opt/spack/bin"], "/opt/spack", "toolchain"),
+                    copy_from(&["/opt/spack"], "/opt", "toolchain"),
+                    context_copy(&["/opt/spack"], "/opt/spack"),
+                ],
+            ),
+            (
+                env("STACK", "atse"),
+                vec![env("STACKS", "atse"), env("STACK", "atse2")],
+            ),
+            (
+                arg("PKG", None),
+                vec![
+                    arg("PKGS", None),
+                    arg("PKG", Some("")),
+                    arg("PKG", Some("x")),
+                ],
+            ),
+            (
+                Workdir("/srv".to_string()),
+                vec![Workdir("/srv/".to_string())],
+            ),
+            (User("alice".to_string()), vec![User("bob".to_string())]),
+            (
+                label("org", "lanl"),
+                vec![label("org2", "lanl"), label("org", "lanl2")],
+            ),
+            (
+                Cmd(strings(&["/usr/bin/app", "-v"])),
+                vec![
+                    Cmd(strings(&["/usr/bin/app", "-V"])),
+                    Cmd(strings(&["/usr/bin/app"])),
+                    Cmd(strings(&["/usr/bin/app", "-v", ""])),
+                ],
+            ),
+            (
+                Entrypoint(strings(&["/bin/sh", "-c"])),
+                vec![
+                    Entrypoint(strings(&["/bin/sh", "-e"])),
+                    Entrypoint(Vec::new()),
+                ],
+            ),
+            (Expose(8080), vec![Expose(8081)]),
+            (
+                Volume("/data".to_string()),
+                vec![Volume("/scratch".to_string())],
+            ),
+        ]
+    }
+
+    /// One edit of one input.
+    type Edit = fn(&mut Case);
+
+    /// The key of `base` with one input edited.
+    fn key_with(base: &Case, edit: impl FnOnce(&mut Case)) -> Digest {
+        let mut case = base.clone();
+        edit(&mut case);
+        key(&case)
+    }
+
+    #[test]
+    fn cache_key_changes_with_every_bound_input() {
+        let rows = variants();
+        let mut seen = HashMap::new();
+        for (instruction, changed) in &rows {
+            let base = case(instruction.clone());
+            let k = key(&base);
+            assert_eq!(k, key(&base), "{instruction:?}: deterministic");
+            // Distinct kinds never share a key, even with equal payloads.
+            assert!(seen.insert(k, instruction).is_none(), "{instruction:?}");
+            for other in changed {
+                let edited = key_with(&base, |c| c.instruction = other.clone());
+                assert_ne!(edited, k, "{instruction:?} -> {other:?}");
+            }
+            let bound: [(&str, Edit); 5] = [
+                ("parent", |c| c.parent = Some(digest("another parent"))),
+                ("scratch parent", |c| c.parent = None),
+                ("identity", |c| c.identity = "type3|Uid(1001)|Gid(1001)"),
+                ("force", |c| c.force = false),
+                ("arch", |c| c.arch = "aarch64"),
+            ];
+            for (input, edit) in bound {
+                assert_ne!(key_with(&base, edit), k, "{instruction:?}: {input}");
+            }
+            // Context bytes bind only a context COPY, and upstream stages
+            // only a COPY --from.
+            let context_copy = matches!(instruction, Instruction::Copy { from: None, .. });
+            let copy_from = matches!(instruction, Instruction::Copy { from: Some(_), .. });
+            let edited = key_with(&base, |c| c.app_c = Some(b"int main(){return 1;}"));
+            let missing = key_with(&base, |c| c.app_c = None);
+            assert_eq!(edited != k, context_copy, "{instruction:?}: bytes");
+            assert_eq!(missing != k, context_copy, "{instruction:?}: missing");
+            assert_eq!(edited != missing, context_copy, "{instruction:?}");
+            let upstream: [Edit; 3] = [
+                |c| c.source_stage = 1,
+                |c| c.upstream[0] = Some(digest("stage 0 rebuilt")),
+                |c| c.upstream[0] = None,
+            ];
+            for edit in upstream {
+                let edited = key_with(&base, edit);
+                assert_eq!(edited != k, copy_from, "{instruction:?}: source stage");
+            }
+        }
+        assert_eq!(seen.len(), rows.len());
+    }
+
+    #[test]
+    fn cache_key_of_a_stage_based_from_binds_the_upstream_final_state() {
+        let from = Instruction::From {
+            image: "base".to_string(),
+            alias: None,
+        };
+        // A stage's first FROM on an image has no parent...
+        let on_image = Case {
+            idx: 0,
+            ..case(from)
+        };
+        let k = key(&on_image);
+        assert_eq!(key_with(&on_image, |c| c.parent = None), k);
+        // ...and on an earlier stage it chains from that stage's final
+        // state, and nothing else upstream.
+        let on_stage = Case {
+            base: StageBase::Stage(0),
+            ..on_image
+        };
+        let k = key(&on_stage);
+        assert_eq!(key_with(&on_stage, |c| c.upstream[1] = None), k);
+        let rebuilt = key_with(&on_stage, |c| {
+            c.upstream[0] = Some(digest("stage 0 rebuilt"))
+        });
+        assert_ne!(rebuilt, k);
+    }
+
+    #[test]
+    fn cache_key_ignores_naming_only_differences() {
+        let named = |alias: Option<&str>| {
+            key(&case(Instruction::From {
+                image: "centos:7".to_string(),
+                alias: alias.map(str::to_string),
+            }))
+        };
+        assert_eq!(named(None), named(Some("toolchain")));
+        assert_eq!(named(Some("toolchain")), named(Some("spack-env")));
+        // `--from=<alias>` and `--from=<index>` name the same planned edge.
+        let by_alias = key(&case(copy_from(&["/opt"], "/opt", "toolchain")));
+        let by_index = key(&case(copy_from(&["/opt"], "/opt", "0")));
+        assert_eq!(by_alias, by_index);
+    }
+
+    #[test]
+    fn cache_key_values_with_separators_cannot_collide() {
+        let run = || Instruction::Run("make".to_string());
+        let from = |image: &str| Instruction::From {
+            image: image.to_string(),
+            alias: None,
+        };
+        // In each pair, joining the fields with a separator that also
+        // occurs in a value gives the same text.
+        let pairs = [
+            (
+                Case {
+                    identity: "id|force=true|arch=x86_64",
+                    force: false,
+                    arch: "y",
+                    ..case(run())
+                },
+                Case {
+                    identity: "id",
+                    force: true,
+                    arch: "x86_64|force=false|arch=y",
+                    ..case(run())
+                },
+            ),
+            (
+                Case {
+                    arch: "x86_64|FROM a",
+                    ..case(from("b"))
+                },
+                Case {
+                    arch: "x86_64",
+                    ..case(from("a|FROM b"))
+                },
+            ),
+            (
+                case(Instruction::Env {
+                    key: "A=B".to_string(),
+                    value: "C".to_string(),
+                }),
+                case(Instruction::Env {
+                    key: "A".to_string(),
+                    value: "B=C".to_string(),
+                }),
+            ),
+            (
+                case(Instruction::Label {
+                    key: "a|b".to_string(),
+                    value: "c".to_string(),
+                }),
+                case(Instruction::Label {
+                    key: "a".to_string(),
+                    value: "b|c".to_string(),
+                }),
+            ),
+            (
+                case(context_copy(&["a b"], "/d")),
+                case(context_copy(&["a", "b"], "/d")),
+            ),
+            (
+                case(Instruction::Cmd(strings(&["a", "b"]))),
+                case(Instruction::Cmd(strings(&["a|b"]))),
+            ),
+        ];
+        for (a, b) in &pairs {
+            assert_ne!(key(a), key(b), "{:?} vs {:?}", a.instruction, b.instruction);
+        }
     }
 }

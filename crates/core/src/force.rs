@@ -26,12 +26,6 @@ pub struct ForceConfig {
     /// Human-readable description printed in the transcript
     /// (`will use --force: rhel7: CentOS/RHEL 7`).
     pub description: &'static str,
-    /// File whose existence + content identifies the distribution. Detection
-    /// reads the file directly rather than executing a command in the
-    /// container (paper §5.3.1).
-    pub detect_file: &'static str,
-    /// Substrings, any of which must appear in the detect file.
-    pub detect_patterns: &'static [&'static str],
     /// Keywords that mark a RUN instruction as modifiable.
     pub keywords: &'static [&'static str],
     /// Initialization steps executed before the first modified RUN.
@@ -47,8 +41,6 @@ impl ForceConfig {
         ForceConfig {
             name: "rhel7",
             description: "CentOS/RHEL 7",
-            detect_file: "/etc/redhat-release",
-            detect_patterns: &["release 7."],
             keywords: &["yum", "rpm", "dnf"],
             init_steps: vec![InitStep {
                 check: "command -v fakeroot > /dev/null".to_string(),
@@ -65,8 +57,6 @@ impl ForceConfig {
         ForceConfig {
             name: "debderiv",
             description: "Debian (9, 10) or Ubuntu (16, 18, 20)",
-            detect_file: "/etc/os-release",
-            detect_patterns: &["stretch", "buster", "xenial", "bionic", "focal"],
             keywords: &["apt-get", "apt ", "dpkg"],
             init_steps: vec![
                 InitStep {
@@ -81,19 +71,6 @@ impl ForceConfig {
         }
     }
 
-    /// All known configurations, in detection order.
-    pub fn all() -> Vec<ForceConfig> {
-        vec![ForceConfig::rhel7(), ForceConfig::debderiv()]
-    }
-
-    /// True if this configuration matches the image filesystem.
-    pub fn matches(&self, fs: &Filesystem, actor: &Actor) -> bool {
-        match fs.read_to_string(actor, self.detect_file) {
-            Ok(text) => self.detect_patterns.iter().any(|p| text.contains(p)),
-            Err(_) => false,
-        }
-    }
-
     /// True if the RUN command contains a keyword that triggers modification.
     pub fn run_is_modifiable(&self, command: &str) -> bool {
         self.keywords.iter().any(|k| command.contains(k.trim_end()))
@@ -101,17 +78,49 @@ impl ForceConfig {
     }
 }
 
+/// One row of the detection table: the file whose content identifies a
+/// distribution, substrings any of which must appear in it, and the
+/// configuration a match selects.
+struct Detector {
+    file: &'static str,
+    patterns: &'static [&'static str],
+    config: fn() -> ForceConfig,
+}
+
+/// Known configurations in detection order. Detection reads each file
+/// directly rather than executing a command in the container (paper
+/// §5.3.1).
+const DETECTORS: [Detector; 2] = [
+    Detector {
+        file: "/etc/redhat-release",
+        patterns: &["release 7."],
+        config: ForceConfig::rhel7,
+    },
+    Detector {
+        file: "/etc/os-release",
+        patterns: &["stretch", "buster", "xenial", "bionic", "focal"],
+        config: ForceConfig::debderiv,
+    },
+];
+
 /// Detects the matching configuration for an image filesystem (the test
-/// `ch-image` performs right after `FROM`, paper §5.3.1).
+/// `ch-image` performs right after `FROM`, paper §5.3.1). The files are
+/// read in place, and only the matching configuration is built.
 pub fn detect_config(
     fs: &Filesystem,
     creds: &Credentials,
     userns: &UserNamespace,
 ) -> Option<ForceConfig> {
     let actor = Actor::new(creds, userns);
-    ForceConfig::all()
-        .into_iter()
-        .find(|c| c.matches(fs, &actor))
+    DETECTORS
+        .iter()
+        .find(|d| {
+            fs.read_file(&actor, d.file)
+                .ok()
+                .and_then(|bytes| std::str::from_utf8(bytes).ok())
+                .is_some_and(|text| d.patterns.iter().any(|p| text.contains(p)))
+        })
+        .map(|d| (d.config)())
 }
 
 #[cfg(test)]
@@ -119,6 +128,7 @@ mod tests {
     use super::*;
     use hpcc_distro::{centos7, debian10};
     use hpcc_kernel::{Gid, Uid};
+    use hpcc_vfs::Mode;
 
     fn detect_for(fs: &Filesystem) -> Option<ForceConfig> {
         let creds = Credentials::unprivileged_user(Uid(1000), Gid(1000), vec![Gid(1000)])
@@ -149,6 +159,37 @@ mod tests {
     fn no_config_for_unknown_distro() {
         let fs = Filesystem::new_local();
         assert!(detect_for(&fs).is_none());
+    }
+
+    #[test]
+    fn detection_needs_a_pattern_and_follows_table_order() {
+        let file = |fs: &mut Filesystem, path: &str, text: &[u8]| {
+            fs.install_file(path, text.to_vec(), Uid(1000), Gid(1000), Mode::FILE_644)
+                .unwrap();
+        };
+        // The detect file alone is not enough: RHEL 8 and Debian 11 match
+        // no pattern.
+        let mut fs = Filesystem::new_local();
+        file(
+            &mut fs,
+            "/etc/redhat-release",
+            b"CentOS Linux release 8.4.2105",
+        );
+        file(&mut fs, "/etc/os-release", b"VERSION_CODENAME=bullseye");
+        assert!(detect_for(&fs).is_none());
+        // Non-UTF-8 content never matches, as when detection read text.
+        file(&mut fs, "/etc/os-release", b"buster\xff");
+        assert!(detect_for(&fs).is_none());
+        // Only the Debian row matches; then both match, and the first row
+        // (rhel7) wins.
+        file(&mut fs, "/etc/os-release", b"VERSION_CODENAME=buster");
+        assert_eq!(detect_for(&fs).unwrap().name, "debderiv");
+        file(
+            &mut fs,
+            "/etc/redhat-release",
+            b"CentOS Linux release 7.9.2009 (Core)",
+        );
+        assert_eq!(detect_for(&fs).unwrap(), ForceConfig::rhel7());
     }
 
     #[test]
