@@ -2,10 +2,12 @@
 //!
 //! Extracts per-function lock-acquisition sequences (`.lock()` / `.read()` /
 //! `.write()` with empty argument lists, plus calls through the crate's
-//! poison-recovery helpers), tracks which guards are still held at each
-//! point (let-bound guards live to the end of their block or an explicit
-//! `drop(guard)`; temporaries live to the end of their statement), and
-//! propagates acquisitions through an intra-crate, name-resolved call graph.
+//! poison-recovery helpers or the shared ones it imports,
+//! [`crate::poison::SHARED_HELPERS`]), tracks which guards are still held
+//! at each point (let-bound guards live to the end of their block or an
+//! explicit `drop(guard)`; temporaries live to the end of their statement),
+//! and propagates acquisitions through an intra-crate, name-resolved call
+//! graph.
 //!
 //! Findings:
 //! * a cyclic acquisition order between lock classes (two code paths that
@@ -131,6 +133,19 @@ pub fn check_crate(files: &[SourceFile]) -> Vec<Finding> {
                 name: f.name.clone(),
                 intrinsic,
             });
+        }
+    }
+
+    // The shared helpers take the lock they are handed, like a generic
+    // local `fn lock_recover(&Mutex<T>)`.
+    if crate::poison::uses_shared_helpers(files) {
+        for shared in crate::poison::SHARED_HELPERS {
+            if !helpers.iter().any(|h| h.name == shared) {
+                helpers.push(HelperInfo {
+                    name: shared.to_string(),
+                    intrinsic: None,
+                });
+            }
         }
     }
 
@@ -556,7 +571,7 @@ fn record_acq(
     let (var, temp) = if chain_keeps_guard(tokens, after) {
         binding(tokens, site)
     } else {
-        // `lock_queue(&q).admit(…)` — the guard is consumed by the chained
+        // `lock_recover(&q).admit(…)` — the guard is consumed by the chained
         // call and dropped at the end of the statement, whatever the
         // statement binds.
         (None, true)

@@ -2,7 +2,8 @@
 //!
 //! In a crate that defines a poison-recovery helper (a function whose body
 //! clears poison or recovers the guard via `into_inner` after a
-//! `.lock()`/`.read()`/`.write()`), a *bare* `.lock().unwrap()`,
+//! `.lock()`/`.read()`/`.write()`), or that names the workspace's shared
+//! helper module [`SHARED_MODULE`], a *bare* `.lock().unwrap()`,
 //! `.read().unwrap()`, `.write().unwrap()` (or the `.expect(…)` forms)
 //! outside tests is an error: the site must route through the helper so a
 //! panicking writer cannot wedge every later reader.
@@ -52,19 +53,52 @@ pub fn find_helpers(files: &[SourceFile]) -> Vec<Helper> {
     helpers
 }
 
+/// The workspace's shared poison-recovery helper module. A crate that
+/// names it (`use hpcc_kernel::sync::lock_recover;`) gets its
+/// [`SHARED_HELPERS`] as helpers in HL002 and HL003 without defining any.
+pub const SHARED_MODULE: [&str; 2] = ["hpcc_kernel", "sync"];
+
+/// The acquiring helpers [`SHARED_MODULE`] defines.
+pub const SHARED_HELPERS: [&str; 3] = ["lock_recover", "read_recover", "write_recover"];
+
+/// Whether any of the crate's files names [`SHARED_MODULE`].
+pub fn uses_shared_helpers(files: &[SourceFile]) -> bool {
+    files.iter().any(|file| {
+        file.tokens.windows(4).any(|w| {
+            w[0].is_ident(SHARED_MODULE[0])
+                && w[1].is(':')
+                && w[2].is(':')
+                && w[3].is_ident(SHARED_MODULE[1])
+        })
+    })
+}
+
+/// The names of every helper a crate can call: the ones it defines plus,
+/// if it names [`SHARED_MODULE`], the shared ones.
+pub fn helper_names(files: &[SourceFile]) -> Vec<String> {
+    let mut names: Vec<String> = find_helpers(files).into_iter().map(|h| h.name).collect();
+    if uses_shared_helpers(files) {
+        for shared in SHARED_HELPERS {
+            if !names.iter().any(|n| n == shared) {
+                names.push(shared.to_string());
+            }
+        }
+    }
+    names
+}
+
 /// Runs HL003 over one crate's files.
 pub fn check_crate(files: &[SourceFile]) -> Vec<Finding> {
-    let helpers = find_helpers(files);
-    if helpers.is_empty() {
+    let helper_names = helper_names(files);
+    if helper_names.is_empty() {
         return Vec::new();
     }
-    let helper_names: Vec<&str> = helpers.iter().map(|h| h.name.as_str()).collect();
     let mut findings = Vec::new();
     for file in files {
         // Token ranges belonging to the helpers themselves are exempt.
         let mut exempt = vec![false; file.tokens.len()];
         for f in functions(file) {
-            if helper_names.contains(&f.name.as_str()) {
+            if helper_names.contains(&f.name) {
                 for e in exempt.iter_mut().take(f.body_end + 1).skip(f.body_start) {
                     *e = true;
                 }

@@ -126,6 +126,40 @@ fn hl003_flags_the_bare_lock_unwrap_and_nothing_else() {
 }
 
 #[test]
+fn hl002_and_hl003_see_the_shared_helpers_in_a_crate_that_only_imports_them() {
+    let file = fixture("hl003_imported.rs");
+    let poison = poison::check_crate(std::slice::from_ref(&file));
+    assert_eq!(
+        poison.len(),
+        1,
+        "only the bare unwrap bypasses the imported helper:\n{}",
+        poison
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    assert!(poison[0].message.contains("lock_recover"));
+    assert_eq!(
+        poison[0].snippet,
+        "*self.first.lock().unwrap() // bare: the one expected HL003 finding"
+    );
+    let order = lock_order::check_crate(&[file]);
+    assert_eq!(
+        order.len(),
+        1,
+        "expected exactly the cycle through the imported helper:\n{}",
+        order
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    assert!(order[0].message.contains("cyclic lock acquisition order"));
+    assert!(order[0].message.contains("first") && order[0].message.contains("second"));
+}
+
+#[test]
 fn hl003_is_silent_in_a_crate_without_a_helper() {
     let findings = poison::check_crate(&[fixture("hl002_cycle.rs")]);
     assert!(findings.is_empty());

@@ -22,3 +22,20 @@ fn shipped_tree_has_no_findings() {
             .join("\n")
     );
 }
+
+#[test]
+fn shared_helpers_are_the_kernel_sync_module_helpers() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/analyzer sits two levels below the workspace root");
+    let rel = "crates/kernel/src/sync.rs";
+    let src = std::fs::read_to_string(root.join(rel)).expect("kernel sync module");
+    let file = hpcc_analyzer::lex::lex(rel, &src);
+    let mut found: Vec<String> = hpcc_analyzer::poison::find_helpers(&[file])
+        .into_iter()
+        .map(|h| h.name)
+        .collect();
+    found.sort();
+    assert_eq!(found, hpcc_analyzer::poison::SHARED_HELPERS);
+}

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use hpcc_bench::{alice, build_diamond, diamond_dockerfile, stage_time_model};
-use hpcc_core::{build_multistage, BuildOptions, Builder};
+use hpcc_core::{BuildOptions, Builder};
 
 fn bench_diamond_cold(c: &mut Criterion) {
     let mut group = c.benchmark_group("multistage_diamond");
@@ -58,7 +58,7 @@ fn bench_diamond_cached(c: &mut Criterion) {
         assert!(first.success);
         let opts = BuildOptions::new("diamond").with_cache();
         b.iter(|| {
-            let report = build_multistage(&mut builder, &diamond_dockerfile(), &opts, None);
+            let report = builder.build(&diamond_dockerfile(), &opts, None);
             assert!(report.success);
             let misses: usize = report.stages.iter().map(|s| s.cache_misses).sum();
             assert_eq!(misses, 0);
@@ -70,10 +70,10 @@ fn bench_diamond_cached(c: &mut Criterion) {
         let opts = BuildOptions::new("diamond")
             .with_cache()
             .with_serial_stages();
-        let first = build_multistage(&mut builder, &diamond_dockerfile(), &opts, None);
+        let first = builder.build(&diamond_dockerfile(), &opts, None);
         assert!(first.success);
         b.iter(|| {
-            let report = build_multistage(&mut builder, &diamond_dockerfile(), &opts, None);
+            let report = builder.build(&diamond_dockerfile(), &opts, None);
             assert!(report.success);
             report
         })

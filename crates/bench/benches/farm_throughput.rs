@@ -16,7 +16,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use hpcc_bench::{FARM_GATED_BUILDS, FARM_GATED_TENANTS};
-use hpcc_core::{build_multistage, centos7_fr_dockerfile, BuildOptions, Builder};
+use hpcc_core::{centos7_fr_dockerfile, BuildOptions, Builder};
 use hpcc_farm::{BuildFarm, BuildRequest, FarmConfig};
 use hpcc_runtime::Invoker;
 
@@ -52,7 +52,7 @@ fn bench_farm_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut builder = Builder::ch_image(Invoker::user("solo", 1000, 1000));
             let opts = BuildOptions::new("img").with_cache();
-            let report = build_multistage(&mut builder, centos7_fr_dockerfile(), &opts, None);
+            let report = builder.build(centos7_fr_dockerfile(), &opts, None);
             assert!(report.success);
             black_box(report.stages.len())
         })

@@ -19,7 +19,9 @@
 //! is the runner-variance-proof fallback (ROADMAP): instead of absolute
 //! times against a committed baseline, it compares benches from the *same
 //! run*, so a slow runner slows both sides identically and the ratio only
-//! moves when one code path regresses relative to the other. Two checks:
+//! moves when one code path regresses relative to the other. Five checks,
+//! one row each of the `CHECKS` table (numerator bench, denominator bench,
+//! per-unit divisor, bound, failure message):
 //!
 //! 1. **Snapshot store**: `snapshot_store/many_tiny_run` normalized to
 //!    per-instruction time (the workload has
@@ -75,91 +77,69 @@ use std::process::ExitCode;
 
 use hpcc_bench::{
     FARM_GATED_BUILDS, MANY_TINY_INSTRUCTIONS, SHARED_READ_CYCLES_PER_THREAD,
-    SHARED_READ_GATED_THREADS, WIRE_OPS_PER_BATCH,
+    SHARED_READ_GATED_THREADS,
 };
 
-/// The two same-run benchmarks the snapshot-store relative check compares.
-const RELATIVE_WORKLOAD: &str = "snapshot_store/many_tiny_run";
-const RELATIVE_REFERENCE: &str = "cached_rebuild/centos7_fully_cached";
-
-/// The two same-run benchmarks the concurrent-serving check compares, and
-/// its fixed bound (ISSUE 6 acceptance: contended per-op cost ≤ 2× the
-/// single-thread per-op cost on the same run).
-const SHARED_READ_BATCH: &str = "shared_read/cycle_batch_8threads";
-const SHARED_READ_SINGLE: &str = "shared_read/per_cycle_1thread";
-const SHARED_READ_MAX_RATIO: f64 = 2.0;
-
-/// The two same-run benchmarks the farm-throughput check compares, and its
-/// fixed bound (ISSUE 7 acceptance: per-build cost of a 100%-overlap batch
-/// must stay *below* the standalone single-build cost — dedup has to win).
-const FARM_BATCH: &str = "farm/throughput_256x8_full_overlap";
-const FARM_SINGLE: &str = "farm/serial_single_build";
-const FARM_MAX_RATIO: f64 = 0.75;
-
-/// The two same-run benchmarks the wire-loop check compares, and its fixed
-/// bound (ISSUE 8 acceptance, re-based for ISSUE 9: a full wire round trip
-/// must cost at most 3.5× the same op dispatched directly — 3× plus the
-/// integrity trailer and reply cache the fault layer added to every
-/// frame). Both batches run [`WIRE_OPS_PER_BATCH`] ops, so the batch-mean
-/// ratio *is* the per-op ratio.
-const WIRE_ROUNDTRIP: &str = "wire/roundtrip_lookup_batch";
-const WIRE_DIRECT: &str = "wire/direct_lookup_batch";
-const WIRE_MAX_RATIO: f64 = 3.5;
-
-/// The two same-run benchmarks the retry-policy check compares, and its
-/// fixed bound (ISSUE 9 acceptance: a fault-free round trip driven through
-/// the default retry policy must cost at most 1.2× a bare `Client::call`
-/// round trip in the identical lockstep layout — the retry machinery stays
-/// off the fast path).
-const POLICY_ROUNDTRIP: &str = "wire/policy_lookup_batch";
-const POLICY_BARE: &str = "wire/roundtrip_lookup_batch";
-const POLICY_MAX_RATIO: f64 = 1.2;
-
-/// Per-instruction `many_tiny_run` time divided by the same-run
-/// `cached_rebuild` time. `None` if either bench is missing from the
-/// results.
-fn relative_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
-    let workload = results.get(RELATIVE_WORKLOAD)?;
-    let reference = results.get(RELATIVE_REFERENCE)?;
-    Some((workload / MANY_TINY_INSTRUCTIONS as f64) / reference.max(1.0))
+/// One same-run relative check: the `numerator` bench's mean divided by
+/// `divisor` (the units it runs per iteration), over the same-run
+/// `denominator` bench's mean, must not exceed the bound.
+struct Check {
+    numerator: &'static str,
+    denominator: &'static str,
+    divisor: usize,
+    /// The bound; `None` takes the command line's `max_ratio`.
+    bound: Option<f64>,
+    /// What a ratio over the bound means.
+    failure: &'static str,
 }
 
-/// Per-cycle cost of the 8-thread shared-read batch divided by the
-/// same-run single-thread per-cycle cost. `None` if either bench is
-/// missing from the results.
-fn shared_read_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
-    let batch = results.get(SHARED_READ_BATCH)?;
-    let single = results.get(SHARED_READ_SINGLE)?;
-    let total_cycles = (SHARED_READ_GATED_THREADS * SHARED_READ_CYCLES_PER_THREAD) as f64;
-    Some((batch / total_cycles) / single.max(1.0))
+impl Check {
+    /// The check's ratio in `results`; `None` if either bench is missing.
+    fn ratio(&self, results: &BTreeMap<String, f64>) -> Option<f64> {
+        let numerator = results.get(self.numerator)?;
+        let denominator = results.get(self.denominator)?;
+        Some((numerator / self.divisor as f64) / denominator.max(1.0))
+    }
 }
 
-/// Per-build cost of the full-overlap farm batch divided by the same-run
-/// standalone single-build cost. `None` if either bench is missing from
-/// the results.
-fn farm_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
-    let batch = results.get(FARM_BATCH)?;
-    let single = results.get(FARM_SINGLE)?;
-    Some((batch / FARM_GATED_BUILDS as f64) / single.max(1.0))
-}
-
-/// Wire round-trip batch time divided by the same-run direct-dispatch
-/// batch time (equal op counts, so no normalization). `None` if either
-/// bench is missing from the results.
-fn wire_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
-    let roundtrip = results.get(WIRE_ROUNDTRIP)?;
-    let direct = results.get(WIRE_DIRECT)?;
-    Some(roundtrip / direct.max(1.0))
-}
-
-/// Policy-wrapped round-trip batch time divided by the same-run bare
-/// round-trip batch time (equal op counts, so no normalization). `None`
-/// if either bench is missing from the results.
-fn policy_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
-    let policy = results.get(POLICY_ROUNDTRIP)?;
-    let bare = results.get(POLICY_BARE)?;
-    Some(policy / bare.max(1.0))
-}
+/// The relative gate, one row per check (see the module docs).
+const CHECKS: [Check; 5] = [
+    Check {
+        numerator: "snapshot_store/many_tiny_run",
+        denominator: "cached_rebuild/centos7_fully_cached",
+        divisor: MANY_TINY_INSTRUCTIONS,
+        bound: None,
+        failure: "per-instruction snapshot-store time regressed past the cached-rebuild reference",
+    },
+    Check {
+        numerator: "shared_read/cycle_batch_8threads",
+        denominator: "shared_read/per_cycle_1thread",
+        divisor: SHARED_READ_GATED_THREADS * SHARED_READ_CYCLES_PER_THREAD,
+        bound: Some(2.0),
+        failure: "contended shared-read per-cycle cost exceeded the single-thread figure",
+    },
+    Check {
+        numerator: "farm/throughput_256x8_full_overlap",
+        denominator: "farm/serial_single_build",
+        divisor: FARM_GATED_BUILDS,
+        bound: Some(0.75),
+        failure: "full-overlap farm per-build cost exceeded the standalone single-build figure (cross-tenant dedup regressed)",
+    },
+    Check {
+        numerator: "wire/roundtrip_lookup_batch",
+        denominator: "wire/direct_lookup_batch",
+        divisor: 1,
+        bound: Some(3.5),
+        failure: "wire round-trip per-op cost exceeded the same-run direct-dispatch figure",
+    },
+    Check {
+        numerator: "wire/policy_lookup_batch",
+        denominator: "wire/roundtrip_lookup_batch",
+        divisor: 1,
+        bound: Some(1.2),
+        failure: "policy-wrapped fault-free round trips exceeded the bare call figure (retry machinery leaked onto the fast path)",
+    },
+];
 
 /// Runs the relative gate (all same-run checks); returns the process exit
 /// code.
@@ -173,126 +153,28 @@ fn run_relative(current_path: &str, max_ratio: f64) -> ExitCode {
     };
     let current = parse_results(&text, current_path);
     let mut failed = false;
-
-    match relative_ratio(&current) {
-        None => {
+    for check in &CHECKS {
+        let bound = check.bound.unwrap_or(max_ratio);
+        let Some(ratio) = check.ratio(&current) else {
             eprintln!(
                 "bench_gate: relative mode needs both {} and {} in {}",
-                RELATIVE_WORKLOAD, RELATIVE_REFERENCE, current_path
+                check.numerator, check.denominator, current_path
+            );
+            failed = true;
+            continue;
+        };
+        println!(
+            "relative gate: ({} / {}) / {} = {:.2} (max {:.2})",
+            check.numerator, check.divisor, check.denominator, ratio, bound
+        );
+        if ratio > bound {
+            eprintln!(
+                "bench_gate: FAILED — {} ({:.2} > {:.2})",
+                check.failure, ratio, bound
             );
             failed = true;
         }
-        Some(ratio) => {
-            println!(
-                "relative gate: ({} / {} instr) / {} = {:.2} (max {:.2})",
-                RELATIVE_WORKLOAD, MANY_TINY_INSTRUCTIONS, RELATIVE_REFERENCE, ratio, max_ratio
-            );
-            if ratio > max_ratio {
-                eprintln!(
-                    "bench_gate: FAILED — per-instruction snapshot-store time regressed {}x past the cached-rebuild reference",
-                    max_ratio
-                );
-                failed = true;
-            }
-        }
     }
-
-    match shared_read_ratio(&current) {
-        None => {
-            eprintln!(
-                "bench_gate: relative mode needs both {} and {} in {}",
-                SHARED_READ_BATCH, SHARED_READ_SINGLE, current_path
-            );
-            failed = true;
-        }
-        Some(ratio) => {
-            println!(
-                "relative gate: ({} / {} cycles) / {} = {:.2} (max {:.2})",
-                SHARED_READ_BATCH,
-                SHARED_READ_GATED_THREADS * SHARED_READ_CYCLES_PER_THREAD,
-                SHARED_READ_SINGLE,
-                ratio,
-                SHARED_READ_MAX_RATIO
-            );
-            if ratio > SHARED_READ_MAX_RATIO {
-                eprintln!(
-                    "bench_gate: FAILED — contended shared-read per-cycle cost exceeded {}x the single-thread figure",
-                    SHARED_READ_MAX_RATIO
-                );
-                failed = true;
-            }
-        }
-    }
-
-    match farm_ratio(&current) {
-        None => {
-            eprintln!(
-                "bench_gate: relative mode needs both {} and {} in {}",
-                FARM_BATCH, FARM_SINGLE, current_path
-            );
-            failed = true;
-        }
-        Some(ratio) => {
-            println!(
-                "relative gate: ({} / {} builds) / {} = {:.2} (max {:.2})",
-                FARM_BATCH, FARM_GATED_BUILDS, FARM_SINGLE, ratio, FARM_MAX_RATIO
-            );
-            if ratio > FARM_MAX_RATIO {
-                eprintln!(
-                    "bench_gate: FAILED — full-overlap farm per-build cost exceeded {}x the standalone single-build figure (cross-tenant dedup regressed)",
-                    FARM_MAX_RATIO
-                );
-                failed = true;
-            }
-        }
-    }
-
-    match wire_ratio(&current) {
-        None => {
-            eprintln!(
-                "bench_gate: relative mode needs both {} and {} in {}",
-                WIRE_ROUNDTRIP, WIRE_DIRECT, current_path
-            );
-            failed = true;
-        }
-        Some(ratio) => {
-            println!(
-                "relative gate: {} / {} = {:.2} (max {:.2}, {} ops per batch)",
-                WIRE_ROUNDTRIP, WIRE_DIRECT, ratio, WIRE_MAX_RATIO, WIRE_OPS_PER_BATCH
-            );
-            if ratio > WIRE_MAX_RATIO {
-                eprintln!(
-                    "bench_gate: FAILED — wire round-trip per-op cost exceeded {}x the same-run direct-dispatch figure",
-                    WIRE_MAX_RATIO
-                );
-                failed = true;
-            }
-        }
-    }
-
-    match policy_ratio(&current) {
-        None => {
-            eprintln!(
-                "bench_gate: relative mode needs both {} and {} in {}",
-                POLICY_ROUNDTRIP, POLICY_BARE, current_path
-            );
-            failed = true;
-        }
-        Some(ratio) => {
-            println!(
-                "relative gate: {} / {} = {:.2} (max {:.2}, {} ops per batch)",
-                POLICY_ROUNDTRIP, POLICY_BARE, ratio, POLICY_MAX_RATIO, WIRE_OPS_PER_BATCH
-            );
-            if ratio > POLICY_MAX_RATIO {
-                eprintln!(
-                    "bench_gate: FAILED — policy-wrapped fault-free round trips exceeded {}x the bare call figure (retry machinery leaked onto the fast path)",
-                    POLICY_MAX_RATIO
-                );
-                failed = true;
-            }
-        }
-    }
-
     if failed {
         ExitCode::FAILURE
     } else {
@@ -430,6 +312,51 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The checks under the names they had as hand-written functions.
+
+    /// A check's fixed bound.
+    const fn fixed(check: &Check) -> f64 {
+        match check.bound {
+            Some(bound) => bound,
+            None => panic!("the check takes the command-line bound"),
+        }
+    }
+
+    const RELATIVE_WORKLOAD: &str = CHECKS[0].numerator;
+    const RELATIVE_REFERENCE: &str = CHECKS[0].denominator;
+    const SHARED_READ_BATCH: &str = CHECKS[1].numerator;
+    const SHARED_READ_SINGLE: &str = CHECKS[1].denominator;
+    const SHARED_READ_MAX_RATIO: f64 = fixed(&CHECKS[1]);
+    const FARM_BATCH: &str = CHECKS[2].numerator;
+    const FARM_SINGLE: &str = CHECKS[2].denominator;
+    const FARM_MAX_RATIO: f64 = fixed(&CHECKS[2]);
+    const WIRE_ROUNDTRIP: &str = CHECKS[3].numerator;
+    const WIRE_DIRECT: &str = CHECKS[3].denominator;
+    const WIRE_MAX_RATIO: f64 = fixed(&CHECKS[3]);
+    const POLICY_ROUNDTRIP: &str = CHECKS[4].numerator;
+    const POLICY_BARE: &str = CHECKS[4].denominator;
+    const POLICY_MAX_RATIO: f64 = fixed(&CHECKS[4]);
+
+    fn relative_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
+        CHECKS[0].ratio(results)
+    }
+
+    fn shared_read_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
+        CHECKS[1].ratio(results)
+    }
+
+    fn farm_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
+        CHECKS[2].ratio(results)
+    }
+
+    fn wire_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
+        CHECKS[3].ratio(results)
+    }
+
+    fn policy_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
+        CHECKS[4].ratio(results)
+    }
 
     fn results(workload_ns: f64, reference_ns: f64) -> BTreeMap<String, f64> {
         let mut m = BTreeMap::new();

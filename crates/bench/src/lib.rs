@@ -9,8 +9,8 @@
 
 use hpcc_cluster::{astra_workflow, lanl_ci_pipeline, Cluster};
 use hpcc_core::{
-    build_multistage, centos7_dockerfile, centos7_fr_dockerfile, debian10_dockerfile,
-    debian10_fr_dockerfile, BuildOptions, Builder, MultiStageReport, PushOwnership,
+    centos7_dockerfile, centos7_fr_dockerfile, debian10_dockerfile, debian10_fr_dockerfile,
+    BuildOptions, BuildReport, Builder, PushOwnership,
 };
 use hpcc_distro::centos7;
 use hpcc_fakeroot::{render_table1, FakerootSession, Flavor};
@@ -337,7 +337,7 @@ pub fn diamond_dockerfile() -> String {
 /// speedup the graph unlocks per added core.
 pub fn stage_time_model(
     dockerfile: &str,
-    report: &MultiStageReport,
+    report: &BuildReport,
 ) -> (std::time::Duration, std::time::Duration) {
     use std::time::Duration;
     let ir = hpcc_core::BuildIr::parse(dockerfile).expect("dockerfile parses");
@@ -362,7 +362,7 @@ pub fn stage_time_model(
 /// Builds the diamond Dockerfile once with a fresh Type III builder.
 /// `parallel` toggles concurrent stage execution; `cache` the shared
 /// per-instruction cache.
-pub fn build_diamond(parallel: bool, cache: bool) -> (Builder, MultiStageReport) {
+pub fn build_diamond(parallel: bool, cache: bool) -> (Builder, BuildReport) {
     let mut builder = Builder::ch_image(alice());
     let mut options = BuildOptions::new("diamond");
     if !parallel {
@@ -371,7 +371,7 @@ pub fn build_diamond(parallel: bool, cache: bool) -> (Builder, MultiStageReport)
     if cache {
         options = options.with_cache();
     }
-    let report = build_multistage(&mut builder, &diamond_dockerfile(), &options, None);
+    let report = builder.build(&diamond_dockerfile(), &options, None);
     (builder, report)
 }
 
@@ -617,7 +617,7 @@ mod tests {
         let (mut builder, first) = build_diamond(true, true);
         assert!(first.success);
         let opts = BuildOptions::new("diamond").with_cache();
-        let second = build_multistage(&mut builder, &diamond_dockerfile(), &opts, None);
+        let second = builder.build(&diamond_dockerfile(), &opts, None);
         assert!(second.success);
         let misses: usize = second.stages.iter().map(|s| s.cache_misses).sum();
         assert_eq!(misses, 0, "fully cached rebuild must not miss");

@@ -9,7 +9,6 @@
 
 pub mod cluster;
 pub mod multisite;
-mod sync;
 pub mod workflow;
 
 pub use cluster::{Cluster, Job, JobState, Node, NodeKind, Scheduler};

@@ -140,7 +140,7 @@ pub fn multisite_ci(
         let mut manifest_digest = None;
         if build_ok {
             if let Some(builder) = farm.tenant_builder(&site.name) {
-                let builder = crate::sync::read_recover(&builder);
+                let builder = hpcc_kernel::sync::read_recover(&builder);
                 manifest_digest = push_to_oci(
                     &builder,
                     tag,

@@ -9,7 +9,7 @@
 
 use std::sync::Mutex;
 
-use hpcc_core::{build_multistage, BuildOptions, Builder, BuilderKind, PushOwnership};
+use hpcc_core::{BuildOptions, Builder, BuilderKind, PushOwnership};
 use hpcc_image::Registry;
 use hpcc_runtime::{check_arch, Container, Invoker, StorageDriver, SubIdDb};
 
@@ -114,7 +114,7 @@ pub fn astra_workflow(
         &BuildOptions::new(tag).with_arch(&login.arch),
         None,
     );
-    transcript.extend(build.transcript.iter().map(|l| format!("    {}", l)));
+    transcript.extend(build.transcript().iter().map(|l| format!("    {}", l)));
     if !build.success {
         transcript.push("build failed; aborting workflow".to_string());
         return WorkflowReport {
@@ -212,7 +212,7 @@ pub fn astra_workflow(
                         detail: "unknown node".to_string(),
                     },
                 };
-                crate::sync::lock_recover(results).push(outcome);
+                hpcc_kernel::sync::lock_recover(results).push(outcome);
             });
         }
     });
@@ -302,8 +302,7 @@ pub fn lanl_ci_pipeline_multistage(
         .unwrap();
 
     let mut builder = Builder::ch_image(invoker.clone());
-    let report = build_multistage(
-        &mut builder,
+    let report = builder.build(
         lanl_multistage_dockerfile(),
         &BuildOptions::new("app")
             .with_force()
@@ -475,7 +474,7 @@ pub fn lanl_ci_pipeline(
             report.instructions_modified
         ));
         if !report.success {
-            transcript.extend(report.transcript.iter().map(|l| format!("    {}", l)));
+            transcript.extend(report.transcript().iter().map(|l| format!("    {}", l)));
             scheduler.complete(build_job, false);
             return WorkflowReport {
                 transcript,

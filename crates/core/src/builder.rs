@@ -13,11 +13,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use hpcc_distro::{base_image, catalog_for, Catalog};
 use hpcc_fakeroot::LieDatabase;
 use hpcc_image::{Digest, Image, ImageConfig, Registry};
+use hpcc_kernel::sync::{lock_recover, wait_recover};
 use hpcc_kernel::{Credentials, Sysctl, UserNamespace};
 use hpcc_runtime::{Container, Invoker, PrivilegeType, StorageDriver, SubIdDb};
 use hpcc_vfs::{Actor, Filesystem, FsBackend};
 
-use crate::cache::{lock_recover, ShardedBuildCache};
+use crate::cache::ShardedBuildCache;
 use crate::error::BuildError;
 use crate::executor::run_graph;
 use crate::graph::BuildGraph;
@@ -55,7 +56,8 @@ pub struct BuildOptions {
     /// Target CPU architecture.
     pub arch: String,
     /// Build independent stages of a multi-stage Dockerfile concurrently
-    /// (default). Disable for a serial topological-order baseline.
+    /// (default). Disable for a serial level-order baseline; both run the
+    /// same stages and return the same report.
     pub parallel: bool,
     /// `--build-arg`-style overrides: values here override the defaults of
     /// declared `ARG`s during IR lowering, and the substituted text is what
@@ -101,7 +103,7 @@ impl BuildOptions {
         self
     }
 
-    /// Disables parallel stage execution (serial topological order).
+    /// Disables parallel stage execution (serial level order).
     pub fn with_serial_stages(mut self) -> Self {
         self.parallel = false;
         self
@@ -139,17 +141,22 @@ pub struct BuiltImage {
     pub privilege: PrivilegeType,
 }
 
-/// Report of one build: the transcript reproduces the shape of the paper's
-/// figures.
-#[derive(Debug, Clone)]
-pub struct BuildReport {
+/// Report of one executed stage: the transcript reproduces the shape of the
+/// paper's figures.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StageReport {
+    /// The stage's index in the Dockerfile.
+    pub stage: usize,
+    /// The stage's `AS` alias, if it has one.
+    pub alias: Option<String>,
     /// Transcript lines.
     pub transcript: Vec<String>,
-    /// Whether the build succeeded.
+    /// Whether the stage succeeded.
     pub success: bool,
-    /// The tag built.
+    /// The tag built: the build's tag for the final stage,
+    /// `<tag> (stage i: alias)` for an intermediate one.
     pub tag: String,
-    /// Total instructions executed.
+    /// Instructions executed.
     pub instructions_total: usize,
     /// RUN instructions rewritten by `--force`.
     pub instructions_modified: usize,
@@ -157,44 +164,133 @@ pub struct BuildReport {
     pub modifiable_runs: usize,
     /// Name of the matched force configuration, if any.
     pub force_config: Option<String>,
-    /// Cache hits during this build.
+    /// Cache hits.
     pub cache_hits: usize,
-    /// Cache misses during this build.
+    /// Cache misses.
     pub cache_misses: usize,
-    /// Wall-clock execution time. For a per-stage report this is the stage's
-    /// own execution time; a merged multi-stage report sums its stages (total
-    /// work, not makespan — concurrent stages overlap).
+    /// The stage's own wall-clock execution time.
     pub elapsed: std::time::Duration,
-    /// The error if the build failed.
+    /// The error if the stage failed.
     pub error: Option<BuildError>,
 }
 
-impl BuildReport {
+impl StageReport {
     /// The transcript as one string.
     pub fn transcript_text(&self) -> String {
         self.transcript.join("\n")
     }
 
-    /// The error rendered as text, if the build failed.
+    /// The error rendered as text, if the stage failed.
     pub fn error_text(&self) -> Option<String> {
         self.error.as_ref().map(|e| e.to_string())
     }
+}
 
-    /// A failed report carrying a front-end or planner error.
-    pub(crate) fn from_error(tag: &str, error: BuildError) -> Self {
+/// Report of one build, however it was driven: the reports of the stages
+/// that ran, the stages that were skipped, and counters summed over the
+/// stages. A parse or plan failure is a report with no stages.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BuildReport {
+    /// Reports of the stages that ran, in stage order.
+    pub stages: Vec<StageReport>,
+    /// One [`BuildError::DependencyFailed`] per stage that never ran, in
+    /// stage order.
+    pub skipped: Vec<BuildError>,
+    /// The first error: the parse or plan error, or else the error of the
+    /// lowest-index stage that failed.
+    pub error: Option<BuildError>,
+    /// Whether every stage succeeded.
+    pub success: bool,
+    /// The tag built.
+    pub tag: String,
+    /// Instructions executed.
+    pub instructions_total: usize,
+    /// RUN instructions rewritten by `--force`.
+    pub instructions_modified: usize,
+    /// RUN instructions that *could* be rewritten.
+    pub modifiable_runs: usize,
+    /// The first force configuration a stage matched, if any.
+    pub force_config: Option<String>,
+    /// Cache hits.
+    pub cache_hits: usize,
+    /// Cache misses.
+    pub cache_misses: usize,
+    /// The stages' execution times summed: total work, not makespan, since
+    /// concurrent stages overlap.
+    pub elapsed: std::time::Duration,
+}
+
+impl BuildReport {
+    /// A report over the stages that ran and the stages that were skipped.
+    pub(crate) fn from_stages(
+        tag: &str,
+        stages: Vec<StageReport>,
+        skipped: Vec<BuildError>,
+    ) -> Self {
+        let sum = |count: fn(&StageReport) -> usize| stages.iter().map(count).sum();
         BuildReport {
-            transcript: vec![format!("error: {}", error)],
-            success: false,
+            error: stages.iter().find_map(|s| s.error.clone()),
+            success: skipped.is_empty() && stages.iter().all(|s| s.success),
             tag: tag.to_string(),
-            instructions_total: 0,
-            instructions_modified: 0,
-            modifiable_runs: 0,
-            force_config: None,
-            cache_hits: 0,
-            cache_misses: 0,
-            elapsed: std::time::Duration::ZERO,
-            error: Some(error),
+            instructions_total: sum(|s| s.instructions_total),
+            instructions_modified: sum(|s| s.instructions_modified),
+            modifiable_runs: sum(|s| s.modifiable_runs),
+            force_config: stages.iter().find_map(|s| s.force_config.clone()),
+            cache_hits: sum(|s| s.cache_hits),
+            cache_misses: sum(|s| s.cache_misses),
+            elapsed: stages.iter().map(|s| s.elapsed).sum(),
+            stages,
+            skipped,
         }
+    }
+
+    /// The report of a build that failed before any stage ran: a parse or
+    /// plan error.
+    pub fn failed(tag: &str, error: BuildError) -> Self {
+        BuildReport {
+            success: false,
+            error: Some(error),
+            ..BuildReport::from_stages(tag, Vec::new(), Vec::new())
+        }
+    }
+
+    /// The transcript, rendered from the stage transcripts. A multi-stage
+    /// build heads each stage that ran with `>>> stage i/n (alias)`; a
+    /// parse or plan failure renders as its `error: …` line.
+    pub fn transcript(&self) -> Vec<String> {
+        if self.stages.is_empty() {
+            return self.error.iter().map(|e| format!("error: {}", e)).collect();
+        }
+        // Every planned stage either ran or was skipped.
+        let planned = self.stages.len() + self.skipped.len();
+        let mut lines = Vec::new();
+        for stage in &self.stages {
+            if planned > 1 {
+                let alias = stage
+                    .alias
+                    .as_deref()
+                    .map(|a| format!(" ({})", a))
+                    .unwrap_or_default();
+                lines.push(format!(
+                    ">>> stage {}/{}{}",
+                    stage.stage + 1,
+                    planned,
+                    alias
+                ));
+            }
+            lines.extend(stage.transcript.iter().cloned());
+        }
+        lines
+    }
+
+    /// The transcript as one string.
+    pub fn transcript_text(&self) -> String {
+        self.transcript().join("\n")
+    }
+
+    /// The error rendered as text, if the build failed.
+    pub fn error_text(&self) -> Option<String> {
+        self.error.as_ref().map(|e| e.to_string())
     }
 }
 
@@ -391,10 +487,7 @@ impl BaseEnvMemo {
         }
         let mut state = lock_recover(&slot.state);
         while matches!(*state, EnvSlotState::Pending) {
-            state = slot
-                .cv
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            state = wait_recover(&slot.cv, state, &slot.state);
         }
         match &*state {
             EnvSlotState::Ready(template) => Ok(Arc::clone(template)),
@@ -671,55 +764,46 @@ impl Builder {
         }
     }
 
-    /// Builds a Dockerfile through the stage graph. `context` is the
-    /// build-context filesystem used by `COPY` instructions.
+    /// Builds a Dockerfile through the stage graph and returns the build's
+    /// report. `context` is the build-context filesystem used by `COPY`
+    /// instructions.
     ///
-    /// A multi-stage Dockerfile is planned into a DAG whose independent
-    /// stages execute concurrently; only the *final* stage's image is stored,
-    /// under `options.tag`, and the returned report concatenates the
-    /// per-stage transcripts. Single-stage Dockerfiles behave exactly as
-    /// before. Use [`crate::multistage::build_multistage`] to keep the
-    /// per-stage reports separate.
+    /// Independent stages execute concurrently unless `options.parallel` is
+    /// off; either way the same stages run and the report is the same. Only
+    /// the *final* stage's image is stored, under `options.tag`, and only
+    /// if every stage succeeded: intermediate stages stay out of the tag
+    /// namespace. A parse or plan failure returns a report with no stages.
     pub fn build(
         &mut self,
         dockerfile_text: &str,
         options: &BuildOptions,
         context: Option<&Filesystem>,
     ) -> BuildReport {
-        if options.cache_capacity.is_some() {
-            self.cache.set_capacity(options.cache_capacity);
-        }
-        let (ir, graph) = match Self::plan_with_args(dockerfile_text, &options.build_args) {
+        let (ir, graph) = match self.plan(dockerfile_text, options) {
             Ok(p) => p,
-            Err(e) => return BuildReport::from_error(&options.tag, e),
+            Err(e) => return BuildReport::failed(&options.tag, e),
         };
-        let mut run = run_graph(self, &ir, &graph, options, context);
-        let report = Self::merge_reports(&ir, &mut run, options);
-        if run.success {
-            let final_index = ir.stage_count() - 1;
-            if let Some(artifact) = run.artifacts[final_index].take() {
-                self.store_artifact(&options.tag, &options.arch, artifact);
-            }
+        let (report, artifact) = run_graph(self, &ir, &graph, options, context);
+        if let Some(artifact) = artifact {
+            self.store_artifact(&options.tag, &options.arch, artifact);
         }
         report
     }
 
-    /// Front end + planner: parse to IR, lower to a validated stage DAG
-    /// (no `--build-arg` overrides; exercised directly by tests).
-    #[cfg(test)]
-    pub(crate) fn plan(text: &str) -> Result<(BuildIr, BuildGraph), BuildError> {
-        Self::plan_with_args(text, &BTreeMap::new())
-    }
-
-    /// Front end + planner with `--build-arg`-style overrides applied during
-    /// IR lowering: parse to IR, lower to a validated stage DAG. Exposed so
-    /// external schedulers (the build farm) can plan a Dockerfile up front
-    /// and drive stage execution themselves.
-    pub fn plan_with_args(
+    /// The front of every build: caps the build cache at
+    /// `options.cache_capacity` if that is set, then parses the Dockerfile
+    /// with the `--build-arg` overrides and plans the stage DAG. Exposed so
+    /// external schedulers (the build farm) can plan a build up front and
+    /// drive its stages through a [`crate::executor::GraphRun`].
+    pub fn plan(
+        &self,
         text: &str,
-        build_args: &BTreeMap<String, String>,
+        options: &BuildOptions,
     ) -> Result<(BuildIr, BuildGraph), BuildError> {
-        let ir = BuildIr::parse_with_args(text, build_args)?;
+        if options.cache_capacity.is_some() {
+            self.cache.set_capacity(options.cache_capacity);
+        }
+        let ir = BuildIr::parse_with_args(text, &options.build_args)?;
         let graph = BuildGraph::plan(&ir)?;
         Ok((ir, graph))
     }
@@ -747,57 +831,6 @@ impl Builder {
                 privilege: self.privilege_type(),
             },
         );
-    }
-
-    /// Folds a graph run into one report, taking the stage reports out of
-    /// `run`. A single-stage build returns its stage report unchanged; a
-    /// multi-stage build moves the stage transcripts into one (with stage
-    /// headers) and sums the counters.
-    fn merge_reports(
-        ir: &BuildIr,
-        run: &mut crate::executor::GraphRun,
-        options: &BuildOptions,
-    ) -> BuildReport {
-        if ir.stage_count() == 1 {
-            return run.reports[0]
-                .take()
-                .unwrap_or_else(|| BuildReport::from_error(&options.tag, BuildError::NoStages));
-        }
-        let mut merged = BuildReport {
-            transcript: Vec::new(),
-            success: run.success,
-            tag: options.tag.clone(),
-            instructions_total: 0,
-            instructions_modified: 0,
-            modifiable_runs: 0,
-            force_config: None,
-            cache_hits: 0,
-            cache_misses: 0,
-            elapsed: std::time::Duration::ZERO,
-            error: run.error.take(),
-        };
-        for (i, slot) in run.reports.iter_mut().enumerate() {
-            let Some(r) = slot.take() else { continue };
-            let alias = ir.stages[i]
-                .alias
-                .as_deref()
-                .map(|a| format!(" ({})", a))
-                .unwrap_or_default();
-            merged
-                .transcript
-                .push(format!(">>> stage {}/{}{}", i + 1, ir.stage_count(), alias));
-            merged.transcript.extend(r.transcript);
-            merged.instructions_total += r.instructions_total;
-            merged.instructions_modified += r.instructions_modified;
-            merged.modifiable_runs += r.modifiable_runs;
-            merged.cache_hits += r.cache_hits;
-            merged.cache_misses += r.cache_misses;
-            merged.elapsed += r.elapsed;
-            if merged.force_config.is_none() {
-                merged.force_config = r.force_config;
-            }
-        }
-        merged
     }
 
     /// Pushes a built image to a registry under `reference`, applying the
@@ -1147,14 +1180,14 @@ mod tests {
     fn global_arg_substitutes_into_from_parse_plan_execute() {
         // Parse: the global ARG's default lands in the FROM reference.
         let df = "ARG BASE=centos:7\nFROM ${BASE}\nRUN echo hi\n";
-        let (ir, graph) = Builder::plan(df).expect("plan");
+        let mut b = Builder::ch_image(alice());
+        let (ir, graph) = b.plan(df, &BuildOptions::new("argsub")).expect("plan");
         // Plan: one stage, rooted on the concrete base image (not treated as
         // an alias or an unknown stage reference).
         assert_eq!(ir.global_args.len(), 1);
         assert_eq!(ir.stages[0].base, "centos:7");
         assert_eq!(graph.stage_count(), 1);
         // Execute: the build runs against the substituted base.
-        let mut b = Builder::ch_image(alice());
         let r = b.build(df, &BuildOptions::new("argsub"), None);
         assert!(r.success, "{}", r.transcript_text());
         assert!(r.transcript_text().contains("FROM centos:7"));
@@ -1301,7 +1334,7 @@ mod tests {
             Some(BuildError::Execution { message, .. }) => assert_eq!(message, expected),
             other => panic!("expected an execution error, got {other:?}"),
         }
-        assert!(r.transcript.iter().any(|line| line == expected));
+        assert!(r.transcript().iter().any(|line| line == expected));
     }
 
     #[test]

@@ -14,24 +14,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 
 use hpcc_fakeroot::LieDatabase;
 use hpcc_image::{Digest, ImageConfig, Sha256};
+use hpcc_kernel::sync::{lock_recover, wait_recover};
 use hpcc_vfs::Filesystem;
-
-/// Locks a mutex, recovering from poisoning the way the VFS resolve cache
-/// does (`clear_poison` + `into_inner`). Every structure locked through this
-/// helper is self-consistent after any single interrupted operation (a map
-/// probe, a single-entry insert or remove), so one panicked build thread —
-/// a failed stage unwinding mid-store on a multi-tenant farm — must not
-/// wedge the shared cache for every other tenant.
-pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| {
-        mutex.clear_poison();
-        poisoned.into_inner()
-    })
-}
 
 /// A build-cache chain key under construction: the parent state and every
 /// bound input stream into one SHA-256, with no intermediate string.
@@ -364,9 +352,9 @@ impl Drop for FlightGuard<'_> {
 /// adopts the stored snapshot as a hit. Total misses for N concurrent
 /// identical builds equal those of a single build.
 ///
-/// Shard and flight locks recover from poisoning (`clear_poison` +
-/// `into_inner`, the PR 6 resolve-cache pattern): a build thread panicking
-/// mid-probe must not wedge the cache shared by every other tenant.
+/// Shard and flight locks recover from poisoning ([`hpcc_kernel::sync`]):
+/// a build thread panicking mid-probe must not wedge the cache shared by
+/// every other tenant.
 #[derive(Debug, Default)]
 pub struct ShardedBuildCache {
     shards: [Mutex<BuildCache>; CACHE_SHARDS],
@@ -456,10 +444,7 @@ impl ShardedBuildCache {
             // the shard (hit) or it aborted (race for the next leadership).
             let mut done = lock_recover(&slot.done);
             while !*done {
-                done = slot
-                    .cv
-                    .wait(done)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                done = wait_recover(&slot.cv, done, &slot.done);
             }
             waited = true;
         }

@@ -1,9 +1,9 @@
 //! Build errors.
 //!
 //! One error type spans the whole pipeline — front end ([`crate::ir`]),
-//! planner ([`crate::graph`]), and executor (`crate::executor`) — so both
-//! the single-stage and multi-stage entry points report failures the same
-//! way instead of smuggling strings through unrelated fields.
+//! planner ([`crate::graph`]), and executor (`crate::executor`) — so every
+//! way of running a build reports failures the same way instead of
+//! smuggling strings through unrelated fields.
 
 use crate::dockerfile::ParseError;
 
@@ -54,11 +54,13 @@ pub enum BuildError {
         /// Stage indices left unschedulable by the cycle.
         stages: Vec<usize>,
     },
-    /// A stage was skipped because one of its dependencies failed.
+    /// A stage was skipped because one of its dependencies failed or was
+    /// skipped.
     DependencyFailed {
         /// The stage that never ran.
         stage: usize,
-        /// The dependency that failed.
+        /// The lowest-index dependency of `stage` that failed or was
+        /// skipped.
         dependency: usize,
     },
     /// An instruction failed while executing.

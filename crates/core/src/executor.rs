@@ -6,14 +6,15 @@
 //! downstream as [`StageArtifact`]s: copy-on-write [`Filesystem`] snapshots,
 //! never `<tag>.stageN` pseudo-images in the builder's tag namespace.
 //!
-//! Scheduling is dependency-driven: graph nodes run under
-//! [`std::thread::scope`], a stage is spawned the moment its last dependency
-//! completes, and independent stages (e.g. the two middle stages of a
-//! diamond) build concurrently. All stages share the builder's
-//! [`crate::cache::ShardedBuildCache`] — 16 digest-prefix shards, each with
-//! its own lock — so an instruction chain built by one stage is a cache hit
-//! for every other stage (including stages of the same build) without wide
-//! graphs serializing on a single cache lock.
+//! Scheduling is dependency-driven and lives in one state machine,
+//! [`GraphRun`]: a stage is released the moment its last dependency
+//! succeeds, and independent stages (e.g. the two middle stages of a
+//! diamond) build concurrently under [`std::thread::scope`]. All stages
+//! share the builder's [`crate::cache::ShardedBuildCache`] — 16
+//! digest-prefix shards, each with its own lock — so an instruction chain
+//! built by one stage is a cache hit for every other stage (including
+//! stages of the same build) without wide graphs serializing on a single
+//! cache lock.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -21,12 +22,13 @@ use std::sync::{Arc, Mutex};
 use hpcc_distro::catalog_for;
 use hpcc_fakeroot::LieDatabase;
 use hpcc_image::{sha256, Digest, ImageConfig};
+use hpcc_kernel::sync::lock_recover;
 use hpcc_kernel::Credentials;
 use hpcc_kernel::{KResult, UserNamespace};
 use hpcc_shell::ExecEnv;
 use hpcc_vfs::{Actor, FileBytes, Filesystem, Mode};
 
-use crate::builder::{BuildEnv, BuildOptions, BuildReport, Builder, BuilderKind};
+use crate::builder::{BuildEnv, BuildOptions, BuildReport, Builder, BuilderKind, StageReport};
 use crate::cache::{CachedState, StateKey};
 use crate::dockerfile::Instruction;
 use crate::error::BuildError;
@@ -52,20 +54,138 @@ pub struct StageArtifact {
     pub final_state: Option<Digest>,
 }
 
-/// Result of running a whole graph.
+/// One build's stage graph in flight: the state machine behind every way
+/// of running a build (the serial and threaded drivers here, and the build
+/// farm's workers).
+///
+/// A stage is *released* once every dependency has succeeded; roots are
+/// released from the start. The driver executes a released stage against
+/// [`GraphRun::upstream`] and hands the result to [`GraphRun::complete`],
+/// which returns the stages that result released. A stage runs if and only
+/// if all its dependencies succeeded, so independent stages keep running
+/// after a failure and every driver runs the same set of stages. Once
+/// [`GraphRun::is_finished`], [`GraphRun::finish`] folds the run into the
+/// build's [`BuildReport`].
+///
+/// Like a graph walker, the run does not borrow its graph: every call takes
+/// the [`BuildGraph`] the run was created from.
+#[derive(Debug, Default)]
+pub struct GraphRun {
+    stages: Vec<StageSlot>,
+    released: usize,
+    completed: usize,
+}
+
 #[derive(Debug)]
-pub(crate) struct GraphRun {
-    /// Per-stage reports, `None` for stages that never ran.
-    pub reports: Vec<Option<BuildReport>>,
-    /// Per-stage artifacts, `None` for failed or skipped stages.
-    pub artifacts: Vec<Option<StageArtifact>>,
-    /// Whether every stage succeeded.
-    pub success: bool,
-    /// The first (lowest-stage-index) error, if any stage failed.
-    pub error: Option<BuildError>,
-    /// One [`BuildError::DependencyFailed`] per stage that never ran
-    /// because a (transitive) dependency failed, in stage order.
-    pub skipped: Vec<BuildError>,
+struct StageSlot {
+    /// Dependencies that have not succeeded yet; 0 once released.
+    pending: usize,
+    report: Option<StageReport>,
+    /// Present once the stage succeeded.
+    artifact: Option<StageArtifact>,
+}
+
+impl GraphRun {
+    /// A run of `graph` with its roots released.
+    pub fn new(graph: &BuildGraph) -> Self {
+        let stages: Vec<StageSlot> = graph
+            .nodes
+            .iter()
+            .map(|node| StageSlot {
+                pending: node.deps.len(),
+                report: None,
+                artifact: None,
+            })
+            .collect();
+        let released = stages.iter().filter(|s| s.pending == 0).count();
+        GraphRun {
+            stages,
+            released,
+            completed: 0,
+        }
+    }
+
+    /// Whether `stage` is released: every dependency succeeded.
+    pub(crate) fn is_released(&self, stage: usize) -> bool {
+        self.stages[stage].pending == 0
+    }
+
+    /// The artifacts a released `stage` reads, keyed by dependency: CoW
+    /// clones, so refcount bumps and no tree copies.
+    pub fn upstream(&self, graph: &BuildGraph, stage: usize) -> HashMap<usize, StageArtifact> {
+        graph
+            .node(stage)
+            .deps
+            .iter()
+            .map(|&d| {
+                let artifact = self.stages[d].artifact.clone();
+                (d, artifact.expect("released after its dependencies"))
+            })
+            .collect()
+    }
+
+    /// Records a stage's result (its artifact is `None` if it failed) and
+    /// returns the dependents it released, in stage order.
+    pub fn complete(
+        &mut self,
+        graph: &BuildGraph,
+        stage: usize,
+        report: StageReport,
+        artifact: Option<StageArtifact>,
+    ) -> Vec<usize> {
+        let mut ready = Vec::new();
+        if artifact.is_some() {
+            for &d in &graph.node(stage).dependents {
+                self.stages[d].pending -= 1;
+                if self.stages[d].pending == 0 {
+                    ready.push(d);
+                }
+            }
+        }
+        let slot = &mut self.stages[stage];
+        slot.report = Some(report);
+        slot.artifact = artifact;
+        self.completed += 1;
+        self.released += ready.len();
+        ready
+    }
+
+    /// Whether every released stage has completed, so no stage is running
+    /// and none will be released.
+    pub fn is_finished(&self) -> bool {
+        self.completed == self.released
+    }
+
+    /// Folds a finished run into the build's report, tagged `tag`, plus the
+    /// final stage's artifact if every stage succeeded.
+    pub fn finish(self, graph: &BuildGraph, tag: &str) -> (BuildReport, Option<StageArtifact>) {
+        debug_assert!(self.is_finished(), "finish() before the run finished");
+        let skipped = (0..self.stages.len())
+            .filter(|&stage| self.stages[stage].report.is_none())
+            .map(|stage| BuildError::DependencyFailed {
+                stage,
+                dependency: self.skip_cause(graph, stage),
+            })
+            .collect();
+        let mut stages = self.stages;
+        let artifact = stages.last_mut().and_then(|s| s.artifact.take());
+        let reports = stages.into_iter().filter_map(|s| s.report).collect();
+        let report = BuildReport::from_stages(tag, reports, skipped);
+        let artifact = artifact.filter(|_| report.success);
+        (report, artifact)
+    }
+
+    /// Why `stage` never ran: its lowest-index dependency that failed or
+    /// was skipped.
+    fn skip_cause(&self, graph: &BuildGraph, stage: usize) -> usize {
+        graph
+            .node(stage)
+            .deps
+            .iter()
+            .copied()
+            .find(|&d| self.stages[d].artifact.is_none())
+            .expect("a stage that never ran has a dependency that did not succeed")
+    }
 }
 
 /// Execution state for one stage.
@@ -76,7 +196,7 @@ struct StageCtx<'a> {
     stage: &'a IrStage,
     node: &'a GraphNode,
     upstream: &'a HashMap<usize, StageArtifact>,
-    report: BuildReport,
+    report: StageReport,
     env: Option<BuildEnv>,
     /// Shared with the cache entries and artifacts made from this stage;
     /// instructions that change it copy on write (`Arc::make_mut`).
@@ -112,7 +232,9 @@ impl<'a> StageCtx<'a> {
             stage,
             node,
             upstream,
-            report: BuildReport {
+            report: StageReport {
+                stage: stage.index,
+                alias: stage.alias.clone(),
                 transcript: Vec::new(),
                 success: false,
                 tag: display_tag,
@@ -142,7 +264,7 @@ impl<'a> StageCtx<'a> {
 
     /// Runs the stage to completion. On failure the report carries the error
     /// and no artifact is produced.
-    fn run(mut self) -> (BuildReport, Option<StageArtifact>) {
+    fn run(mut self) -> (StageReport, Option<StageArtifact>) {
         for (idx, instruction) in self.stage.instructions.iter().enumerate() {
             if let Err(message) = self.execute_instruction(idx, instruction) {
                 self.report.error = Some(BuildError::Execution {
@@ -184,7 +306,7 @@ impl<'a> StageCtx<'a> {
         self.finish(Some(artifact))
     }
 
-    fn finish(mut self, artifact: Option<StageArtifact>) -> (BuildReport, Option<StageArtifact>) {
+    fn finish(mut self, artifact: Option<StageArtifact>) -> (StageReport, Option<StageArtifact>) {
         self.report.cache_hits = self.cache_hits;
         self.report.cache_misses = self.cache_misses;
         (self.report, artifact)
@@ -712,13 +834,14 @@ pub(crate) fn display_instruction(n: usize, instruction: &Instruction) -> String
     }
 }
 
-/// Runs one stage against its upstream artifacts.
+/// Runs one stage against its upstream artifacts and returns the stage's
+/// report, plus its artifact if it succeeded.
 ///
-/// Exposed so external schedulers (the build farm) can drive a planned
-/// [`BuildGraph`]'s stages at their own granularity — e.g. as work-stealing
-/// tasks across many concurrent builds — instead of going through
-/// `run_graph`'s per-build scheduler. `upstream` must hold an artifact for
-/// every dependency of `stage_index` recorded in the graph.
+/// This is what every driver of a [`GraphRun`] calls per stage: the serial
+/// and threaded drivers behind [`Builder::build`], and the build farm's
+/// workers, which run the stages of many builds as work-stealing tasks.
+/// `upstream` must hold an artifact for every dependency of `stage_index`
+/// recorded in the graph ([`GraphRun::upstream`] builds it).
 pub fn execute_stage(
     builder: &Builder,
     ir: &BuildIr,
@@ -727,7 +850,7 @@ pub fn execute_stage(
     options: &BuildOptions,
     context: Option<&Filesystem>,
     upstream: &HashMap<usize, StageArtifact>,
-) -> (BuildReport, Option<StageArtifact>) {
+) -> (StageReport, Option<StageArtifact>) {
     let stage = &ir.stages[stage_index];
     let is_final = stage_index + 1 == ir.stage_count();
     let display_tag = if is_final {
@@ -753,180 +876,70 @@ pub fn execute_stage(
     (report, artifact)
 }
 
-/// Scheduler shared state while a graph runs.
-struct SchedState {
-    pending: Vec<usize>,
-    reports: Vec<Option<BuildReport>>,
-    artifacts: Vec<Option<StageArtifact>>,
-    failed: bool,
-}
-
-struct Shared<'e> {
-    builder: &'e Builder,
-    ir: &'e BuildIr,
-    graph: &'e BuildGraph,
-    options: &'e BuildOptions,
-    context: Option<&'e Filesystem>,
-    state: Mutex<SchedState>,
-}
-
-/// Runs a stage and then *continues inline* with one newly released
-/// dependent, spawning threads only for the extras — a chain of stages costs
-/// zero additional threads; a diamond costs one.
-fn stage_worker<'scope, 'e>(
-    scope: &'scope std::thread::Scope<'scope, 'e>,
-    shared: &'e Shared<'e>,
-    mut stage: usize,
-    mut upstream: HashMap<usize, StageArtifact>,
-) {
-    loop {
-        let (report, artifact) = execute_stage(
-            shared.builder,
-            shared.ir,
-            shared.graph,
-            stage,
-            shared.options,
-            shared.context,
-            &upstream,
-        );
-        let mut ready = Vec::new();
-        {
-            let mut st = crate::cache::lock_recover(&shared.state);
-            let ok = artifact.is_some();
-            st.reports[stage] = Some(report);
-            st.artifacts[stage] = artifact;
-            if !ok {
-                st.failed = true;
-            } else if !st.failed {
-                for &d in &shared.graph.node(stage).dependents {
-                    st.pending[d] -= 1;
-                    if st.pending[d] == 0 {
-                        // CoW clones of the dependency artifacts: refcount
-                        // bumps, not tree copies.
-                        let ups: HashMap<usize, StageArtifact> = shared
-                            .graph
-                            .node(d)
-                            .deps
-                            .iter()
-                            .map(|&s| (s, st.artifacts[s].clone().expect("dependency completed")))
-                            .collect();
-                        ready.push((d, ups));
-                    }
-                }
-            }
-        }
-        let Some((next, next_upstream)) = ready.pop() else {
-            return;
-        };
-        for (d, ups) in ready {
-            spawn_stage(scope, shared, d, ups);
-        }
-        stage = next;
-        upstream = next_upstream;
-    }
-}
-
-/// Spawns a stage (and its inline continuations) onto the scope.
-fn spawn_stage<'scope, 'e>(
-    scope: &'scope std::thread::Scope<'scope, 'e>,
-    shared: &'e Shared<'e>,
-    stage: usize,
-    upstream: HashMap<usize, StageArtifact>,
-) {
-    scope.spawn(move || stage_worker(scope, shared, stage, upstream));
-}
-
-/// Runs a planned graph to completion. With `options.parallel` (the default)
-/// independent stages build concurrently under a thread scope; otherwise
-/// stages run serially in topological order — same results, useful as a
-/// baseline and for deterministic cache-interleaving tests.
+/// Runs a planned graph to completion and folds it into the build's report
+/// and final artifact. With `options.parallel` (the default) and more than
+/// one stage, stages run on scoped threads; otherwise serially in level
+/// order. Both drivers run the same stages and return the same report.
 pub(crate) fn run_graph(
     builder: &Builder,
     ir: &BuildIr,
     graph: &BuildGraph,
     options: &BuildOptions,
     context: Option<&Filesystem>,
-) -> GraphRun {
-    let n = graph.stage_count();
-    let (reports, artifacts) = if options.parallel && n > 1 {
-        let shared = Shared {
-            builder,
-            ir,
-            graph,
-            options,
-            context,
-            state: Mutex::new(SchedState {
-                pending: graph.nodes.iter().map(|node| node.deps.len()).collect(),
-                reports: (0..n).map(|_| None).collect(),
-                artifacts: (0..n).map(|_| None).collect(),
-                failed: false,
-            }),
-        };
+) -> (BuildReport, Option<StageArtifact>) {
+    let exec = |stage: usize, upstream: &HashMap<usize, StageArtifact>| {
+        execute_stage(builder, ir, graph, stage, options, context, upstream)
+    };
+    let mut run = GraphRun::new(graph);
+    if options.parallel && graph.stage_count() > 1 {
+        let shared = Mutex::new(run);
         std::thread::scope(|scope| {
             let mut roots = graph.roots();
             // The first root runs on this thread; only extra roots (and
             // later, extra released dependents) cost a spawn.
             let first = roots.remove(0);
             for root in roots {
-                spawn_stage(scope, &shared, root, HashMap::new());
+                let (shared, exec) = (&shared, &exec);
+                scope.spawn(move || stage_worker(scope, graph, shared, exec, root));
             }
-            stage_worker(scope, &shared, first, HashMap::new());
+            stage_worker(scope, graph, &shared, &exec, first);
         });
-        let st = shared
-            .state
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        (st.reports, st.artifacts)
+        run = shared.into_inner().unwrap_or_else(|p| p.into_inner());
     } else {
-        let mut reports: Vec<Option<BuildReport>> = (0..n).map(|_| None).collect();
-        let mut artifacts: Vec<Option<StageArtifact>> = (0..n).map(|_| None).collect();
-        'levels: for level in graph.levels() {
-            for &stage in level {
-                let upstream: HashMap<usize, StageArtifact> = graph
-                    .node(stage)
-                    .deps
-                    .iter()
-                    .map(|&s| (s, artifacts[s].clone().expect("dependency completed")))
-                    .collect();
-                let (report, artifact) =
-                    execute_stage(builder, ir, graph, stage, options, context, &upstream);
-                let ok = artifact.is_some();
-                reports[stage] = Some(report);
-                artifacts[stage] = artifact;
-                if !ok {
-                    break 'levels;
-                }
+        for &stage in graph.levels().iter().flatten() {
+            if run.is_released(stage) {
+                let (report, artifact) = exec(stage, &run.upstream(graph, stage));
+                run.complete(graph, stage, report, artifact);
             }
         }
-        (reports, artifacts)
-    };
-    let success = artifacts.iter().all(|a| a.is_some());
-    let error = reports.iter().flatten().find_map(|r| r.error.clone());
-    // Stages that never ran were skipped because a dependency failed — or,
-    // for stages whose own dependencies all succeeded, because scheduling
-    // stopped at the first failure; attribute those to that stage.
-    let first_failed = (0..n).find(|&i| reports[i].is_some() && artifacts[i].is_none());
-    let mut skipped = Vec::new();
-    for (stage, report) in reports.iter().enumerate() {
-        if report.is_some() {
-            continue;
-        }
-        let dependency = graph
-            .node(stage)
-            .deps
-            .iter()
-            .copied()
-            .find(|&d| artifacts[d].is_none())
-            .or(first_failed)
-            .unwrap_or(stage);
-        skipped.push(BuildError::DependencyFailed { stage, dependency });
     }
-    GraphRun {
-        reports,
-        artifacts,
-        success,
-        error,
-        skipped,
+    run.finish(graph, &options.tag)
+}
+
+/// The threaded driver's worker: runs a stage, then *continues inline* with
+/// one stage it released, spawning threads only for the extras, so a chain
+/// of stages costs no extra thread and a diamond costs one. No lock is held
+/// while a stage executes.
+fn stage_worker<'scope, 'e, F>(
+    scope: &'scope std::thread::Scope<'scope, 'e>,
+    graph: &'e BuildGraph,
+    run: &'e Mutex<GraphRun>,
+    exec: &'e F,
+    mut stage: usize,
+) where
+    F: Fn(usize, &HashMap<usize, StageArtifact>) -> (StageReport, Option<StageArtifact>) + Sync,
+{
+    loop {
+        let upstream = lock_recover(run).upstream(graph, stage);
+        let (report, artifact) = exec(stage, &upstream);
+        let mut ready = lock_recover(run).complete(graph, stage, report, artifact);
+        let Some(next) = ready.pop() else {
+            return;
+        };
+        for d in ready {
+            scope.spawn(move || stage_worker(scope, graph, run, exec, d));
+        }
+        stage = next;
     }
 }
 

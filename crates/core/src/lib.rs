@@ -16,15 +16,19 @@
 //! 2. **Planner** — [`graph`] resolves `COPY --from=` / `FROM <alias>`
 //!    references into a stage DAG, rejecting unknown, forward, self, and
 //!    cyclic references at plan time.
-//! 3. **Executor** — per-instruction handlers run each stage, and the graph
-//!    scheduler builds independent stages concurrently with a shared
-//!    digest-keyed build cache, passing artifacts as CoW snapshots.
+//! 3. **Executor** — per-instruction handlers run each stage
+//!    ([`execute_stage`]), and one state machine, [`GraphRun`], releases
+//!    each stage once its dependencies succeed, skips the rest, and folds
+//!    the stage reports into one [`BuildReport`]. Serial and scoped-thread
+//!    drivers run it behind [`Builder::build`], and the build farm's
+//!    workers run it too, so every way of running a build returns the same
+//!    report. Stages share a digest-keyed build cache and pass artifacts
+//!    as CoW snapshots.
 //!
-//! [`multistage`] is the entry point that keeps per-stage reports separate
-//! (the single-file form of the §5.3.3 chained-Dockerfile pipeline);
-//! [`ocipush`] exports built images to an OCI distribution registry as
-//! single flattened layers or base-plus-diff layer stacks, carrying the
-//! §6.2.5 flatten annotation.
+//! A multi-stage Dockerfile is the single-file form of the §5.3.3
+//! chained-Dockerfile pipeline; [`ocipush`] exports built images to an OCI
+//! distribution registry as single flattened layers or base-plus-diff layer
+//! stacks, carrying the §6.2.5 flatten annotation.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,12 +41,13 @@ pub mod executor;
 pub mod force;
 pub mod graph;
 pub mod ir;
-pub mod multistage;
+#[cfg(test)]
+mod multistage;
 pub mod ocipush;
 
 pub use builder::{
     default_subuid_for, BaseEnvMemo, BuildOptions, BuildReport, Builder, BuilderKind, BuiltImage,
-    PushOwnership,
+    PushOwnership, StageReport,
 };
 pub use cache::{
     BuildCache, CacheOutcome, CachedState, FlightGuard, ShardedBuildCache, CACHE_SHARDS,
@@ -52,9 +57,8 @@ pub use dockerfile::{
     Dockerfile, InstrSpan, Instruction, ParseError,
 };
 pub use error::BuildError;
-pub use executor::{execute_stage, StageArtifact};
+pub use executor::{execute_stage, GraphRun, StageArtifact};
 pub use force::{detect_config, ForceConfig, InitStep};
 pub use graph::{BuildGraph, CopyFromEdge, GraphNode, StageBase};
 pub use ir::{BuildIr, IrStage};
-pub use multistage::{build_multistage, MultiStageReport};
 pub use ocipush::{push_to_oci, LayerMode, OciPushReport};

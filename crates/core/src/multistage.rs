@@ -1,101 +1,17 @@
-//! Multi-stage Dockerfile builds with per-stage reporting.
+//! Multi-stage build tests.
 //!
 //! HPC application images are usually produced by a heavyweight compile
 //! environment (compilers, MPI, Spack trees — the stack of the paper's
 //! §5.3.3 production pipeline) followed by a much smaller runtime image.
 //! Docker expresses this as multi-stage Dockerfiles: several `FROM` blocks,
 //! with later stages pulling artifacts out of earlier ones via
-//! `COPY --from=<stage>`.
-//!
-//! The heavy lifting lives elsewhere now: [`crate::ir`] parses the stages
-//! (one tokenizer, shared with single-stage builds), [`crate::graph`] plans
-//! the DAG, and `crate::executor` runs independent stages concurrently
-//! against the shared build cache, handing artifacts downstream as
-//! copy-on-write snapshots. This module is the entry point that keeps the
-//! per-stage [`BuildReport`]s separate; [`Builder::build`] runs the same
-//! engine but folds them into one report. Intermediate stages are *not*
-//! tagged — only the final image enters the builder's tag namespace.
+//! `COPY --from=<stage>`. These tests build such Dockerfiles through
+//! [`Builder::build`](crate::Builder::build) and check the per-stage
+//! reports, plan-time rejections, skipped stages and cross-stage cache
+//! hits.
 
-use hpcc_vfs::Filesystem;
-
-use crate::builder::{BuildOptions, BuildReport, Builder};
-use crate::error::BuildError;
-use crate::executor::run_graph;
-
-/// Report of a multi-stage build.
-#[derive(Debug, Clone)]
-pub struct MultiStageReport {
-    /// Per-stage build reports in stage order. Stages that never ran
-    /// (dependency failed, or scheduling stopped after an error) are absent,
-    /// so this may be shorter than the plan.
-    pub stages: Vec<BuildReport>,
-    /// Whether every stage succeeded.
-    pub success: bool,
-    /// The tag of the final image (present only on success).
-    pub final_tag: Option<String>,
-    /// The first error, if the build failed — parse and plan errors land
-    /// here too, never smuggled through `final_tag`.
-    pub error: Option<BuildError>,
-    /// One [`BuildError::DependencyFailed`] per stage that never ran
-    /// because a dependency (or an earlier scheduled stage) failed.
-    pub skipped: Vec<BuildError>,
-}
-
-impl MultiStageReport {
-    fn failed(error: BuildError) -> Self {
-        MultiStageReport {
-            stages: Vec::new(),
-            success: false,
-            final_tag: None,
-            error: Some(error),
-            skipped: Vec::new(),
-        }
-    }
-
-    /// The error rendered as text, if the build failed.
-    pub fn error_text(&self) -> Option<String> {
-        self.error.as_ref().map(|e| e.to_string())
-    }
-}
-
-/// Runs a multi-stage build with the given builder. Independent stages build
-/// concurrently (unless `options.parallel` is off); the final stage is
-/// stored under the tag in `options`, and intermediate stages stay out of
-/// the builder's tag namespace. `context` is the user-provided build context
-/// for ordinary `COPY` instructions. A single-stage Dockerfile is simply a
-/// one-node graph.
-pub fn build_multistage(
-    builder: &mut Builder,
-    dockerfile_text: &str,
-    options: &BuildOptions,
-    context: Option<&Filesystem>,
-) -> MultiStageReport {
-    if options.cache_capacity.is_some() {
-        builder.cache.set_capacity(options.cache_capacity);
-    }
-    let (ir, graph) = match Builder::plan_with_args(dockerfile_text, &options.build_args) {
-        Ok(p) => p,
-        Err(e) => return MultiStageReport::failed(e),
-    };
-    let mut run = run_graph(builder, &ir, &graph, options, context);
-    if run.success {
-        let final_index = ir.stage_count() - 1;
-        if let Some(artifact) = run.artifacts[final_index].take() {
-            builder.store_artifact(&options.tag, &options.arch, artifact);
-        }
-    }
-    MultiStageReport {
-        stages: run.reports.into_iter().flatten().collect(),
-        success: run.success,
-        final_tag: run.success.then(|| options.tag.clone()),
-        error: run.error,
-        skipped: run.skipped,
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{BuildError, BuildOptions, Builder};
     use hpcc_kernel::{Credentials, UserNamespace};
     use hpcc_runtime::Invoker;
     use hpcc_vfs::Actor;
@@ -121,14 +37,14 @@ RUN echo runtime image ready
     #[test]
     fn two_stage_build_copies_artifact_between_stages() {
         let mut b = Builder::ch_image(alice());
-        let report = build_multistage(&mut b, TWO_STAGE, &BuildOptions::new("app"), None);
+        let report = b.build(TWO_STAGE, &BuildOptions::new("app"), None);
         assert!(
             report.success,
             "{:?}",
             report.stages.last().map(|r| r.transcript_text())
         );
         assert_eq!(report.stages.len(), 2);
-        assert_eq!(report.final_tag.as_deref(), Some("app"));
+        assert_eq!(report.tag, "app");
         assert!(report.error.is_none());
         // The final image contains the artifact produced in the first stage.
         let built = b.image("app").unwrap();
@@ -140,48 +56,22 @@ RUN echo runtime image ready
     }
 
     #[test]
-    fn serial_and_parallel_execution_agree() {
-        let mut parallel = Builder::ch_image(alice());
-        let mut serial = Builder::ch_image(alice());
-        let p = build_multistage(&mut parallel, TWO_STAGE, &BuildOptions::new("app"), None);
-        let s = build_multistage(
-            &mut serial,
-            TWO_STAGE,
-            &BuildOptions::new("app").with_serial_stages(),
-            None,
-        );
-        assert!(p.success && s.success);
-        let (creds, ns) = root_actor();
-        let actor = Actor::new(&creds, &ns);
-        let pf = &parallel.image("app").unwrap().fs;
-        let sf = &serial.image("app").unwrap().fs;
-        assert_eq!(
-            pf.read_file(&actor, "/usr/local/bin/app").unwrap(),
-            sf.read_file(&actor, "/usr/local/bin/app").unwrap()
-        );
-    }
-
-    #[test]
     fn parse_errors_are_typed_not_smuggled() {
         let mut b = Builder::ch_image(alice());
-        let report = build_multistage(
-            &mut b,
+        let report = b.build(
             "RUN echo hi\nFROM centos:7\n",
             &BuildOptions::new("x"),
             None,
         );
         assert!(!report.success);
-        assert!(
-            report.final_tag.is_none(),
-            "final_tag must not carry errors"
-        );
+        assert!(b.image("x").is_none(), "a failed build stores no image");
         assert_eq!(
             report.error,
             Some(BuildError::BeforeFirstFrom {
                 instruction: "RUN".into()
             })
         );
-        let report = build_multistage(&mut b, "# comment only\n", &BuildOptions::new("x"), None);
+        let report = b.build("# comment only\n", &BuildOptions::new("x"), None);
         assert_eq!(report.error, Some(BuildError::NoStages));
     }
 
@@ -189,7 +79,7 @@ RUN echo runtime image ready
     fn copy_from_unknown_stage_fails_at_plan_time() {
         let text = "FROM centos:7 AS a\nRUN echo x\n\nFROM centos:7\nCOPY --from=missing /x /y\n";
         let mut b = Builder::ch_image(alice());
-        let report = build_multistage(&mut b, text, &BuildOptions::new("bad"), None);
+        let report = b.build(text, &BuildOptions::new("bad"), None);
         assert!(!report.success);
         // Nothing executed: the reference error surfaced before any stage ran.
         assert!(report.stages.is_empty());
@@ -200,7 +90,7 @@ RUN echo runtime image ready
     fn forward_reference_is_rejected_at_plan_time() {
         let text = "FROM centos:7 AS a\nCOPY --from=1 /x /y\n\nFROM centos:7\nRUN echo x\n";
         let mut b = Builder::ch_image(alice());
-        let report = build_multistage(&mut b, text, &BuildOptions::new("bad"), None);
+        let report = b.build(text, &BuildOptions::new("bad"), None);
         assert!(!report.success);
         assert!(matches!(
             report.error,
@@ -212,7 +102,7 @@ RUN echo runtime image ready
     fn copy_from_missing_path_fails_in_executing_stage() {
         let text = "FROM centos:7 AS a\nRUN echo x\n\nFROM centos:7\nCOPY --from=a /nope /y\n";
         let mut b = Builder::ch_image(alice());
-        let report = build_multistage(&mut b, text, &BuildOptions::new("bad"), None);
+        let report = b.build(text, &BuildOptions::new("bad"), None);
         assert!(!report.success);
         assert!(report
             .error_text()
@@ -240,7 +130,7 @@ COPY --from=b /opt/out/b /opt/in/b
 RUN echo done
 ";
         let mut b = Builder::ch_image(alice());
-        let report = build_multistage(&mut b, text, &BuildOptions::new("app").with_cache(), None);
+        let report = b.build(text, &BuildOptions::new("app").with_cache(), None);
         assert!(report.success, "{:?}", report.error);
         let final_stage = report.stages.last().unwrap();
         assert!(
@@ -267,7 +157,7 @@ FROM centos:7
 COPY --from=child /x /y
 ";
         let mut b = Builder::ch_image(alice());
-        let report = build_multistage(&mut b, text, &BuildOptions::new("bad"), None);
+        let report = b.build(text, &BuildOptions::new("bad"), None);
         assert!(!report.success);
         assert_eq!(report.stages.len(), 1);
         assert_eq!(
@@ -308,9 +198,9 @@ COPY --from=child /x /y
     fn cached_rebuild_hits_every_stage() {
         let mut b = Builder::ch_image(alice());
         let opts = BuildOptions::new("app").with_cache();
-        let first = build_multistage(&mut b, TWO_STAGE, &opts, None);
+        let first = b.build(TWO_STAGE, &opts, None);
         assert!(first.success);
-        let second = build_multistage(&mut b, TWO_STAGE, &opts, None);
+        let second = b.build(TWO_STAGE, &opts, None);
         assert!(second.success);
         for stage in &second.stages {
             assert_eq!(

@@ -12,7 +12,10 @@
 //! * **Work-stealing at stage granularity.** Each build's planned stage DAG
 //!   is decomposed into per-stage tasks on per-worker deques; an idle worker
 //!   steals stages from busy ones, so a wide multi-stage build spreads
-//!   across the pool instead of serializing behind one worker.
+//!   across the pool instead of serializing behind one worker. Each build's
+//!   stages are released and folded by the same [`hpcc_core::GraphRun`]
+//!   that drives [`hpcc_core::Builder::build`], so a farm build returns the
+//!   same report as a direct one.
 //! * **Cross-tenant dedup.** Every tenant's builder shares one
 //!   `Arc<ShardedBuildCache>` and one `Arc<BaseEnvMemo>`
 //!   ([`hpcc_core::Builder::with_shared`]), so identical instruction
@@ -37,7 +40,6 @@ mod queue;
 mod request;
 mod scheduler;
 mod stats;
-mod sync;
 
 pub use request::{BuildRequest, FarmConfig, SubmitError};
 pub use scheduler::{BuildFarm, FarmResult};

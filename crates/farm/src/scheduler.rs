@@ -13,20 +13,17 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use hpcc_core::executor::StageArtifact;
-use hpcc_core::graph::BuildGraph;
-use hpcc_core::ir::BuildIr;
 use hpcc_core::{
-    execute_stage, BaseEnvMemo, BuildError, BuildOptions, BuildReport, Builder, MultiStageReport,
+    execute_stage, BaseEnvMemo, BuildGraph, BuildIr, BuildOptions, BuildReport, Builder, GraphRun,
     ShardedBuildCache,
 };
+use hpcc_kernel::sync::{lock_recover, read_recover, wait_timeout_recover, write_recover};
 use hpcc_runtime::Invoker;
 use hpcc_vfs::Filesystem;
 
 use crate::queue::FarmQueue;
 use crate::request::{BuildRequest, FarmConfig, SubmitError};
 use crate::stats::FarmStats;
-use crate::sync::{lock_recover, read_recover, write_recover};
 
 /// The outcome of one submitted build.
 #[derive(Debug)]
@@ -39,16 +36,16 @@ pub struct FarmResult {
     /// the farm's lifetime. The queue assigns it under its lock, so unlike
     /// completion order it does not depend on worker timing.
     pub admission: usize,
-    /// Per-stage reports, success flag, error, and skipped stages — the same
-    /// shape a direct `build_multistage` call returns.
-    pub report: MultiStageReport,
+    /// The build's report: the same report [`Builder::build`] returns for
+    /// the same Dockerfile.
+    pub report: BuildReport,
     /// Time the request sat queued before a worker admitted it.
     pub queue_wait: Duration,
     /// Wall-clock time from admission to finalization.
     pub elapsed: Duration,
 }
 
-/// One admitted build: its plan plus mutable per-stage progress.
+/// One admitted build: its plan plus the run of its stage graph.
 struct Job {
     tenant: String,
     admission: usize,
@@ -59,19 +56,7 @@ struct Job {
     builder: Arc<RwLock<Builder>>,
     submitted_at: Instant,
     started_at: Instant,
-    progress: Mutex<JobProgress>,
-}
-
-/// Stage bookkeeping for one job, guarded by the job's own mutex.
-struct JobProgress {
-    remaining_deps: Vec<usize>,
-    reports: Vec<Option<BuildReport>>,
-    artifacts: Vec<Option<StageArtifact>>,
-    /// Stages handed to a deque so far.
-    released: usize,
-    /// Stages that finished executing (successfully or not).
-    completed: usize,
-    failed: bool,
+    run: Mutex<GraphRun>,
 }
 
 type Task = (Arc<Job>, usize);
@@ -144,19 +129,19 @@ impl BuildFarm {
 
     /// Builds currently queued (admitted builds are not counted).
     pub fn queued(&self) -> usize {
-        lock_queue(&self.queue).queued()
+        lock_recover(&self.queue).queued()
     }
 
     /// Builds admitted but not yet finalized.
     pub fn active_jobs(&self) -> usize {
-        lock_queue(&self.queue).active_jobs()
+        lock_recover(&self.queue).active_jobs()
     }
 
     /// A tenant's builder, if the tenant has had at least one build
     /// admitted. Lock it for reading to inspect built images
     /// (`builder.read().unwrap().image(tag)`), or for writing to push/pull.
     pub fn tenant_builder(&self, tenant: &str) -> Option<Arc<RwLock<Builder>>> {
-        lock_recover_map(&self.builders).get(tenant).cloned()
+        lock_recover(&self.builders).get(tenant).cloned()
     }
 
     /// Enqueues a build without blocking. Backpressure comes back as a
@@ -164,7 +149,7 @@ impl BuildFarm {
     /// [`BuildFarm::drain`].
     pub fn try_submit(&self, request: BuildRequest) -> Result<(), SubmitError> {
         let tenant = request.tenant.clone();
-        let outcome = lock_queue(&self.queue).submit(
+        let outcome = lock_recover(&self.queue).submit(
             request,
             self.config.queue_capacity,
             self.config.per_tenant_queue_cap,
@@ -220,15 +205,13 @@ impl BuildFarm {
             // No stage to run or steal and nothing admittable. Either the
             // farm is idle (exit) or in-flight jobs will release more work
             // (wait; the timeout is a missed-wakeup backstop).
-            let queue = lock_queue(&self.queue);
+            let queue = lock_recover(&self.queue);
             if queue.idle() {
                 self.signal.notify_all();
                 return;
             }
-            match self.signal.wait_timeout(queue, Duration::from_micros(500)) {
-                Ok((guard, _)) => drop(guard),
-                Err(poisoned) => drop(poisoned.into_inner()),
-            }
+            let backstop = Duration::from_micros(500);
+            let _woken = wait_timeout_recover(&self.signal, queue, backstop, &self.queue);
         }
     }
 
@@ -240,78 +223,48 @@ impl BuildFarm {
         deques: &[Mutex<VecDeque<Task>>],
         results: &Mutex<Vec<FarmResult>>,
     ) -> bool {
-        let admitted = lock_queue(&self.queue).admit(self.config.per_tenant_max_running);
+        let admitted = lock_recover(&self.queue).admit(self.config.per_tenant_max_running);
         let Some((admission, queued)) = admitted else {
             return false;
         };
         let started_at = Instant::now();
         let request = queued.request;
         let builder = self.builder_for(&request.tenant, &request.invoker);
-        if request.options.cache_capacity.is_some() {
-            self.cache.set_capacity(request.options.cache_capacity);
-        }
-        match Builder::plan_with_args(&request.dockerfile, &request.options.build_args) {
-            Ok((ir, graph)) => {
-                let stage_count = graph.stage_count();
-                let roots = graph.roots();
-                let remaining_deps: Vec<usize> =
-                    graph.nodes.iter().map(|node| node.deps.len()).collect();
-                let job = Arc::new(Job {
-                    tenant: request.tenant,
-                    admission,
-                    options: request.options,
-                    context: request.context,
-                    ir,
-                    graph,
-                    builder,
-                    submitted_at: queued.submitted_at,
-                    started_at,
-                    progress: Mutex::new(JobProgress {
-                        remaining_deps,
-                        reports: vec![None; stage_count],
-                        artifacts: vec![None; stage_count],
-                        released: roots.len(),
-                        completed: 0,
-                        failed: false,
-                    }),
-                });
-                let mut deque = lock_recover(&deques[me]);
-                for root in roots {
-                    deque.push_back((Arc::clone(&job), root));
-                }
-                drop(deque);
-                self.signal.notify_all();
-            }
+        let planned = read_recover(&builder).plan(&request.dockerfile, &request.options);
+        let (ir, graph) = match planned {
+            Ok(plan) => plan,
             Err(error) => {
-                // Parse/plan failure: the build is finished before it ever
-                // had stages.
-                let report = MultiStageReport {
-                    stages: Vec::new(),
-                    success: false,
-                    final_tag: None,
-                    error: Some(error),
-                    skipped: Vec::new(),
-                };
-                let queue_wait = started_at.duration_since(queued.submitted_at);
-                let elapsed = started_at.elapsed();
-                self.stats
-                    .tenant(&request.tenant)
-                    .record_finished(false, 0, 0, queue_wait, elapsed);
-                push_result(
+                // The build is finished before it ever had stages.
+                let report = BuildReport::failed(&request.options.tag, error);
+                self.finish(
+                    &request.tenant,
+                    admission,
+                    queued.submitted_at,
+                    started_at,
+                    report,
                     results,
-                    FarmResult {
-                        tenant: request.tenant.clone(),
-                        tag: request.options.tag,
-                        admission,
-                        report,
-                        queue_wait,
-                        elapsed,
-                    },
                 );
-                lock_queue(&self.queue).job_finished(&request.tenant);
-                self.signal.notify_all();
+                return true;
             }
+        };
+        let job = Arc::new(Job {
+            tenant: request.tenant,
+            admission,
+            options: request.options,
+            context: request.context,
+            run: Mutex::new(GraphRun::new(&graph)),
+            ir,
+            graph,
+            builder,
+            submitted_at: queued.submitted_at,
+            started_at,
+        });
+        let mut deque = lock_recover(&deques[me]);
+        for root in job.graph.roots() {
+            deque.push_back((Arc::clone(&job), root));
         }
+        drop(deque);
+        self.signal.notify_all();
         true
     }
 
@@ -324,22 +277,7 @@ impl BuildFarm {
         deques: &[Mutex<VecDeque<Task>>],
         results: &Mutex<Vec<FarmResult>>,
     ) {
-        let upstream: HashMap<usize, StageArtifact> = {
-            let progress = lock_progress(&job.progress);
-            job.graph
-                .node(stage)
-                .deps
-                .iter()
-                .map(|&dep| {
-                    (
-                        dep,
-                        progress.artifacts[dep]
-                            .clone()
-                            .expect("released stages have completed dependencies"),
-                    )
-                })
-                .collect()
-        };
+        let upstream = lock_recover(&job.run).upstream(&job.graph, stage);
         let (report, artifact) = {
             let builder = read_recover(&job.builder);
             execute_stage(
@@ -352,117 +290,73 @@ impl BuildFarm {
                 &upstream,
             )
         };
-        let mut to_release = Vec::new();
-        let finalize = {
-            let mut progress = lock_progress(&job.progress);
-            let ok = artifact.is_some();
-            progress.reports[stage] = Some(report);
-            progress.artifacts[stage] = artifact;
-            progress.completed += 1;
-            if !ok {
-                progress.failed = true;
-            } else if !progress.failed {
-                for &dependent in &job.graph.node(stage).dependents {
-                    progress.remaining_deps[dependent] -= 1;
-                    if progress.remaining_deps[dependent] == 0 {
-                        to_release.push(dependent);
-                    }
-                }
-                progress.released += to_release.len();
-            }
-            progress.completed == progress.released
-                && (progress.failed || progress.completed == job.graph.stage_count())
+        let (ready, finished) = {
+            let mut run = lock_recover(&job.run);
+            let ready = run.complete(&job.graph, stage, report, artifact);
+            (ready, run.is_finished())
         };
-        if !to_release.is_empty() {
+        if !ready.is_empty() {
             let mut deque = lock_recover(&deques[me]);
-            for dependent in to_release {
+            for dependent in ready {
                 deque.push_back((Arc::clone(&job), dependent));
             }
             drop(deque);
             self.signal.notify_all();
         }
-        if finalize {
-            self.finalize_job(&job, results);
-        }
-    }
-
-    /// Folds a finished job's stage results into a [`FarmResult`], stores
-    /// the final image in the tenant's builder, updates stats, and frees the
-    /// tenant's in-flight slot.
-    fn finalize_job(&self, job: &Arc<Job>, results: &Mutex<Vec<FarmResult>>) {
-        let stage_count = job.graph.stage_count();
-        let (reports, mut artifacts) = {
-            let mut progress = lock_progress(&job.progress);
-            (
-                std::mem::take(&mut progress.reports),
-                std::mem::take(&mut progress.artifacts),
-            )
-        };
-        let success = artifacts.iter().all(|a| a.is_some());
-        if success {
-            if let Some(artifact) = artifacts[stage_count - 1].take() {
+        if finished {
+            let run = std::mem::take(&mut *lock_recover(&job.run));
+            let (report, artifact) = run.finish(&job.graph, &job.options.tag);
+            if let Some(artifact) = artifact {
                 let mut builder = write_recover(&job.builder);
                 builder.store_artifact(&job.options.tag, &job.options.arch, artifact);
             }
+            self.finish(
+                &job.tenant,
+                job.admission,
+                job.submitted_at,
+                job.started_at,
+                report,
+                results,
+            );
         }
-        let error = reports.iter().flatten().find_map(|r| r.error.clone());
-        let first_failed =
-            (0..stage_count).find(|&s| reports[s].is_some() && artifacts[s].is_none());
-        let mut skipped = Vec::new();
-        for (stage, report) in reports.iter().enumerate() {
-            if report.is_some() {
-                continue;
-            }
-            let dependency = job
-                .graph
-                .node(stage)
-                .deps
-                .iter()
-                .copied()
-                .find(|&d| artifacts[d].is_none())
-                .or(first_failed)
-                .unwrap_or(stage);
-            skipped.push(BuildError::DependencyFailed { stage, dependency });
-        }
-        let (cache_hits, cache_misses) =
-            reports.iter().flatten().fold((0u64, 0u64), |(h, m), r| {
-                (h + r.cache_hits as u64, m + r.cache_misses as u64)
-            });
-        let report = MultiStageReport {
-            stages: reports.into_iter().flatten().collect(),
-            success,
-            final_tag: success.then(|| job.options.tag.clone()),
-            error,
-            skipped,
-        };
-        let queue_wait = job.started_at.duration_since(job.submitted_at);
-        let elapsed = job.started_at.elapsed();
-        self.stats.tenant(&job.tenant).record_finished(
-            success,
-            cache_hits,
-            cache_misses,
+    }
+
+    /// Records a finished build: updates stats, publishes its
+    /// [`FarmResult`], and frees the tenant's in-flight slot.
+    fn finish(
+        &self,
+        tenant: &str,
+        admission: usize,
+        submitted_at: Instant,
+        started_at: Instant,
+        report: BuildReport,
+        results: &Mutex<Vec<FarmResult>>,
+    ) {
+        let queue_wait = started_at.duration_since(submitted_at);
+        let elapsed = started_at.elapsed();
+        self.stats.tenant(tenant).record_finished(
+            report.success,
+            report.cache_hits as u64,
+            report.cache_misses as u64,
             queue_wait,
             elapsed,
         );
-        push_result(
-            results,
-            FarmResult {
-                tenant: job.tenant.clone(),
-                tag: job.options.tag.clone(),
-                admission: job.admission,
-                report,
-                queue_wait,
-                elapsed,
-            },
-        );
-        lock_queue(&self.queue).job_finished(&job.tenant);
+        lock_recover(results).push(FarmResult {
+            tenant: tenant.to_string(),
+            tag: report.tag.clone(),
+            admission,
+            report,
+            queue_wait,
+            elapsed,
+        });
+        lock_recover(&self.queue).job_finished(tenant);
         self.signal.notify_all();
     }
 
     /// The tenant's builder, created over the shared cache/memo on first
     /// use. A tenant's first admitted request fixes its invoker.
     fn builder_for(&self, tenant: &str, invoker: &Invoker) -> Arc<RwLock<Builder>> {
-        let mut builders = lock_recover_map(&self.builders);
+        let mut builders = lock_recover(&self.builders);
         Arc::clone(builders.entry(tenant.to_string()).or_insert_with(|| {
             Arc::new(RwLock::new(Builder::with_shared(
                 self.config.kind.clone(),
@@ -489,22 +383,4 @@ fn next_task(me: usize, deques: &[Mutex<VecDeque<Task>>]) -> Option<Task> {
         }
     }
     None
-}
-
-fn lock_queue(queue: &Mutex<FarmQueue>) -> std::sync::MutexGuard<'_, FarmQueue> {
-    lock_recover(queue)
-}
-
-fn lock_progress(progress: &Mutex<JobProgress>) -> std::sync::MutexGuard<'_, JobProgress> {
-    lock_recover(progress)
-}
-
-fn lock_recover_map<'a>(
-    builders: &'a Mutex<HashMap<String, Arc<RwLock<Builder>>>>,
-) -> std::sync::MutexGuard<'a, HashMap<String, Arc<RwLock<Builder>>>> {
-    lock_recover(builders)
-}
-
-fn push_result(results: &Mutex<Vec<FarmResult>>, result: FarmResult) {
-    lock_recover(results).push(result);
 }

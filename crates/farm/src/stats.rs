@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::sync::lock_recover;
+use hpcc_kernel::sync::lock_recover;
 
 /// Atomic per-tenant counters, updated lock-free on the build path.
 #[derive(Debug, Default)]

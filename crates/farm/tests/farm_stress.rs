@@ -2,9 +2,7 @@
 //! typed backpressure, and a determinism stress run checked against a
 //! serial replay on private builders.
 
-use hpcc_core::{
-    build_multistage, centos7_dockerfile, centos7_fr_dockerfile, BuildOptions, Builder,
-};
+use hpcc_core::{centos7_dockerfile, centos7_fr_dockerfile, BuildOptions, Builder};
 use hpcc_farm::{BuildFarm, BuildRequest, FarmConfig, SubmitError};
 use hpcc_image::{Digest, Sha256};
 use hpcc_kernel::{Credentials, UserNamespace};
@@ -56,7 +54,7 @@ fn cross_tenant_dedup_costs_one_set_of_misses_with_identical_digests() {
     // Reference: one tenant building alone over a private cache.
     let mut solo = Builder::ch_image(Invoker::user("solo", 1000, 1000));
     let opts = BuildOptions::new("img").with_cache();
-    let report = build_multistage(&mut solo, centos7_fr_dockerfile(), &opts, None);
+    let report = solo.build(centos7_fr_dockerfile(), &opts, None);
     assert!(report.success, "{:?}", report.error);
     let single_misses = solo.shared_cache().misses();
     assert!(single_misses > 0);
@@ -287,7 +285,7 @@ fn stress_matches_serial_replay_with_zero_queue_leaks() {
         let mut replay = Builder::ch_image(Invoker::user(tenant, 1000, 1000));
         for (tag, dockerfile) in tenant_jobs(tenant) {
             let opts = BuildOptions::new(&tag).with_cache();
-            let report = build_multistage(&mut replay, &dockerfile, &opts, None);
+            let report = replay.build(&dockerfile, &opts, None);
             assert!(report.success, "{tenant}/{tag}: {:?}", report.error);
             assert_eq!(
                 image_fingerprint(&farm, tenant, &tag),

@@ -47,7 +47,6 @@
 pub mod dispatch;
 pub mod errno;
 pub mod fault;
-mod lock;
 pub mod memfs;
 pub mod op;
 pub mod ops;

@@ -30,11 +30,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use hpcc_kernel::sync::{read_recover, write_recover};
 use hpcc_kernel::{Credentials, UserNamespace};
 use hpcc_vfs::{Actor, Filesystem, FrozenResolver, Ino, Mode, OverlayFs, Setattr};
 
 use crate::errno::{Errno, OpResult};
-use crate::lock::{read_recover, write_recover};
 use crate::memfs::{derive_credentials, wire};
 use crate::op::{Attr, DirEntry, Entry, FsCreds, OpenFlags, Opened, ReadReply, StatfsReply};
 

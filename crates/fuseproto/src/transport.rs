@@ -19,9 +19,9 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::sync::{Arc, Condvar, Mutex};
-
-use crate::lock::{lock_recover, wait_recover, wait_timeout_recover};
 use std::time::{Duration, Instant};
+
+use hpcc_kernel::sync::{lock_recover, wait_recover, wait_timeout_recover};
 
 use crate::wire::{WireError, MAX_WIRE_FRAME};
 

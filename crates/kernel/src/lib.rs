@@ -17,6 +17,9 @@
 //!   ([`nsproxy`]);
 //! * the prospective kernel ID-map mechanisms of paper §6.2.4 ([`idpolicy`]).
 //!
+//! It also holds the workspace's poison-recovering lock helpers ([`sync`]),
+//! since every crate that locks shared state depends on this one.
+//!
 //! Nothing in this crate touches the real host kernel; it is a faithful,
 //! deterministic model used by the VFS, container runtimes, and build tools
 //! in the sibling crates.
@@ -32,6 +35,7 @@ pub mod idpolicy;
 pub mod ids;
 pub mod nsproxy;
 pub mod process;
+pub mod sync;
 pub mod sysctl;
 pub mod userns;
 

@@ -1,11 +1,14 @@
-//! Poison-recovering lock acquisition for the serving path.
+//! Poison-recovering lock acquisition: the one helper set every crate
+//! that locks shared state routes through.
 //!
-//! The serve loop must keep running after a panicking writer poisons a
-//! `Mutex`/`RwLock` (the protected state is either immutable or repaired by
-//! the next holder), so every acquisition in this crate routes through these
-//! helpers: they clear the poison flag and hand back the guard instead of
-//! propagating the panic to every later client. The workspace analyzer's
-//! HL003 pass enforces that no bare `.lock().unwrap()` bypasses them.
+//! A thread that panics while holding a `Mutex`/`RwLock` poisons it. The
+//! serve loop, the build farm, the shared build cache and cluster fan-out
+//! all keep running for their other clients after such a panic, and the
+//! state they protect is either immutable or repaired by the next holder.
+//! So every acquisition clears the poison flag and hands back the guard
+//! instead of cascading the panic into every later lock. The workspace
+//! analyzer's HL003 pass enforces that no bare `.lock().unwrap()` bypasses
+//! these helpers in any crate that uses them.
 
 use std::sync::{
     Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
@@ -14,7 +17,7 @@ use std::time::Duration;
 
 /// Locks a `Mutex`, clearing poison and recovering the guard if a previous
 /// holder panicked.
-pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poisoned| {
         mutex.clear_poison();
         poisoned.into_inner()
@@ -23,7 +26,7 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Read-locks a `RwLock`, clearing poison and recovering the guard if a
 /// previous writer panicked.
-pub(crate) fn read_recover<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+pub fn read_recover<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|poisoned| {
         lock.clear_poison();
         poisoned.into_inner()
@@ -32,7 +35,7 @@ pub(crate) fn read_recover<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 
 /// Write-locks a `RwLock`, clearing poison and recovering the guard if a
 /// previous writer panicked.
-pub(crate) fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+pub fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|poisoned| {
         lock.clear_poison();
         poisoned.into_inner()
@@ -41,7 +44,7 @@ pub(crate) fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 
 /// `Condvar::wait` with the same recovery: the mutex the guard came from is
 /// passed alongside so its poison flag can be cleared.
-pub(crate) fn wait_recover<'a, T>(
+pub fn wait_recover<'a, T>(
     cond: &Condvar,
     guard: MutexGuard<'a, T>,
     mutex: &'a Mutex<T>,
@@ -53,7 +56,7 @@ pub(crate) fn wait_recover<'a, T>(
 }
 
 /// `Condvar::wait_timeout` with poison recovery.
-pub(crate) fn wait_timeout_recover<'a, T>(
+pub fn wait_timeout_recover<'a, T>(
     cond: &Condvar,
     guard: MutexGuard<'a, T>,
     dur: Duration,

@@ -9,6 +9,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
+use hpcc_kernel::sync::lock_recover;
 use hpcc_kernel::{Capability, Errno, Gid, KResult, Uid, UsernsId};
 
 use crate::actor::Actor;
@@ -77,7 +78,10 @@ pub struct Filesystem {
     /// Path → inode resolve cache (see [`ResolveEntry`]). Behind a `Mutex`
     /// because lookups take `&self` and snapshots are shared across build
     /// stages; the lock is uncontended in practice and held only for the
-    /// map probe.
+    /// map probe. It recovers from poisoning: a panic while it was held can
+    /// only have interrupted a map probe or a single-entry insert, and
+    /// entries are self-validating (generation stamp plus per-hit access
+    /// checks), so one panicked reader must not wedge every later resolve.
     resolve_cache: Mutex<HashMap<String, ResolveEntry>>,
     /// Storage backend, which determines xattr/device support and shared
     /// semantics.
@@ -259,25 +263,13 @@ impl Filesystem {
         }
     }
 
-    /// Locks the resolve cache, recovering from poisoning. A panic while the
-    /// lock was held can only have interrupted a map probe or a single-entry
-    /// insert, and entries are self-validating (generation stamp plus per-hit
-    /// access checks), so the map stays usable — one panicked reader must not
-    /// wedge every later resolve.
-    fn resolve_cache_lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, ResolveEntry>> {
-        self.resolve_cache.lock().unwrap_or_else(|poisoned| {
-            self.resolve_cache.clear_poison();
-            poisoned.into_inner()
-        })
-    }
-
     /// Probes the resolve cache for `path`. A hit re-runs the EXECUTE checks
     /// over the recorded parent chain with the *current* actor — permission
     /// failures surface exactly as the walk would surface them. Returns
     /// `Ok(None)` on a miss (stale generation, uncached path).
     fn resolve_cache_probe(&self, actor: &Actor, path: &str) -> KResult<Option<Ino>> {
         let entry = {
-            let cache = self.resolve_cache_lock();
+            let cache = lock_recover(&self.resolve_cache);
             match cache.get(path) {
                 Some(e) if e.generation == self.generation => *e,
                 _ => return Ok(None),
@@ -308,7 +300,7 @@ impl Filesystem {
             parents_len: parents.len() as u8,
         };
         entry.parents[..parents.len()].copy_from_slice(parents);
-        let mut cache = self.resolve_cache_lock();
+        let mut cache = lock_recover(&self.resolve_cache);
         if let Some(slot) = cache.get_mut(path) {
             *slot = entry;
             return;
@@ -1928,6 +1920,6 @@ mod tests {
         // The uncached walk leaves no trace in the cache.
         let fresh = fs.clone();
         fresh.resolve_uncached(&actor, "/usr/bin/tool").unwrap();
-        assert_eq!(fresh.resolve_cache_lock().len(), 0);
+        assert_eq!(lock_recover(&fresh.resolve_cache).len(), 0);
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example fuse_mount`
 
-use hpcc_repro::core::{build_multistage, BuildOptions, Builder};
+use hpcc_repro::core::{BuildOptions, Builder};
 use hpcc_repro::fuseproto::{Dispatch, FsCreds, OpenFlags, Operation, Reply, Request};
 use hpcc_repro::image::{Image, ImageConfig};
 use hpcc_repro::runtime::{Container, Invoker};
@@ -27,8 +27,7 @@ fn main() {
     //    builder, exactly as the paper's workflow does.
     let alice = Invoker::user("alice", 1000, 1000);
     let mut builder = Builder::ch_image(alice.clone());
-    let report = build_multistage(
-        &mut builder,
+    let report = builder.build(
         MULTISTAGE,
         &BuildOptions::new("app").with_force().with_cache(),
         None,

@@ -9,7 +9,7 @@
 
 use std::thread;
 
-use hpcc_repro::core::{build_multistage, BuildOptions, Builder};
+use hpcc_repro::core::{BuildOptions, Builder};
 use hpcc_repro::fuseproto::{
     unix_pair, Client, OpenFlags, Operation, Reply, Request, FUSE_ROOT_ID,
 };
@@ -25,12 +25,7 @@ fn main() {
     // 1. Build and launch, as ever, unprivileged.
     let alice = Invoker::user("alice", 1000, 1000);
     let mut builder = Builder::ch_image(alice.clone());
-    let report = build_multistage(
-        &mut builder,
-        DOCKERFILE,
-        &BuildOptions::new("srv").with_force(),
-        None,
-    );
+    let report = builder.build(DOCKERFILE, &BuildOptions::new("srv").with_force(), None);
     assert!(report.success, "build failed: {:?}", report.error);
     let built = builder.image("srv").expect("tagged image");
     let actor_creds = hpcc_repro::kernel::Credentials::host_root();

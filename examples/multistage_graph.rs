@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example multistage_graph`
 
-use hpcc_repro::core::{build_multistage, BuildGraph, BuildIr, BuildOptions, Builder};
+use hpcc_repro::core::{BuildGraph, BuildIr, BuildOptions, Builder};
 use hpcc_repro::runtime::Invoker;
 
 const DIAMOND: &str = "\
@@ -64,7 +64,7 @@ fn main() {
     let alice = Invoker::user("alice", 1000, 1000);
     let mut builder = Builder::ch_image(alice);
     let options = BuildOptions::new("diamond").with_cache();
-    let report = build_multistage(&mut builder, DIAMOND, &options, None);
+    let report = builder.build(DIAMOND, &options, None);
     println!("\n== parallel build: success={} ==", report.success);
     for stage in &report.stages {
         println!(
@@ -73,7 +73,7 @@ fn main() {
         );
     }
 
-    let rebuild = build_multistage(&mut builder, DIAMOND, &options, None);
+    let rebuild = builder.build(DIAMOND, &options, None);
     let hits: usize = rebuild.stages.iter().map(|s| s.cache_hits).sum();
     let misses: usize = rebuild.stages.iter().map(|s| s.cache_misses).sum();
     println!("\n== cached rebuild: {} hits, {} misses ==", hits, misses);

@@ -5,8 +5,8 @@
 
 use hpcc_repro::cluster::{astra_plus_x86_sites, multisite_ci};
 use hpcc_repro::core::{
-    build_multistage, centos7_dockerfile, push_to_oci, BuildGraph, BuildIr, BuildOptions, Builder,
-    LayerMode, StageBase,
+    centos7_dockerfile, push_to_oci, BuildGraph, BuildIr, BuildOptions, Builder, LayerMode,
+    StageBase,
 };
 use hpcc_repro::fakeroot::{representative_packages, CoverageMatrix, Flavor};
 use hpcc_repro::image::OwnershipMode;
@@ -178,12 +178,7 @@ RUN echo runtime stage done
     assert_eq!(graph.node(1).deps, vec![0]);
     let alice = Invoker::user("alice", 1000, 1000);
     let mut builder = Builder::ch_image(alice);
-    let report = build_multistage(
-        &mut builder,
-        text,
-        &BuildOptions::new("app").with_force(),
-        None,
-    );
+    let report = builder.build(text, &BuildOptions::new("app").with_force(), None);
     assert!(report.success);
     let built = builder.image("app").unwrap();
     let creds = Credentials::host_root();
@@ -233,7 +228,7 @@ RUN echo assembled
 
     let alice = Invoker::user("alice", 1000, 1000);
     let mut builder = Builder::ch_image(alice);
-    let report = build_multistage(&mut builder, text, &BuildOptions::new("diamond"), None);
+    let report = builder.build(text, &BuildOptions::new("diamond"), None);
     assert!(report.success, "{:?}", report.error);
     assert_eq!(report.stages.len(), 4);
     let built = builder.image("diamond").unwrap();

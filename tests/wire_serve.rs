@@ -7,7 +7,7 @@
 
 use std::thread;
 
-use hpcc_repro::core::{build_multistage, BuildOptions, Builder};
+use hpcc_repro::core::{BuildOptions, Builder};
 use hpcc_repro::fuseproto::{
     wire, ChannelTransport, Client, Dispatch, FsCreds, OpenFlags, Operation, Reply, Request,
     Shutdown, FUSE_ROOT_ID,
@@ -24,12 +24,7 @@ RUN yum install -y openssh
 fn built_container() -> Container {
     let alice = Invoker::user("alice", 1000, 1000);
     let mut builder = Builder::ch_image(alice.clone());
-    let report = build_multistage(
-        &mut builder,
-        DOCKERFILE,
-        &BuildOptions::new("c7").with_force(),
-        None,
-    );
+    let report = builder.build(DOCKERFILE, &BuildOptions::new("c7").with_force(), None);
     assert!(report.success, "build failed: {:?}", report.error);
     let built = builder.image("c7").expect("tagged image");
     let creds = hpcc_repro::kernel::Credentials::host_root();
