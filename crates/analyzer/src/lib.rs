@@ -78,6 +78,8 @@ pub const NO_PANIC_MODULES: &[&str] = &[
     "crates/fuseproto/src/fault.rs",
     "crates/fuseproto/src/shared.rs",
     "crates/fuseproto/src/dispatch.rs",
+    "crates/fuseproto/src/session.rs",
+    "crates/fuseproto/src/memfs.rs",
 ];
 
 /// The functions HL005 allows to hold `unsafe` code: (file, function name).

@@ -70,7 +70,7 @@ fn bench_op_dispatch(c: &mut Criterion) {
             let entry = session.resolve_path(&cred, PATH, true).unwrap();
             let opened = session.open(&cred, entry.ino, OpenFlags::RDONLY).unwrap();
             let len = session.read(&cred, opened.fh, 0, 4096).unwrap().len();
-            session.release(opened.fh).unwrap();
+            session.release(&cred, opened.fh).unwrap();
             len
         })
     });

@@ -16,7 +16,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use hpcc_bench::{alice, SHARED_READ_CYCLES_PER_THREAD, SHARED_READ_GATED_THREADS};
 use hpcc_core::{centos7_dockerfile, BuildOptions, Builder};
-use hpcc_fuseproto::{FsCreds, OpenFlags, ReaderSession, SharedImage};
+use hpcc_fuseproto::{FrozenImage, FsCreds, OpenFlags, Session, SharedImage};
 use hpcc_kernel::UserNamespace;
 
 /// Builds the standard CentOS 7 image and freezes it for shared serving,
@@ -44,19 +44,22 @@ fn built_centos7_shared() -> (SharedImage, Vec<String>) {
 
 /// One full protocol cycle: resolve a path, open it, read up to 4 KiB,
 /// release. Returns the bytes served so the work cannot be optimized away.
-fn one_cycle(reader: &ReaderSession, path: &str) -> u64 {
-    let entry = reader.resolve_path(path, true).expect("resolve");
-    let opened = reader.open(entry.ino, OpenFlags::RDONLY).expect("open");
-    let served = reader.read(opened.fh, 0, 4096).expect("read").len() as u64;
-    reader.release(opened.fh).expect("release");
+fn one_cycle(reader: &Session<FrozenImage>, cred: &FsCreds, path: &str) -> u64 {
+    let entry = reader.resolve_path(cred, path, true).expect("resolve");
+    let opened = reader
+        .open(cred, entry.ino, OpenFlags::RDONLY)
+        .expect("open");
+    let served = reader.read(cred, opened.fh, 0, 4096).expect("read").len() as u64;
+    reader.release(cred, opened.fh).expect("release");
     served
 }
 
 /// Runs `cycles` cycles rotating through `paths` starting at `salt`.
-fn run_cycles(reader: &ReaderSession, paths: &[String], cycles: usize, salt: usize) -> u64 {
+fn run_cycles(reader: &Session<FrozenImage>, paths: &[String], cycles: usize, salt: usize) -> u64 {
+    let cred = reader.backend().cred();
     let mut served = 0u64;
     for i in 0..cycles {
-        served += one_cycle(reader, &paths[(salt + i) % paths.len()]);
+        served += one_cycle(reader, cred, &paths[(salt + i) % paths.len()]);
     }
     served
 }

@@ -30,8 +30,6 @@ use crate::stats::FarmStats;
 pub struct FarmResult {
     /// The submitting tenant.
     pub tenant: String,
-    /// The tag the build targeted.
-    pub tag: String,
     /// The build's place in the farm's admission order, counted from 0 over
     /// the farm's lifetime. The queue assigns it under its lock, so unlike
     /// completion order it does not depend on worker timing.
@@ -343,7 +341,6 @@ impl BuildFarm {
         );
         lock_recover(results).push(FarmResult {
             tenant: tenant.to_string(),
-            tag: report.tag.clone(),
             admission,
             report,
             queue_wait,

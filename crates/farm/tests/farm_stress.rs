@@ -196,13 +196,13 @@ fn parse_and_execution_failures_finish_as_results_not_wedges() {
     .unwrap();
     let results = farm.drain();
     assert_eq!(results.len(), 3);
-    let bad = results.iter().find(|r| r.tag == "bad").unwrap();
+    let bad = results.iter().find(|r| r.report.tag == "bad").unwrap();
     assert!(!bad.report.success);
     assert!(bad.report.error.is_some());
-    let execfail = results.iter().find(|r| r.tag == "execfail").unwrap();
+    let execfail = results.iter().find(|r| r.report.tag == "execfail").unwrap();
     assert!(!execfail.report.success);
     assert!(execfail.report.error.is_some());
-    let good = results.iter().find(|r| r.tag == "good").unwrap();
+    let good = results.iter().find(|r| r.report.tag == "good").unwrap();
     assert!(good.report.success);
     assert_eq!(farm.queued(), 0);
     assert_eq!(farm.active_jobs(), 0);
@@ -263,7 +263,7 @@ fn stress_matches_serial_replay_with_zero_queue_leaks() {
         assert!(
             result.report.success,
             "{}/{}: {:?}",
-            result.tenant, result.tag, result.report.error
+            result.tenant, result.report.tag, result.report.error
         );
     }
     // Zero queue leaks: nothing queued, nothing in flight, every submission

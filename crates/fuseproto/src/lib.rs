@@ -12,12 +12,15 @@
 //!   `Actor`;
 //! * errno-coded failures ([`Errno`]) mapped bidirectionally from the
 //!   simulated kernel's error type — raw POSIX numbers on the wire;
-//! * a backend contract ([`FsOps`]), implemented by [`MemFs`] over the
-//!   in-memory CoW filesystem;
-//! * a [`Session`] owning the open-handle table (flags, sequential offsets,
-//!   readdir cursors), and the one [`Dispatch`] trait it shares with the
-//!   read-only [`ReaderSession`], so anything that pumps requests — a queue,
-//!   a wire server — is written once for both;
+//! * one [`Session`] holding the open-handle table (flags, sequential
+//!   offsets, readdir cursors) and every op's VFS logic, and the one
+//!   [`Dispatch`] impl that routes requests to it, so anything that pumps
+//!   requests — a queue, a wire server — is written once;
+//! * a backend trait ([`FsOps`]) saying only what differs between the
+//!   filesystems a session serves: [`MemFs`], the in-memory CoW filesystem
+//!   served read-write to any requester, and [`FrozenImage`], one
+//!   principal's read-only view of a [`SharedImage`] frozen for many
+//!   concurrent readers;
 //! * the **wire layer**: [`wire`] encodes requests and replies as
 //!   FUSE-kernel-ABI-shaped byte frames (opcodes, unique ids, negated
 //!   errnos), [`transport`] moves those frames over an in-memory channel,
@@ -36,7 +39,8 @@
 //! copy-on-write [`hpcc_vfs::FileBytes`] handle, so serving a built image
 //! never duplicates its content (a wire reply copies the windowed bytes
 //! once, into the output frame). `hpcc-runtime`'s `Container::mount`
-//! returns a `Session` serving the container's root filesystem,
+//! and `Container::mount_readonly` return a `Session` serving the
+//! container's root filesystem read-write or from its shared frozen image,
 //! `Container::serve`/`serve_readonly` wrap one in a wire [`Server`], and
 //! `examples/fuse_mount.rs` / `examples/fuse_serve.rs` drive builds through
 //! the typed and wire surfaces respectively.
@@ -69,7 +73,7 @@ pub use ops::FsOps;
 pub use retry::{CallError, RetryPolicy};
 pub use server::{Client, ClientError, ServeConfig, ServeSummary, Server, ServerEvent, Shutdown};
 pub use session::Session;
-pub use shared::{ReaderSession, SharedImage};
+pub use shared::{FrozenImage, SharedImage};
 pub use transport::{ChannelTransport, RecvOutcome, StreamTransport, Transport, TransportError};
 pub use wire::{Incoming, WireError, FUSE_ROOT_ID};
 
@@ -147,7 +151,9 @@ mod proptests {
                         Err(e) => return Err(e),
                     };
                     let r = session.write(cred, fh, 0, b"x").map(|_| ());
-                    session.release(fh).expect("release the handle just opened");
+                    session
+                        .release(cred, fh)
+                        .expect("release the handle just opened");
                     r
                 })();
                 let d_res = direct
@@ -242,7 +248,7 @@ mod proptests {
                 fs.install_file(f, b"data".to_vec(), Uid(0), Gid(0), Mode::FILE_644).unwrap();
             }
             let cred = FsCreds::root();
-            let mut session = Session::new(MemFs::new(fs, ns));
+            let session = Session::new(MemFs::new(fs, ns));
             let mut open: Vec<u64> = Vec::new();
             for p in paths {
                 let entry = session.resolve_path(&cred, FILES[p], true).unwrap();
@@ -252,13 +258,13 @@ mod proptests {
                 // Occasionally release the oldest handle early.
                 if open.len() > 2 {
                     let fh = open.remove(0);
-                    prop_assert!(session.release(fh).is_ok());
-                    prop_assert_eq!(session.release(fh).unwrap_err(), Errno::EBADF);
+                    prop_assert!(session.release(&cred, fh).is_ok());
+                    prop_assert_eq!(session.release(&cred, fh).unwrap_err(), Errno::EBADF);
                 }
             }
             prop_assert_eq!(session.open_handles(), open.len());
             for fh in open {
-                prop_assert!(session.release(fh).is_ok());
+                prop_assert!(session.release(&cred, fh).is_ok());
             }
             prop_assert_eq!(session.open_handles(), 0);
         }

@@ -1,90 +1,54 @@
-//! The backend trait: what a filesystem must implement to be served.
+//! The backend trait: what differs between the filesystems a session serves.
 //!
-//! [`FsOps`] is the inode-level contract between a [`Session`](crate::Session)
-//! and a storage backend. Methods mirror the FUSE operation set; each takes
-//! per-request [`FsCreds`] — the backend derives privilege from them relative
-//! to its own user namespace, so no kernel `Actor` crosses the boundary.
+//! Every op's VFS logic (lookup, open's access rules, readdir, the xattr
+//! reads, …) lives once, in [`Session`](crate::Session). A backend answers
+//! only the four questions on which a writable mount and a frozen shared
+//! image differ:
 //!
-//! Handle management (`open`/`release` bookkeeping, offsets, readdir
-//! cursors) lives in the session, not the backend: [`FsOps::open`] validates
-//! access and applies `O_TRUNC`, and [`FsOps::read`] returns the *whole*
-//! file as a copy-on-write [`FileBytes`] handle (an `Arc` bump), which the
-//! session windows per read request. That keeps every read O(1) and
-//! zero-copy while writes through other handles stay visible, exactly like
-//! reads through a real file descriptor.
+//! * **admit** — may this request's credentials use the session at all?
+//! * **read** — run a closure over the filesystem, as the request's
+//!   principal;
+//! * **write** — the same for mutation (`EROFS` on a frozen image);
+//! * **resolve** — turn an absolute path into an inode.
+//!
+//! [`MemFs`](crate::MemFs) admits anyone and derives each request's kernel
+//! credentials from its [`FsCreds`], reads and writes under one `Mutex`, and
+//! resolves by walking `lookup`s. [`FrozenImage`](crate::FrozenImage)
+//! admits only the principal it was opened for, reads lock-free with
+//! credentials derived once, refuses writes, and resolves through the
+//! image's pre-warmed index.
 
-use hpcc_vfs::{FileBytes, Ino, Mode, Setattr};
+use hpcc_vfs::{Actor, Filesystem, Ino};
 
 use crate::errno::OpResult;
-use crate::op::{Attr, DirEntry, Entry, FsCreds, OpenFlags, StatfsReply};
+use crate::op::FsCreds;
 
-/// Inode-level filesystem operations with per-request credentials.
+/// What a filesystem backend must provide to be served by a
+/// [`Session`](crate::Session).
 pub trait FsOps {
-    /// The root inode the session starts resolution from.
-    fn root_ino(&self) -> Ino;
+    /// Admits a request's credentials, or refuses them (`EACCES`). Called
+    /// first by every op, including those that only touch the handle table.
+    fn admit(&self, cred: &FsCreds) -> OpResult<()>;
 
-    /// Looks up `name` under the directory `parent`.
-    fn lookup(&self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<Entry>;
+    /// Runs `op` over the filesystem for reading, as the principal of
+    /// `cred` (which [`FsOps::admit`] has admitted).
+    fn read<R>(&self, cred: &FsCreds, op: impl FnOnce(&Filesystem, &Actor<'_>) -> R) -> R;
 
-    /// Attributes of an inode.
-    fn getattr(&self, cred: &FsCreds, ino: Ino) -> OpResult<Attr>;
-
-    /// Applies a metadata change (mode / ownership / size), returning the
-    /// new attributes.
-    fn setattr(&mut self, cred: &FsCreds, ino: Ino, changes: &Setattr) -> OpResult<Attr>;
-
-    /// Reads a symlink's target.
-    fn readlink(&self, cred: &FsCreds, ino: Ino) -> OpResult<String>;
-
-    /// Validates an open of a regular file (access checked **here**, at open
-    /// time, per POSIX) and applies `O_TRUNC` if requested.
-    fn open(&mut self, cred: &FsCreds, ino: Ino, flags: OpenFlags) -> OpResult<()>;
-
-    /// The whole file as a shared copy-on-write handle; the session windows
-    /// it per `read` request. O(1), no bytes copied.
-    fn read(&self, cred: &FsCreds, ino: Ino) -> OpResult<FileBytes>;
-
-    /// Writes at an offset (`pwrite` semantics), returning bytes written.
-    fn write(&mut self, cred: &FsCreds, ino: Ino, offset: u64, data: &[u8]) -> OpResult<u32>;
-
-    /// Creates an empty regular file.
-    fn create(&mut self, cred: &FsCreds, parent: Ino, name: &str, mode: Mode) -> OpResult<Entry>;
-
-    /// Creates a directory.
-    fn mkdir(&mut self, cred: &FsCreds, parent: Ino, name: &str, mode: Mode) -> OpResult<Entry>;
-
-    /// Removes a non-directory entry.
-    fn unlink(&mut self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<()>;
-
-    /// Removes an empty directory.
-    fn rmdir(&mut self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<()>;
-
-    /// Renames an entry, possibly across directories.
-    fn rename(
-        &mut self,
+    /// Runs `op` over the filesystem for writing, as the principal of
+    /// `cred`, or refuses (`EROFS`) without running it.
+    fn write<R>(
+        &self,
         cred: &FsCreds,
-        parent: Ino,
-        name: &str,
-        new_parent: Ino,
-        new_name: &str,
-    ) -> OpResult<()>;
+        op: impl FnOnce(&mut Filesystem, &Actor<'_>) -> OpResult<R>,
+    ) -> OpResult<R>;
 
-    /// Creates a symlink.
-    fn symlink(&mut self, cred: &FsCreds, parent: Ino, name: &str, target: &str)
-        -> OpResult<Entry>;
-
-    /// The directory's entries, sorted by name.
-    fn readdir(&self, cred: &FsCreds, ino: Ino) -> OpResult<Vec<DirEntry>>;
-
-    /// Filesystem statistics.
-    fn statfs(&self, cred: &FsCreds) -> OpResult<StatfsReply>;
-
-    /// Reads an extended attribute.
-    fn getxattr(&self, cred: &FsCreds, ino: Ino, name: &str) -> OpResult<Vec<u8>>;
-
-    /// Sets an extended attribute.
-    fn setxattr(&mut self, cred: &FsCreds, ino: Ino, name: &str, value: &[u8]) -> OpResult<()>;
-
-    /// Lists extended attribute names.
-    fn listxattr(&self, cred: &FsCreds, ino: Ino) -> OpResult<Vec<String>>;
+    /// Resolves an absolute path inside a [`FsOps::read`], following
+    /// intermediate symlinks (and the final one when `follow_final`).
+    fn resolve(
+        &self,
+        fs: &Filesystem,
+        actor: &Actor<'_>,
+        path: &str,
+        follow_final: bool,
+    ) -> OpResult<Ino>;
 }

@@ -1,7 +1,7 @@
 //! The event-driven serve loop and its client: one generic [`Server`] pumps
-//! any [`Transport`] into any [`Dispatch`]er — a writable
-//! [`Session`](crate::Session) or a shared read-only
-//! [`ReaderSession`](crate::ReaderSession) alike.
+//! any [`Transport`] into any [`Dispatch`]er — a [`Session`](crate::Session)
+//! over a writable [`MemFs`](crate::MemFs) or over a shared read-only
+//! [`FrozenImage`](crate::FrozenImage) alike.
 //!
 //! The loop mirrors a FUSE daemon's: read one request frame, decode,
 //! dispatch, write one reply frame, repeat until the client unmounts

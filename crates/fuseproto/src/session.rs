@@ -1,31 +1,49 @@
-//! The session: open-handle table, path resolution, and queue dispatch.
+//! The session: one open-handle table and the typed ops, over any backend.
 //!
-//! A [`Session`] owns a backend and the mutable protocol state a FUSE daemon
-//! keeps per mount: the file-handle table (flags and a sequential-read
-//! offset per handle) and readdir cursors (a stable snapshot of a
-//! directory's entries per `opendir`). Clients either call the typed
-//! methods directly or route [`crate::Request`] values through the
+//! A [`Session`] serves one [`FsOps`] backend — a writable [`MemFs`] mount or
+//! a frozen shared image read by one principal (`SharedImage::reader`) —
+//! and keeps the protocol state a FUSE daemon keeps per mount: the
+//! file-handle table (flags and a sequential-read offset per handle) and
+//! readdir cursors (a stable snapshot of a directory's entries per
+//! `opendir`). Every op takes `&self` plus the request's credentials, so one
+//! session may be driven from several threads at once. Clients either call
+//! the typed methods directly or route [`crate::Request`] values through the
 //! [`Dispatch`](crate::Dispatch) trait — both paths execute identically.
+//!
+//! The handle table is sharded: `HANDLE_SHARDS` `RwLock`ed maps keyed by
+//! handle id, with a wrapping-safe atomic allocator, so concurrent opens and
+//! reads touch different shards. Lock rule: an op may hold a shard while it
+//! enters the backend, never the other way round — `read` and `write` look
+//! their handle up once and keep the shard read-locked across the backend
+//! call, while `open`, `create` and `opendir` leave the backend before they
+//! insert their handle.
 //!
 //! Reads are O(1) and zero-copy end to end: `open` checks access once (per
 //! POSIX), and each `read` windows the file's shared
-//! [`FileBytes`](hpcc_vfs::FileBytes) handle
-//! via [`ReadReply`] — no bytes are copied at any point between the
-//! filesystem and the client.
+//! [`FileBytes`](hpcc_vfs::FileBytes) handle via [`ReadReply`] — no bytes are
+//! copied at any point between the filesystem and the client.
+//!
+//! [`MemFs`]: crate::MemFs
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLock, RwLockReadGuard};
 
-use hpcc_vfs::{FileType, Ino, Mode, PathComponents, Setattr};
+use hpcc_kernel::sync::{read_recover, write_recover};
+use hpcc_vfs::{Access, Actor, FileType, Filesystem, Ino, Mode, Setattr};
 
 use crate::errno::{Errno, OpResult};
+use crate::memfs::wire;
 use crate::op::{
     Attr, DirEntry, Entry, FsCreds, OpenFlags, Opened, ReadReply, StatfsReply, Written,
 };
 use crate::ops::FsOps;
+use crate::wire::FUSE_ROOT_ID;
 
-/// Maximum symlink traversals in [`Session::resolve_path`] before `ELOOP`.
-const MAX_SYMLINK_DEPTH: u32 = 40;
+/// Handle-table shard count. Handle ids are allocated sequentially, so
+/// consecutive opens land on different shards and concurrent clients rarely
+/// contend even on the same session.
+const HANDLE_SHARDS: usize = 8;
 
 /// State of one open handle.
 #[derive(Debug)]
@@ -36,32 +54,126 @@ enum Handle {
         ino: Ino,
         /// Flags the handle was opened with.
         flags: OpenFlags,
-        /// Sequential-read position: advanced by each `read`, so a client
-        /// streaming a file never tracks offsets itself.
-        offset: u64,
+        /// Sequential-read position: advanced by each `read` and `write`,
+        /// so a client streaming a file never tracks offsets itself. Atomic
+        /// so it advances under the shard's *read* lock.
+        offset: AtomicU64,
     },
-    /// A directory handle with its entry snapshot (the readdir cursor).
+    /// A directory handle with its entry snapshot (the readdir cursor):
+    /// stable even if the directory mutates mid-listing, like a real
+    /// `getdents` stream.
     Dir {
-        /// The directory's inode.
-        ino: Ino,
-        /// Entries snapshotted at `opendir` — a stable cursor even if the
-        /// directory mutates mid-listing, like a real `getdents` stream.
+        /// Entries snapshotted at `opendir`.
         entries: Vec<DirEntry>,
     },
+}
+
+/// The inode and cursor of an open file handle whose flags `permits`.
+/// A directory handle is `EISDIR`; a missing or unpermitted one `EBADF`.
+fn file_handle(
+    handle: Option<&Handle>,
+    permits: fn(OpenFlags) -> bool,
+) -> OpResult<(Ino, &AtomicU64)> {
+    match handle {
+        Some(Handle::File { ino, flags, offset }) if permits(*flags) => Ok((*ino, offset)),
+        Some(Handle::Dir { .. }) => Err(Errno::EISDIR),
+        _ => Err(Errno::EBADF),
+    }
+}
+
+/// The sharded concurrent handle table: `HANDLE_SHARDS` independent
+/// `RwLock<HashMap>`s keyed by `fh % HANDLE_SHARDS`, with a wrapping-safe
+/// atomic id allocator that skips 0 and any id still open.
+#[derive(Debug)]
+struct HandleTable {
+    shards: [RwLock<HashMap<u64, Handle>>; HANDLE_SHARDS],
+    next_fh: AtomicU64,
+}
+
+impl HandleTable {
+    fn new() -> Self {
+        HandleTable {
+            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            next_fh: AtomicU64::new(1),
+        }
+    }
+
+    fn shard(&self, fh: u64) -> &RwLock<HashMap<u64, Handle>> {
+        // hpcc-lint: allow(panic) — index is `fh % HANDLE_SHARDS`, always in bounds
+        &self.shards[(fh % HANDLE_SHARDS as u64) as usize]
+    }
+
+    fn read_shard(&self, fh: u64) -> RwLockReadGuard<'_, HashMap<u64, Handle>> {
+        read_recover(self.shard(fh))
+    }
+
+    /// Allocates an id and inserts the handle. Wraparound-safe and
+    /// reuse-free: 0 (which clients may treat as "no handle") is never
+    /// handed out, and an id still held by an open handle is skipped rather
+    /// than aliased.
+    fn insert(&self, handle: Handle) -> u64 {
+        let mut handle = Some(handle);
+        loop {
+            let fh = self.next_fh.fetch_add(1, Ordering::Relaxed);
+            if fh == 0 {
+                continue;
+            }
+            let mut shard = write_recover(self.shard(fh));
+            if let std::collections::hash_map::Entry::Vacant(slot) = shard.entry(fh) {
+                if let Some(h) = handle.take() {
+                    slot.insert(h);
+                    return fh;
+                }
+            }
+        }
+    }
+
+    /// Removes `fh` if `kind` accepts its handle; otherwise (a missing
+    /// handle, or the wrong release flavor) `EBADF`, leaving it open.
+    fn remove(&self, fh: u64, kind: fn(&Handle) -> bool) -> OpResult<()> {
+        let mut shard = write_recover(self.shard(fh));
+        match shard.get(&fh) {
+            Some(h) if kind(h) => {
+                shard.remove(&fh);
+                Ok(())
+            }
+            _ => Err(Errno::EBADF),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.shards.iter().map(|s| read_recover(s).len()).sum()
+    }
+
+    fn clear(&self) {
+        for shard in &self.shards {
+            write_recover(shard).clear();
+        }
+    }
 }
 
 /// A protocol session over a backend.
 ///
 /// Generic over the backend so a mount can own its filesystem
-/// (`Session<MemFs>`) while the shell borrows one
-/// (`Session<MemFs<&mut Filesystem>>`).
+/// (`Session<MemFs>`), the shell can borrow one
+/// (`Session<MemFs<&mut Filesystem>>`), and a job can read a frozen shared
+/// image (`Session<FrozenImage>`, from [`SharedImage::reader`]). The
+/// session is `Sync` whenever its backend is.
+///
+/// [`SharedImage::reader`]: crate::SharedImage::reader
 #[derive(Debug)]
 pub struct Session<B> {
     backend: B,
-    handles: HashMap<u64, Handle>,
-    next_fh: u64,
-    /// Atomic so the pure (`&self`) ops can count themselves too.
+    handles: HandleTable,
     ops_dispatched: AtomicU64,
+}
+
+/// The entry for `ino`: the inode and its attributes as `actor` sees them.
+fn stat_entry(fs: &Filesystem, actor: &Actor<'_>, ino: Ino) -> OpResult<Entry> {
+    Ok(Entry {
+        ino,
+        attr: Attr::from(fs.stat_ino(actor, ino).map_err(wire)?),
+    })
 }
 
 impl<B: FsOps> Session<B> {
@@ -69,8 +181,7 @@ impl<B: FsOps> Session<B> {
     pub fn new(backend: B) -> Self {
         Session {
             backend,
-            handles: HashMap::new(),
-            next_fh: 1,
+            handles: HandleTable::new(),
             ops_dispatched: AtomicU64::new(0),
         }
     }
@@ -80,15 +191,10 @@ impl<B: FsOps> Session<B> {
         &self.backend
     }
 
-    /// Consumes the session, returning the backend. Open handles are
-    /// forgotten (as on unmount).
-    pub fn into_backend(self) -> B {
-        self.backend
-    }
-
-    /// The root inode.
+    /// The root inode: [`FUSE_ROOT_ID`], where every
+    /// [`hpcc_vfs::Filesystem`] roots.
     pub fn root_ino(&self) -> Ino {
-        self.backend.root_ino()
+        FUSE_ROOT_ID
     }
 
     /// Number of currently open handles (files + directories). Zero after
@@ -97,126 +203,109 @@ impl<B: FsOps> Session<B> {
         self.handles.len()
     }
 
-    /// The inode behind an open handle (file or directory), if the handle is
-    /// live.
-    pub fn handle_ino(&self, fh: u64) -> Option<Ino> {
-        match self.handles.get(&fh) {
-            Some(Handle::File { ino, .. }) | Some(Handle::Dir { ino, .. }) => Some(*ino),
-            None => None,
-        }
-    }
-
     /// Total operations dispatched (typed calls and wire requests alike).
     pub fn ops_dispatched(&self) -> u64 {
         self.ops_dispatched.load(Ordering::Relaxed)
     }
 
-    fn count(&self) {
-        self.ops_dispatched.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Drops every open handle, as a FUSE daemon does when its client
     /// disconnects without releasing. Used by
     /// [`Dispatch::disconnect`](crate::Dispatch::disconnect).
-    pub fn release_all(&mut self) {
+    pub fn release_all(&self) {
         self.handles.clear();
     }
 
-    // ------------------------------------------------------------ resolution
-
-    /// Resolves an absolute path to an entry by chaining `lookup` ops from
-    /// the root, following intermediate symlinks (and the final one when
-    /// `follow_final`), exactly as a FUSE client's kernel would drive the
-    /// protocol. This is a convenience for clients holding path strings; the
-    /// protocol itself never sees a multi-component path.
-    pub fn resolve_path(&self, cred: &FsCreds, path: &str, follow_final: bool) -> OpResult<Entry> {
-        self.resolve_path_depth(cred, path, follow_final, 0)
+    /// Every op's prologue: count it, then let the backend admit (or
+    /// refuse) the request's credentials before anything executes.
+    fn admit(&self, cred: &FsCreds) -> OpResult<()> {
+        self.ops_dispatched.fetch_add(1, Ordering::Relaxed);
+        self.backend.admit(cred)
     }
 
-    fn resolve_path_depth(
-        &self,
-        cred: &FsCreds,
-        path: &str,
-        follow_final: bool,
-        depth: u32,
-    ) -> OpResult<Entry> {
-        if depth > MAX_SYMLINK_DEPTH {
-            return Err(Errno::ELOOP);
-        }
-        let comps = PathComponents::parse(path);
-        let comps = comps.as_slice();
-        let root = self.backend.root_ino();
-        let mut cur = Entry {
-            ino: root,
-            attr: self.backend.getattr(cred, root)?,
-        };
-        for (i, &name) in comps.iter().enumerate() {
-            let is_last = i + 1 == comps.len();
-            let entry = self.backend.lookup(cred, cur.ino, name)?;
-            if entry.attr.file_type == FileType::Symlink && (!is_last || follow_final) {
-                let target = self.backend.readlink(cred, entry.ino)?;
-                let rest = comps[i + 1..].join("/");
-                let resolved = if target.starts_with('/') {
-                    if rest.is_empty() {
-                        target
-                    } else {
-                        format!("{}/{}", target, rest)
-                    }
-                } else {
-                    let parent = comps[..i].join("/");
-                    let mut p = format!("/{}/{}", parent, target);
-                    if !rest.is_empty() {
-                        p = format!("{}/{}", p, rest);
-                    }
-                    p
-                };
-                return self.resolve_path_depth(cred, &resolved, follow_final, depth + 1);
-            }
-            cur = entry;
-        }
-        Ok(cur)
+    /// Resolves an absolute path to an entry, following intermediate
+    /// symlinks (and the final one when `follow_final`, selecting stat vs
+    /// lstat semantics). A convenience for clients holding path strings;
+    /// the protocol itself never sees a multi-component path.
+    pub fn resolve_path(&self, cred: &FsCreds, path: &str, follow_final: bool) -> OpResult<Entry> {
+        self.admit(cred)?;
+        self.backend.read(cred, |fs, actor| {
+            let ino = self.backend.resolve(fs, actor, path, follow_final)?;
+            stat_entry(fs, actor, ino)
+        })
     }
 
     // ------------------------------------------------------------- typed ops
-    //
-    // Ops that never touch mutable session or backend state (pure lookups,
-    // statfs, the xattr reads, readdir paging over an already-open cursor)
-    // take `&self`; everything that mutates the backend or the handle table
-    // takes `&mut self`.
 
     /// `lookup`: one component under a parent directory.
     pub fn lookup(&self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<Entry> {
-        self.count();
-        self.backend.lookup(cred, parent, name)
+        self.admit(cred)?;
+        self.backend.read(cred, |fs, actor| {
+            stat_entry(fs, actor, fs.lookup_at(actor, parent, name).map_err(wire)?)
+        })
     }
 
     /// `getattr`.
     pub fn getattr(&self, cred: &FsCreds, ino: Ino) -> OpResult<Attr> {
-        self.count();
-        self.backend.getattr(cred, ino)
+        self.admit(cred)?;
+        self.backend
+            .read(cred, |fs, actor| Ok(stat_entry(fs, actor, ino)?.attr))
     }
 
-    /// `setattr`.
-    pub fn setattr(&mut self, cred: &FsCreds, ino: Ino, changes: &Setattr) -> OpResult<Attr> {
-        self.count();
-        self.backend.setattr(cred, ino, changes)
+    /// `setattr`: applies a metadata change (mode / ownership / size),
+    /// returning the new attributes.
+    pub fn setattr(&self, cred: &FsCreds, ino: Ino, changes: &Setattr) -> OpResult<Attr> {
+        self.admit(cred)?;
+        self.backend.write(cred, |fs, actor| {
+            fs.setattr_ino(actor, ino, changes).map_err(wire)?;
+            Ok(stat_entry(fs, actor, ino)?.attr)
+        })
     }
 
     /// `readlink`.
     pub fn readlink(&self, cred: &FsCreds, ino: Ino) -> OpResult<String> {
-        self.count();
-        self.backend.readlink(cred, ino)
+        self.admit(cred)?;
+        self.backend
+            .read(cred, |fs, actor| fs.readlink_ino(actor, ino).map_err(wire))
     }
 
-    /// `open`: validates access (and `O_TRUNC`) against the backend, then
-    /// allocates a file handle.
-    pub fn open(&mut self, cred: &FsCreds, ino: Ino, flags: OpenFlags) -> OpResult<Opened> {
-        self.count();
-        self.backend.open(cred, ino, flags)?;
-        let fh = self.alloc_fh(Handle::File {
+    /// `open`: checks access once, here (per POSIX), applies `O_TRUNC` to a
+    /// writable open, then allocates a file handle. Directories are opened
+    /// with `opendir` (`EISDIR`); other non-regular files are `EINVAL`.
+    pub fn open(&self, cred: &FsCreds, ino: Ino, flags: OpenFlags) -> OpResult<Opened> {
+        self.admit(cred)?;
+        let check = |fs: &Filesystem, actor: &Actor<'_>| -> OpResult<()> {
+            let inode = fs.inode(ino).map_err(wire)?;
+            if inode.is_dir() {
+                return Err(Errno::EISDIR);
+            }
+            if !inode.is_file() {
+                return Err(Errno::EINVAL);
+            }
+            if flags.readable() {
+                fs.check_access_ino(actor, ino, Access::READ)
+                    .map_err(wire)?;
+            }
+            if flags.writable() {
+                fs.check_access_ino(actor, ino, Access::WRITE)
+                    .map_err(wire)?;
+            }
+            Ok(())
+        };
+        if flags.writable() || flags.truncates() {
+            self.backend.write(cred, |fs, actor| {
+                check(fs, actor)?;
+                if flags.writable() && flags.truncates() {
+                    fs.truncate_ino(actor, ino, 0).map_err(wire)?;
+                }
+                Ok(())
+            })?;
+        } else {
+            self.backend.read(cred, check)?;
+        }
+        let fh = self.handles.insert(Handle::File {
             ino,
             flags,
-            offset: 0,
+            offset: AtomicU64::new(0),
         });
         Ok(Opened { fh, flags })
     }
@@ -224,19 +313,22 @@ impl<B: FsOps> Session<B> {
     /// `create`: creates an empty file and opens it in one op, like
     /// `FUSE_CREATE`.
     pub fn create(
-        &mut self,
+        &self,
         cred: &FsCreds,
         parent: Ino,
         name: &str,
         mode: Mode,
         flags: OpenFlags,
     ) -> OpResult<(Entry, Opened)> {
-        self.count();
-        let entry = self.backend.create(cred, parent, name, mode)?;
-        let fh = self.alloc_fh(Handle::File {
+        self.admit(cred)?;
+        let entry = self.backend.write(cred, |fs, actor| {
+            let ino = fs.create_at(actor, parent, name, mode).map_err(wire)?;
+            stat_entry(fs, actor, ino)
+        })?;
+        let fh = self.handles.insert(Handle::File {
             ino: entry.ino,
             flags,
-            offset: 0,
+            offset: AtomicU64::new(0),
         });
         Ok((entry, Opened { fh, flags }))
     }
@@ -244,79 +336,71 @@ impl<B: FsOps> Session<B> {
     /// `read` at an explicit offset. Zero-copy: the reply windows the
     /// file's shared bytes. Advances the handle's sequential position to
     /// `offset + len`.
-    pub fn read(&mut self, cred: &FsCreds, fh: u64, offset: u64, size: u32) -> OpResult<ReadReply> {
-        self.count();
-        let (ino, flags) = match self.handles.get(&fh) {
-            Some(Handle::File { ino, flags, .. }) => (*ino, *flags),
-            Some(Handle::Dir { .. }) => return Err(Errno::EISDIR),
-            None => return Err(Errno::EBADF),
-        };
-        if !flags.readable() {
-            return Err(Errno::EBADF);
-        }
-        let bytes = self.backend.read(cred, ino)?;
+    pub fn read(&self, cred: &FsCreds, fh: u64, offset: u64, size: u32) -> OpResult<ReadReply> {
+        self.admit(cred)?;
+        let shard = self.handles.read_shard(fh);
+        let (ino, pos) = file_handle(shard.get(&fh), OpenFlags::readable)?;
+        let bytes = self.backend.read(cred, |fs, actor| {
+            fs.file_bytes_ino(actor, ino).map_err(wire)
+        })?;
         let reply = ReadReply::new(bytes, offset, size);
-        let end = offset + reply.len() as u64;
-        if let Some(Handle::File { offset, .. }) = self.handles.get_mut(&fh) {
-            *offset = end;
-        }
+        pos.store(offset + reply.len() as u64, Ordering::Relaxed);
         Ok(reply)
     }
 
     /// Sequential `read`: continues from the handle's current position.
-    pub fn read_next(&mut self, cred: &FsCreds, fh: u64, size: u32) -> OpResult<ReadReply> {
-        let offset = match self.handles.get(&fh) {
-            Some(Handle::File { offset, .. }) => *offset,
-            Some(Handle::Dir { .. }) => return Err(Errno::EISDIR),
-            None => return Err(Errno::EBADF),
+    /// Two threads streaming through the *same* handle race on the cursor
+    /// exactly as two processes sharing a file description do.
+    pub fn read_next(&self, cred: &FsCreds, fh: u64, size: u32) -> OpResult<ReadReply> {
+        let offset = {
+            let shard = self.handles.read_shard(fh);
+            let (_, pos) = file_handle(shard.get(&fh), |_| true)?;
+            pos.load(Ordering::Relaxed)
         };
         self.read(cred, fh, offset, size)
     }
 
-    /// `write` at an explicit offset through an open handle.
-    pub fn write(
-        &mut self,
-        cred: &FsCreds,
-        fh: u64,
-        offset: u64,
-        data: &[u8],
-    ) -> OpResult<Written> {
-        self.count();
-        let (ino, flags) = match self.handles.get(&fh) {
-            Some(Handle::File { ino, flags, .. }) => (*ino, *flags),
-            Some(Handle::Dir { .. }) => return Err(Errno::EISDIR),
-            None => return Err(Errno::EBADF),
-        };
-        if !flags.writable() {
-            return Err(Errno::EBADF);
-        }
-        let size = self.backend.write(cred, ino, offset, data)?;
-        let end = offset + size as u64;
-        if let Some(Handle::File { offset, .. }) = self.handles.get_mut(&fh) {
-            *offset = end;
-        }
+    /// `write` at an explicit offset (`pwrite` semantics) through an open
+    /// handle. A handle not opened for writing is `EBADF`, as for
+    /// `write(2)`.
+    pub fn write(&self, cred: &FsCreds, fh: u64, offset: u64, data: &[u8]) -> OpResult<Written> {
+        self.admit(cred)?;
+        let shard = self.handles.read_shard(fh);
+        let (ino, pos) = file_handle(shard.get(&fh), OpenFlags::writable)?;
+        let size = self.backend.write(cred, |fs, actor| {
+            fs.write_at_ino(actor, ino, offset, data).map_err(wire)
+        })?;
+        pos.store(offset + size as u64, Ordering::Relaxed);
         Ok(Written { size })
     }
 
     /// `release`: closes a file handle.
-    pub fn release(&mut self, fh: u64) -> OpResult<()> {
-        self.count();
-        match self.handles.remove(&fh) {
-            Some(Handle::File { .. }) => Ok(()),
-            Some(dir @ Handle::Dir { .. }) => {
-                // Wrong release flavor: put it back, report EBADF.
-                self.handles.insert(fh, dir);
-                Err(Errno::EBADF)
-            }
-            None => Err(Errno::EBADF),
-        }
+    pub fn release(&self, cred: &FsCreds, fh: u64) -> OpResult<()> {
+        self.admit(cred)?;
+        self.handles
+            .remove(fh, |h| matches!(h, Handle::File { .. }))
     }
 
     /// `opendir`: snapshots the directory's entries into a cursor handle.
-    pub fn opendir(&mut self, cred: &FsCreds, ino: Ino) -> OpResult<Opened> {
-        self.count();
-        let entries = self.backend.readdir(cred, ino)?;
-        let fh = self.alloc_fh(Handle::Dir { ino, entries });
+    pub fn opendir(&self, cred: &FsCreds, ino: Ino) -> OpResult<Opened> {
+        self.admit(cred)?;
+        let entries = self.backend.read(cred, |fs, actor| {
+            let entries = fs.readdir_ino(actor, ino).map_err(wire)?;
+            Ok::<_, Errno>(
+                entries
+                    .into_iter()
+                    .map(|(name, child)| DirEntry {
+                        name,
+                        ino: child,
+                        file_type: fs
+                            .inode(child)
+                            .map(|i| i.file_type())
+                            .unwrap_or(FileType::Regular),
+                    })
+                    .collect(),
+            )
+        })?;
+        let fh = self.handles.insert(Handle::Dir { entries });
         Ok(Opened {
             fh,
             flags: OpenFlags::RDONLY,
@@ -327,17 +411,17 @@ impl<B: FsOps> Session<B> {
     /// reply means end of stream.
     pub fn readdir(
         &self,
-        _cred: &FsCreds,
+        cred: &FsCreds,
         fh: u64,
         offset: usize,
         max: usize,
     ) -> OpResult<Vec<DirEntry>> {
-        self.count();
-        match self.handles.get(&fh) {
-            Some(Handle::Dir { entries, .. }) => {
+        self.admit(cred)?;
+        match self.handles.read_shard(fh).get(&fh) {
+            Some(Handle::Dir { entries }) => {
                 let start = offset.min(entries.len());
                 let end = start.saturating_add(max).min(entries.len());
-                Ok(entries[start..end].to_vec())
+                Ok(entries.get(start..end).unwrap_or(&[]).to_vec())
             }
             Some(Handle::File { .. }) => Err(Errno::ENOTDIR),
             None => Err(Errno::EBADF),
@@ -345,121 +429,111 @@ impl<B: FsOps> Session<B> {
     }
 
     /// `releasedir`: closes a directory handle.
-    pub fn releasedir(&mut self, fh: u64) -> OpResult<()> {
-        self.count();
-        match self.handles.remove(&fh) {
-            Some(Handle::Dir { .. }) => Ok(()),
-            Some(file @ Handle::File { .. }) => {
-                self.handles.insert(fh, file);
-                Err(Errno::EBADF)
-            }
-            None => Err(Errno::EBADF),
-        }
+    pub fn releasedir(&self, cred: &FsCreds, fh: u64) -> OpResult<()> {
+        self.admit(cred)?;
+        self.handles.remove(fh, |h| matches!(h, Handle::Dir { .. }))
     }
 
     /// `mkdir`.
-    pub fn mkdir(
-        &mut self,
-        cred: &FsCreds,
-        parent: Ino,
-        name: &str,
-        mode: Mode,
-    ) -> OpResult<Entry> {
-        self.count();
-        self.backend.mkdir(cred, parent, name, mode)
+    pub fn mkdir(&self, cred: &FsCreds, parent: Ino, name: &str, mode: Mode) -> OpResult<Entry> {
+        self.admit(cred)?;
+        self.backend.write(cred, |fs, actor| {
+            let ino = fs.mkdir_at(actor, parent, name, mode).map_err(wire)?;
+            stat_entry(fs, actor, ino)
+        })
     }
 
-    /// `unlink`.
-    pub fn unlink(&mut self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<()> {
-        self.count();
-        self.backend.unlink(cred, parent, name)
+    /// `unlink`: removes a non-directory entry.
+    pub fn unlink(&self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<()> {
+        self.admit(cred)?;
+        self.backend.write(cred, |fs, actor| {
+            fs.unlink_at(actor, parent, name).map_err(wire)
+        })
     }
 
-    /// `rmdir`.
-    pub fn rmdir(&mut self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<()> {
-        self.count();
-        self.backend.rmdir(cred, parent, name)
+    /// `rmdir`: removes an empty directory.
+    pub fn rmdir(&self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<()> {
+        self.admit(cred)?;
+        self.backend.write(cred, |fs, actor| {
+            fs.rmdir_at(actor, parent, name).map_err(wire)
+        })
     }
 
-    /// `rename`.
+    /// `rename`, possibly across directories.
     pub fn rename(
-        &mut self,
+        &self,
         cred: &FsCreds,
         parent: Ino,
         name: &str,
         new_parent: Ino,
         new_name: &str,
     ) -> OpResult<()> {
-        self.count();
-        self.backend
-            .rename(cred, parent, name, new_parent, new_name)
+        self.admit(cred)?;
+        self.backend.write(cred, |fs, actor| {
+            fs.rename_at(actor, parent, name, new_parent, new_name)
+                .map_err(wire)
+        })
     }
 
     /// `symlink`.
     pub fn symlink(
-        &mut self,
+        &self,
         cred: &FsCreds,
         parent: Ino,
         name: &str,
         target: &str,
     ) -> OpResult<Entry> {
-        self.count();
-        self.backend.symlink(cred, parent, name, target)
+        self.admit(cred)?;
+        self.backend.write(cred, |fs, actor| {
+            let ino = fs.symlink_at(actor, parent, name, target).map_err(wire)?;
+            stat_entry(fs, actor, ino)
+        })
     }
 
-    /// `statfs`.
+    /// `statfs`. A frozen image reports read-only.
     pub fn statfs(&self, cred: &FsCreds) -> OpResult<StatfsReply> {
-        self.count();
-        self.backend.statfs(cred)
+        self.admit(cred)?;
+        Ok(self.backend.read(cred, |fs, _| StatfsReply {
+            inodes: fs.inode_count() as u64,
+            bytes: fs.total_file_bytes(),
+            readonly: fs.readonly,
+        }))
     }
 
     /// `getxattr`.
     pub fn getxattr(&self, cred: &FsCreds, ino: Ino, name: &str) -> OpResult<Vec<u8>> {
-        self.count();
-        self.backend.getxattr(cred, ino, name)
+        self.admit(cred)?;
+        self.backend.read(cred, |fs, actor| {
+            fs.get_xattr_ino(actor, ino, name).map_err(wire)
+        })
     }
 
     /// `setxattr`.
-    pub fn setxattr(&mut self, cred: &FsCreds, ino: Ino, name: &str, value: &[u8]) -> OpResult<()> {
-        self.count();
-        self.backend.setxattr(cred, ino, name, value)
+    pub fn setxattr(&self, cred: &FsCreds, ino: Ino, name: &str, value: &[u8]) -> OpResult<()> {
+        self.admit(cred)?;
+        self.backend.write(cred, |fs, actor| {
+            fs.set_xattr_ino(actor, ino, name, value).map_err(wire)
+        })
     }
 
     /// `listxattr`.
     pub fn listxattr(&self, cred: &FsCreds, ino: Ino) -> OpResult<Vec<String>> {
-        self.count();
-        self.backend.listxattr(cred, ino)
-    }
-
-    /// Allocates a file-handle id. Wraparound-safe: after `u64::MAX` opens
-    /// the counter wraps (skipping 0, which clients may treat as "no
-    /// handle"), and any id still held by an open handle is skipped — a
-    /// long-lived handle can never be aliased by a later open.
-    fn alloc_fh(&mut self, handle: Handle) -> u64 {
-        loop {
-            let fh = self.next_fh;
-            self.next_fh = match self.next_fh.wrapping_add(1) {
-                0 => 1,
-                n => n,
-            };
-            if fh != 0 && !self.handles.contains_key(&fh) {
-                self.handles.insert(fh, handle);
-                return fh;
-            }
-        }
+        self.admit(cred)?;
+        self.backend.read(cred, |fs, actor| {
+            fs.list_xattrs_ino(actor, ino).map_err(wire)
+        })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dispatch::Dispatch;
     use crate::memfs::MemFs;
     use crate::op::{Operation, Reply, Request};
-    use hpcc_kernel::{Gid, Uid, UserNamespace};
-    use hpcc_vfs::Filesystem;
+    use hpcc_kernel::{Credentials, Gid, Uid, UserNamespace};
 
-    fn session() -> Session<MemFs> {
+    fn tree() -> Filesystem {
         let mut fs = Filesystem::new_local();
         fs.install_file(
             "/etc/hostname",
@@ -479,12 +553,17 @@ mod tests {
         .unwrap();
         fs.install_symlink("/etc/alias", "hostname", Uid(0), Gid(0))
             .unwrap();
-        Session::new(MemFs::new(fs, UserNamespace::initial()))
+        fs
+    }
+
+    fn session() -> Session<MemFs> {
+        Session::new(MemFs::new(tree(), UserNamespace::initial()))
     }
 
     #[test]
     fn lookup_open_read_release_round_trip() {
-        let mut s = session();
+        let fs = tree();
+        let s = Session::new(MemFs::new(fs.clone(), UserNamespace::initial()));
         let root = FsCreds::root();
         let etc = s.lookup(&root, s.root_ino(), "etc").unwrap();
         let host = s.lookup(&root, etc.ino, "hostname").unwrap();
@@ -492,18 +571,22 @@ mod tests {
         let opened = s.open(&root, host.ino, OpenFlags::RDONLY).unwrap();
         let data = s.read(&root, opened.fh, 0, 64).unwrap();
         assert_eq!(data.as_slice(), b"astra");
-        // Zero copy: the reply shares the backing buffer.
-        let direct = s.backend().read(&root, host.ino).unwrap();
+        // Zero copy: the reply shares the served tree's buffer.
+        let host_root = Credentials::host_root();
+        let ns = UserNamespace::initial();
+        let direct = fs
+            .file_bytes_ino(&Actor::new(&host_root, &ns), host.ino)
+            .unwrap();
         assert!(data.bytes().shares_buffer_with(&direct));
         assert_eq!(s.open_handles(), 1);
-        s.release(opened.fh).unwrap();
+        s.release(&root, opened.fh).unwrap();
         assert_eq!(s.open_handles(), 0);
-        assert_eq!(s.release(opened.fh).unwrap_err(), Errno::EBADF);
+        assert_eq!(s.release(&root, opened.fh).unwrap_err(), Errno::EBADF);
     }
 
     #[test]
     fn sequential_reads_advance_the_handle_offset() {
-        let mut s = session();
+        let s = session();
         let root = FsCreds::root();
         let host = s.resolve_path(&root, "/etc/hostname", true).unwrap();
         let fh = s.open(&root, host.ino, OpenFlags::RDONLY).unwrap().fh;
@@ -515,7 +598,7 @@ mod tests {
 
     #[test]
     fn permissions_checked_at_open_with_request_credentials() {
-        let mut s = session();
+        let s = session();
         let alice = FsCreds::new(Uid(1000), Gid(1000), vec![Gid(1000)]);
         let secret = s
             .resolve_path(&FsCreds::root(), "/etc/secret", true)
@@ -540,29 +623,39 @@ mod tests {
         let no_follow = s.resolve_path(&root, "/etc/alias", false).unwrap();
         assert_eq!(no_follow.attr.file_type, FileType::Symlink);
         assert_eq!(s.readlink(&root, no_follow.ino).unwrap(), "hostname");
+        assert_eq!(s.resolve_path(&root, "/", true).unwrap().ino, s.root_ino());
     }
 
-    #[test]
-    fn readdir_cursor_pages_and_survives_mutation() {
-        let mut s = session();
-        let root = FsCreds::root();
-        let etc = s.resolve_path(&root, "/etc", true).unwrap();
-        let dh = s.opendir(&root, etc.ino).unwrap();
-        let page1 = s.readdir(&root, dh.fh, 0, 2).unwrap();
+    /// Pages `/etc` through a cursor on either flavor: two pages cover
+    /// every entry, and the wrong release flavor leaves the handle open.
+    pub(crate) fn page_etc<B: FsOps>(s: &Session<B>, root: &FsCreds, between: impl FnOnce(Ino)) {
+        let etc = s.resolve_path(root, "/etc", true).unwrap();
+        let dh = s.opendir(root, etc.ino).unwrap();
+        let page1 = s.readdir(root, dh.fh, 0, 2).unwrap();
         assert_eq!(page1.len(), 2);
-        // Mutating the directory does not disturb the open cursor.
-        s.unlink(&root, etc.ino, "secret").unwrap();
-        let page2 = s.readdir(&root, dh.fh, 2, 10).unwrap();
+        between(etc.ino);
+        let page2 = s.readdir(root, dh.fh, 2, 10).unwrap();
         let mut names: Vec<String> = page1.into_iter().chain(page2).map(|e| e.name).collect();
         names.sort();
         assert_eq!(names, ["alias", "hostname", "secret"]);
-        s.releasedir(dh.fh).unwrap();
+        // Wrong release flavor does not drop the handle.
+        assert_eq!(s.release(root, dh.fh).unwrap_err(), Errno::EBADF);
+        assert_eq!(s.open_handles(), 1);
+        s.releasedir(root, dh.fh).unwrap();
         assert_eq!(s.open_handles(), 0);
     }
 
     #[test]
+    fn readdir_cursor_pages_and_survives_mutation() {
+        let root = FsCreds::root();
+        // Mutating the directory does not disturb the open cursor.
+        let s = session();
+        page_etc(&s, &root, |etc| s.unlink(&root, etc, "secret").unwrap());
+    }
+
+    #[test]
     fn readdir_with_unbounded_max_and_nonzero_offset() {
-        let mut s = session();
+        let s = session();
         let root = FsCreds::root();
         let etc = s.resolve_path(&root, "/etc", true).unwrap();
         let dh = s.opendir(&root, etc.ino).unwrap();
@@ -572,12 +665,12 @@ mod tests {
         assert_eq!(rest.len(), 2);
         // Past-the-end cursor is an empty page, not an error.
         assert!(s.readdir(&root, dh.fh, 64, usize::MAX).unwrap().is_empty());
-        s.releasedir(dh.fh).unwrap();
+        s.releasedir(&root, dh.fh).unwrap();
     }
 
     #[test]
     fn write_through_handle_then_read_back() {
-        let mut s = session();
+        let s = session();
         let root = FsCreds::root();
         let etc = s.resolve_path(&root, "/etc", true).unwrap();
         let (entry, opened) = s
@@ -587,18 +680,18 @@ mod tests {
         assert_eq!(s.write(&root, opened.fh, 3, b"def").unwrap().size, 3);
         let back = s.read(&root, opened.fh, 0, 16).unwrap();
         assert_eq!(back.as_slice(), b"abcdef");
-        s.release(opened.fh).unwrap();
+        s.release(&root, opened.fh).unwrap();
         // O_TRUNC on reopen.
         let t = s
             .open(&root, entry.ino, OpenFlags::WRONLY | OpenFlags::TRUNC)
             .unwrap();
-        s.release(t.fh).unwrap();
+        s.release(&root, t.fh).unwrap();
         assert_eq!(s.getattr(&root, entry.ino).unwrap().size, 0);
     }
 
     #[test]
     fn wrong_handle_kinds_are_ebadf_family() {
-        let mut s = session();
+        let s = session();
         let root = FsCreds::root();
         let etc = s.resolve_path(&root, "/etc", true).unwrap();
         let host = s.resolve_path(&root, "/etc/hostname", true).unwrap();
@@ -606,16 +699,16 @@ mod tests {
         let fhh = s.open(&root, host.ino, OpenFlags::RDONLY).unwrap();
         assert_eq!(s.read(&root, dh.fh, 0, 1).unwrap_err(), Errno::EISDIR);
         assert_eq!(s.readdir(&root, fhh.fh, 0, 1).unwrap_err(), Errno::ENOTDIR);
-        assert_eq!(s.release(dh.fh).unwrap_err(), Errno::EBADF);
-        assert_eq!(s.releasedir(fhh.fh).unwrap_err(), Errno::EBADF);
+        assert_eq!(s.release(&root, dh.fh).unwrap_err(), Errno::EBADF);
+        assert_eq!(s.releasedir(&root, fhh.fh).unwrap_err(), Errno::EBADF);
         // The failed cross-releases did not leak or drop the handles.
         assert_eq!(s.open_handles(), 2);
-        s.releasedir(dh.fh).unwrap();
-        s.release(fhh.fh).unwrap();
+        s.releasedir(&root, dh.fh).unwrap();
+        s.release(&root, fhh.fh).unwrap();
         // A write through a read-only handle is EBADF.
         let ro = s.open(&root, host.ino, OpenFlags::RDONLY).unwrap();
         assert_eq!(s.write(&root, ro.fh, 0, b"x").unwrap_err(), Errno::EBADF);
-        s.release(ro.fh).unwrap();
+        s.release(&root, ro.fh).unwrap();
     }
 
     #[test]
@@ -676,33 +769,38 @@ mod tests {
         assert_eq!(s.open_handles(), 0);
     }
 
-    #[test]
-    fn fh_allocation_survives_wraparound_without_aliasing() {
-        let mut s = session();
-        let root = FsCreds::root();
-        let host = s.resolve_path(&root, "/etc/hostname", true).unwrap();
+    /// Drives the one handle table past `u64::MAX` through either flavor.
+    pub(crate) fn wrap_fh_counter<B: FsOps>(s: &Session<B>, root: &FsCreds) {
+        let host = s.resolve_path(root, "/etc/hostname", true).unwrap();
         // A long-lived handle opened near the end of the id space…
-        s.next_fh = u64::MAX;
-        let pinned = s.open(&root, host.ino, OpenFlags::RDONLY).unwrap().fh;
+        s.handles.next_fh.store(u64::MAX, Ordering::Relaxed);
+        let pinned = s.open(root, host.ino, OpenFlags::RDONLY).unwrap().fh;
         assert_eq!(pinned, u64::MAX);
         // …must survive the counter wrapping: later opens skip 0 and every
         // still-open id, and open/release cycles never hand out a live id.
         let mut seen = vec![pinned];
         for _ in 0..4 {
-            let fh = s.open(&root, host.ino, OpenFlags::RDONLY).unwrap().fh;
+            let fh = s.open(root, host.ino, OpenFlags::RDONLY).unwrap().fh;
             assert_ne!(fh, 0, "fh 0 must never be handed out");
+            assert_ne!(fh, pinned);
             assert!(!seen.contains(&fh), "live fh {fh} aliased");
             seen.push(fh);
             // Read through the pinned handle still works (it was not stolen).
-            assert_eq!(s.read(&root, pinned, 0, 5).unwrap().as_slice(), b"astra");
-            s.release(fh).unwrap();
+            assert_eq!(s.read(root, pinned, 0, 5).unwrap().as_slice(), b"astra");
+            s.release(root, fh).unwrap();
         }
         // Forcing the counter back over a live id skips it.
-        s.next_fh = u64::MAX;
-        let next = s.open(&root, host.ino, OpenFlags::RDONLY).unwrap().fh;
+        s.handles.next_fh.store(u64::MAX, Ordering::Relaxed);
+        let next = s.open(root, host.ino, OpenFlags::RDONLY).unwrap().fh;
         assert_ne!(next, pinned);
-        s.release(next).unwrap();
-        s.release(pinned).unwrap();
+        assert_eq!(s.read(root, pinned, 0, 5).unwrap().as_slice(), b"astra");
+        s.release(root, next).unwrap();
+        s.release(root, pinned).unwrap();
         assert_eq!(s.open_handles(), 0);
+    }
+
+    #[test]
+    fn fh_allocation_survives_wraparound_without_aliasing() {
+        wrap_fh_counter(&session(), &FsCreds::root());
     }
 }

@@ -1,4 +1,5 @@
-//! Concurrency-correctness stress suite for [`SharedImage`] serving.
+//! Concurrency-correctness stress suite for [`SharedImage`] serving, and
+//! for one writable session shared by several threads.
 //!
 //! The load-bearing property: N threads hammering one shared image with
 //! randomized read-only op sequences observe **bit-identical** results to a
@@ -10,7 +11,7 @@
 //! Run in release for real contention: the CI `cargo test --release` leg
 //! executes this file with optimizations.
 
-use hpcc_fuseproto::{Errno, FsCreds, OpenFlags, ReaderSession, SharedImage};
+use hpcc_fuseproto::{Errno, FrozenImage, FsCreds, MemFs, OpenFlags, Session, SharedImage};
 use hpcc_kernel::{Gid, Uid, UserNamespace};
 use hpcc_vfs::{Filesystem, Mode};
 
@@ -116,7 +117,8 @@ fn mix_bytes(digest: &mut u64, bytes: &[u8]) {
 /// Runs one client's deterministic op sequence against `reader`, returning
 /// the result digest. Opens are tracked and always released before
 /// returning, so a correct implementation ends with zero handles.
-fn run_client(reader: &ReaderSession, seed: u64) -> u64 {
+fn run_client(reader: &Session<FrozenImage>, seed: u64) -> u64 {
+    let cred = reader.backend().cred();
     let mut rng = Rng::new(seed);
     let mut digest = 0u64;
     let mut open_files: Vec<u64> = Vec::new();
@@ -127,7 +129,7 @@ fn run_client(reader: &ReaderSession, seed: u64) -> u64 {
             0 | 1 => {
                 let path = rng.pick(PATHS);
                 let follow = rng.next().is_multiple_of(2);
-                match reader.resolve_path(path, follow) {
+                match reader.resolve_path(cred, path, follow) {
                     Ok(e) => {
                         mix(&mut digest, e.ino);
                         mix(&mut digest, e.attr.size);
@@ -139,12 +141,12 @@ fn run_client(reader: &ReaderSession, seed: u64) -> u64 {
             // Full lookup → open → read → release cycle.
             2..=4 => {
                 let path = rng.pick(PATHS);
-                match reader.resolve_path(path, true) {
-                    Ok(entry) => match reader.open(entry.ino, OpenFlags::RDONLY) {
+                match reader.resolve_path(cred, path, true) {
+                    Ok(entry) => match reader.open(cred, entry.ino, OpenFlags::RDONLY) {
                         Ok(o) => {
                             let offset = rng.next() % 128;
                             let size = (rng.next() % 4096) as u32;
-                            match reader.read(o.fh, offset, size) {
+                            match reader.read(cred, o.fh, offset, size) {
                                 Ok(data) => mix_bytes(&mut digest, data.as_slice()),
                                 Err(e) => mix_err(&mut digest, e),
                             }
@@ -158,10 +160,10 @@ fn run_client(reader: &ReaderSession, seed: u64) -> u64 {
             // Directory listing through a cursor.
             5 => {
                 let path = rng.pick(PATHS);
-                match reader.resolve_path(path, true) {
-                    Ok(entry) => match reader.opendir(entry.ino) {
+                match reader.resolve_path(cred, path, true) {
+                    Ok(entry) => match reader.opendir(cred, entry.ino) {
                         Ok(o) => {
-                            match reader.readdir(o.fh, 0, usize::MAX) {
+                            match reader.readdir(cred, o.fh, 0, usize::MAX) {
                                 Ok(entries) => {
                                     mix(&mut digest, entries.len() as u64);
                                     for e in entries {
@@ -181,13 +183,13 @@ fn run_client(reader: &ReaderSession, seed: u64) -> u64 {
             // Attributes and links.
             6 => {
                 let path = rng.pick(PATHS);
-                match reader.resolve_path(path, false) {
+                match reader.resolve_path(cred, path, false) {
                     Ok(entry) => {
-                        match reader.getattr(entry.ino) {
+                        match reader.getattr(cred, entry.ino) {
                             Ok(a) => mix(&mut digest, a.ino ^ a.size),
                             Err(e) => mix_err(&mut digest, e),
                         }
-                        match reader.readlink(entry.ino) {
+                        match reader.readlink(cred, entry.ino) {
                             Ok(t) => mix_bytes(&mut digest, t.as_bytes()),
                             Err(e) => mix_err(&mut digest, e),
                         }
@@ -198,7 +200,7 @@ fn run_client(reader: &ReaderSession, seed: u64) -> u64 {
             // Sequential reads interleave with positioned reads.
             7 => {
                 if let Some(&fh) = open_files.last() {
-                    match reader.read_next(fh, 64) {
+                    match reader.read_next(cred, fh, 64) {
                         Ok(data) => mix_bytes(&mut digest, data.as_slice()),
                         Err(e) => mix_err(&mut digest, e),
                     }
@@ -209,7 +211,7 @@ fn run_client(reader: &ReaderSession, seed: u64) -> u64 {
                 if !open_files.is_empty() {
                     let idx = (rng.next() % open_files.len() as u64) as usize;
                     let fh = open_files.swap_remove(idx);
-                    mix(&mut digest, reader.release(fh).is_ok() as u64);
+                    mix(&mut digest, reader.release(cred, fh).is_ok() as u64);
                 }
             }
             // Mutation attempts must uniformly fail EROFS.
@@ -217,21 +219,23 @@ fn run_client(reader: &ReaderSession, seed: u64) -> u64 {
                 let root = reader.root_ino();
                 mix_err(
                     &mut digest,
-                    reader.mkdir(root, "x", Mode::DIR_755).unwrap_err(),
+                    reader.mkdir(cred, root, "x", Mode::DIR_755).unwrap_err(),
                 );
-                mix_err(&mut digest, reader.unlink(root, "etc").unwrap_err());
+                mix_err(&mut digest, reader.unlink(cred, root, "etc").unwrap_err());
                 mix_err(
                     &mut digest,
-                    reader.create(root, "y", Mode::FILE_644).unwrap_err(),
+                    reader
+                        .create(cred, root, "y", Mode::FILE_644, OpenFlags::WRONLY)
+                        .unwrap_err(),
                 );
             }
         }
     }
     for fh in open_files {
-        reader.release(fh).unwrap();
+        reader.release(cred, fh).unwrap();
     }
     for fh in open_dirs {
-        reader.releasedir(fh).unwrap();
+        reader.releasedir(cred, fh).unwrap();
     }
     digest
 }
@@ -290,30 +294,32 @@ fn concurrent_run_is_bit_identical_to_serial_replay() {
     );
 }
 
-/// One `ReaderSession` driven from many threads at once (`&self` ops): the
+/// One reader session driven from many threads at once (`&self` ops): the
 /// sharded handle table must keep every thread's handles isolated.
 #[test]
 fn one_session_shared_across_threads_keeps_handles_isolated() {
     let image = build_image();
-    let reader = image.reader(FsCreds::root());
+    let cred = FsCreds::root();
+    let reader = image.reader(cred.clone());
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let reader = &reader;
+            let cred = &cred;
             s.spawn(move || {
                 let mut rng = Rng::new(0xDEAD + t as u64);
                 for _ in 0..1000 {
                     let d = rng.next() % 8;
                     let f = rng.next() % 8;
                     let path = format!("/data/dir{d}/file{f}");
-                    let entry = reader.resolve_path(&path, true).unwrap();
-                    let o = reader.open(entry.ino, OpenFlags::RDONLY).unwrap();
-                    let data = reader.read(o.fh, 0, u32::MAX).unwrap();
+                    let entry = reader.resolve_path(cred, &path, true).unwrap();
+                    let o = reader.open(cred, entry.ino, OpenFlags::RDONLY).unwrap();
+                    let data = reader.read(cred, o.fh, 0, u32::MAX).unwrap();
                     // Contents must be exactly this file's — a crossed
                     // handle would return another thread's bytes.
                     let expected_len = 64 + (d as usize) * 256 + (f as usize) * 17;
                     assert_eq!(data.len(), expected_len, "{path}");
                     assert!(data.as_slice().iter().all(|&b| b == (d * 16 + f) as u8));
-                    reader.release(o.fh).unwrap();
+                    reader.release(cred, o.fh).unwrap();
                 }
             });
         }
@@ -322,4 +328,53 @@ fn one_session_shared_across_threads_keeps_handles_isolated() {
     // 8 threads × 1000 iterations × 4 counted ops each (resolve, open,
     // read, release) — the atomic counter must not lose updates.
     assert_eq!(reader.ops_dispatched(), (THREADS * 1000 * 4) as u64);
+}
+
+/// One writable session driven from many threads at once: every op takes
+/// the filesystem's mutex while holding at most its handle's shard, so
+/// interleaved creates, writes, reads and unlinks neither deadlock nor
+/// cross handles, and each thread reads back exactly what it wrote.
+#[test]
+fn one_writer_session_shared_across_threads_keeps_files_isolated() {
+    let mut fs = Filesystem::new_local();
+    fs.install_dir("/work", Uid(0), Gid(0), Mode::DIR_755)
+        .unwrap();
+    let session = Session::new(MemFs::new(fs, UserNamespace::initial()));
+    let cred = FsCreds::root();
+    let work = session.resolve_path(&cred, "/work", true).unwrap().ino;
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (session, cred) = (&session, &cred);
+            s.spawn(move || {
+                let mut rng = Rng::new(0xBEEF + t as u64);
+                for i in 0..250 {
+                    let name = format!("t{t}");
+                    let fill = (t * 31 + i) as u8;
+                    let data = vec![fill; 1 + (rng.next() % 2048) as usize];
+                    let (entry, o) = session
+                        .create(cred, work, &name, Mode::FILE_644, OpenFlags::RDWR)
+                        .unwrap();
+                    assert_eq!(
+                        session.write(cred, o.fh, 0, &data).unwrap().size as usize,
+                        data.len()
+                    );
+                    let back = session.read(cred, o.fh, 0, u32::MAX).unwrap();
+                    assert_eq!(back.as_slice(), &data[..], "{name} round {i}");
+                    assert_eq!(
+                        session.getattr(cred, entry.ino).unwrap().size,
+                        data.len() as u64
+                    );
+                    session.release(cred, o.fh).unwrap();
+                    session.unlink(cred, work, &name).unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(session.open_handles(), 0);
+    let dh = session.opendir(&cred, work).unwrap();
+    assert!(session
+        .readdir(&cred, dh.fh, 0, usize::MAX)
+        .unwrap()
+        .is_empty());
+    session.releasedir(&cred, dh.fh).unwrap();
 }

@@ -9,7 +9,7 @@
 use std::sync::OnceLock;
 
 use hpcc_fuseproto::{
-    FsCreds, MemFs, ReaderSession, ServeConfig, Server, Session, SharedImage, Transport,
+    FrozenImage, FsCreds, MemFs, ServeConfig, Server, Session, SharedImage, Transport,
 };
 use hpcc_kernel::{Credentials, Errno, Gid, KResult, Sysctl, Uid, UserNamespace};
 use hpcc_vfs::{tar, Actor, Filesystem, FsBackend, Mode};
@@ -239,14 +239,15 @@ impl Container {
             .get_or_init(|| SharedImage::new(self.rootfs.clone(), self.userns.clone()))
     }
 
-    /// Like [`Container::mount`], but read-only: every mutating operation
-    /// fails with `EROFS`. The mount for sharing one built image between
-    /// many consumers — all sessions read the *same* [`SharedImage`]
-    /// (lock-free resolve, sharded handle tables), so handing one out per
-    /// client thread is O(1). The session authenticates as the container's
-    /// root process; use [`Container::shared_image`] and
+    /// Like [`Container::mount`], but read-only: the same [`Session`] type
+    /// over a [`FrozenImage`] backend, so every mutating operation fails
+    /// with `EROFS`. The mount for sharing one built image between many
+    /// consumers — all sessions read the *same* [`SharedImage`] (lock-free
+    /// resolve, no filesystem lock), so handing one out per client thread is
+    /// O(1). The session serves the container's root process only (any
+    /// other credentials are `EACCES`); use [`Container::shared_image`] and
     /// [`SharedImage::reader`] directly to serve other credentials.
-    pub fn mount_readonly(&self) -> ReaderSession {
+    pub fn mount_readonly(&self) -> Session<FrozenImage> {
         self.shared_image().reader(self.fs_creds())
     }
 
@@ -279,9 +280,9 @@ impl Container {
     /// Like [`Container::serve`] but read-only over the shared frozen image:
     /// each call hands out one [`Container::mount_readonly`] session, so
     /// many servers on many transports share a single image in memory. The
-    /// same generic [`Server`] loop serves both flavors — the point of the
-    /// [`Dispatch`](hpcc_fuseproto::Dispatch) trait.
-    pub fn serve_readonly<T: Transport>(&self, transport: T) -> Server<ReaderSession, T> {
+    /// same [`Server`] loop and the same [`Session`] dispatch serve both
+    /// flavors; only the backend differs.
+    pub fn serve_readonly<T: Transport>(&self, transport: T) -> Server<Session<FrozenImage>, T> {
         Server::new(self.mount_readonly(), transport)
     }
 
@@ -290,7 +291,7 @@ impl Container {
         &self,
         transport: T,
         config: ServeConfig,
-    ) -> Server<ReaderSession, T> {
+    ) -> Server<Session<FrozenImage>, T> {
         Server::with_config(self.mount_readonly(), transport, config)
     }
 
@@ -526,7 +527,7 @@ mod tests {
     fn mount_serves_image_through_ops_zero_copy() {
         use hpcc_fuseproto::OpenFlags;
         let c = Container::launch_type3(&sample_image("x86_64"), &alice()).unwrap();
-        let mut session = c.mount();
+        let session = c.mount();
         let cred = c.fs_creds();
         let bin = session.lookup(&cred, session.root_ino(), "bin").unwrap();
         let sh = session.lookup(&cred, bin.ino, "sh").unwrap();
@@ -538,7 +539,7 @@ mod tests {
         // Zero-copy: the reply shares the rootfs's buffer.
         let direct = c.rootfs.file_bytes(&c.actor(), "/bin/sh").unwrap();
         assert!(data.bytes().shares_buffer_with(&direct));
-        session.release(opened.fh).unwrap();
+        session.release(&cred, opened.fh).unwrap();
         assert_eq!(session.open_handles(), 0);
         // Writes land in the mount's CoW snapshot, not the container rootfs.
         let newdir = session
@@ -552,13 +553,16 @@ mod tests {
     fn readonly_mount_refuses_mutation() {
         let c = Container::launch_type3(&sample_image("x86_64"), &alice()).unwrap();
         let session = c.mount_readonly();
-        assert!(session.statfs().unwrap().readonly);
-        let bin = session.lookup(session.root_ino(), "bin").unwrap();
-        let err = session.mkdir(bin.ino, "x", Mode::DIR_755).unwrap_err();
+        let cred = c.fs_creds();
+        assert!(session.statfs(&cred).unwrap().readonly);
+        let bin = session.lookup(&cred, session.root_ino(), "bin").unwrap();
+        let err = session
+            .mkdir(&cred, bin.ino, "x", Mode::DIR_755)
+            .unwrap_err();
         assert_eq!(err.code(), Errno::EROFS.code());
         // Reads still flow.
-        let dh = session.opendir(bin.ino).unwrap();
-        session.releasedir(dh.fh).unwrap();
+        let dh = session.opendir(&cred, bin.ino).unwrap();
+        session.releasedir(&cred, dh.fh).unwrap();
     }
 
     #[test]
@@ -567,23 +571,24 @@ mod tests {
         let c = Container::launch_type3(&sample_image("x86_64"), &alice()).unwrap();
         let r1 = c.mount_readonly();
         let r2 = c.mount_readonly();
+        let cred = c.fs_creds();
         // Both sessions serve the same frozen image — no per-client
         // snapshot was taken.
-        assert!(r1.image().ptr_eq(r2.image()));
-        assert!(c.shared_image().ptr_eq(r1.image()));
-        let sh1 = r1.resolve_path("/bin/sh", true).unwrap();
-        let sh2 = r2.resolve_path("/bin/sh", true).unwrap();
-        let o1 = r1.open(sh1.ino, OpenFlags::RDONLY).unwrap();
-        let o2 = r2.open(sh2.ino, OpenFlags::RDONLY).unwrap();
-        let d1 = r1.read(o1.fh, 0, 64).unwrap();
-        let d2 = r2.read(o2.fh, 0, 64).unwrap();
+        assert!(r1.backend().image().ptr_eq(r2.backend().image()));
+        assert!(c.shared_image().ptr_eq(r1.backend().image()));
+        let sh1 = r1.resolve_path(&cred, "/bin/sh", true).unwrap();
+        let sh2 = r2.resolve_path(&cred, "/bin/sh", true).unwrap();
+        let o1 = r1.open(&cred, sh1.ino, OpenFlags::RDONLY).unwrap();
+        let o2 = r2.open(&cred, sh2.ino, OpenFlags::RDONLY).unwrap();
+        let d1 = r1.read(&cred, o1.fh, 0, 64).unwrap();
+        let d2 = r2.read(&cred, o2.fh, 0, 64).unwrap();
         assert_eq!(d1.as_slice(), b"elf");
         // Zero-copy across clients *and* against the container rootfs.
         assert!(d1.bytes().shares_buffer_with(d2.bytes()));
         let direct = c.rootfs.file_bytes(&c.actor(), "/bin/sh").unwrap();
         assert!(d1.bytes().shares_buffer_with(&direct));
-        r1.release(o1.fh).unwrap();
-        r2.release(o2.fh).unwrap();
+        r1.release(&cred, o1.fh).unwrap();
+        r2.release(&cred, o2.fh).unwrap();
         assert_eq!(r1.open_handles() + r2.open_handles(), 0);
     }
 

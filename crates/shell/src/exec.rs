@@ -32,12 +32,7 @@ fn split_parent(path: &str) -> (&str, &str) {
 
 /// `rm` through the op protocol. Non-recursive is a single `unlink`;
 /// recursive mirrors `remove_tree`'s tolerance for a missing target.
-fn rm_via_ops(
-    sess: &mut OpsSession<'_>,
-    cred: &FsCreds,
-    path: &str,
-    recursive: bool,
-) -> OpResult<()> {
+fn rm_via_ops(sess: &OpsSession<'_>, cred: &FsCreds, path: &str, recursive: bool) -> OpResult<()> {
     let (dir, name) = split_parent(path);
     let parent = match sess.resolve_path(cred, dir, true) {
         Ok(e) => e,
@@ -66,7 +61,7 @@ fn rm_via_ops(
 /// to list (the reply already carries each child's ino and type, so no
 /// per-child lookup is needed), `unlink`/`rmdir` per entry.
 fn remove_entry_recursive(
-    sess: &mut OpsSession<'_>,
+    sess: &OpsSession<'_>,
     cred: &FsCreds,
     parent: hpcc_vfs::Ino,
     name: &str,
@@ -78,7 +73,7 @@ fn remove_entry_recursive(
     }
     let dh = sess.opendir(cred, ino)?;
     let children = sess.readdir(cred, dh.fh, 0, usize::MAX)?;
-    sess.releasedir(dh.fh)?;
+    sess.releasedir(cred, dh.fh)?;
     for child in children {
         remove_entry_recursive(sess, cred, ino, &child.name, child.ino, child.file_type)?;
     }
@@ -91,7 +86,7 @@ fn remove_entry_recursive(
 /// the symlink inode in place) — without this, `create` would fail EEXIST
 /// on the name.
 fn open_for_write_via_ops(
-    sess: &mut OpsSession<'_>,
+    sess: &OpsSession<'_>,
     cred: &FsCreds,
     path: &str,
 ) -> OpResult<hpcc_fuseproto::Opened> {
@@ -116,14 +111,14 @@ fn open_for_write_via_ops(
 /// Output redirection through the op protocol: truncate-or-create, write,
 /// release.
 fn redirect_via_ops(
-    sess: &mut OpsSession<'_>,
+    sess: &OpsSession<'_>,
     cred: &FsCreds,
     path: &str,
     content: &[u8],
 ) -> OpResult<()> {
     let opened = open_for_write_via_ops(sess, cred, path)?;
     let wrote = sess.write(cred, opened.fh, 0, content).map(|_| ());
-    sess.release(opened.fh)?;
+    sess.release(cred, opened.fh)?;
     wrote
 }
 
@@ -441,8 +436,8 @@ impl<'a> ExecEnv<'a> {
                     result.lines.join("\n") + "\n"
                 };
                 let path = self.abspath(target);
-                let (mut sess, cred) = self.ops_session();
-                if redirect_via_ops(&mut sess, &cred, &path, content.as_bytes()).is_err() {
+                let (sess, cred) = self.ops_session();
+                if redirect_via_ops(&sess, &cred, &path, content.as_bytes()).is_err() {
                     return CmdResult {
                         lines: vec![format!("sh: {}: Permission denied", target)],
                         status: 1,
@@ -553,13 +548,13 @@ impl<'a> ExecEnv<'a> {
             .filter(|a| !a.starts_with('-'))
             .map(|a| (a.to_string(), self.abspath(a)))
             .collect();
-        let (mut sess, cred) = self.ops_session();
+        let (sess, cred) = self.ops_session();
         for (arg, path) in &files {
             if sess.resolve_path(&cred, path, true).is_ok() {
                 continue;
             }
-            let created: OpResult<()> = open_for_write_via_ops(&mut sess, &cred, path)
-                .and_then(|opened| sess.release(opened.fh));
+            let created: OpResult<()> = open_for_write_via_ops(&sess, &cred, path)
+                .and_then(|opened| sess.release(&cred, opened.fh));
             if let Err(e) = created {
                 return CmdResult {
                     lines: vec![format!("touch: cannot touch '{}': {}", arg, e.message())],
@@ -602,9 +597,9 @@ impl<'a> ExecEnv<'a> {
             .filter(|a| !a.starts_with('-'))
             .map(|a| (a.to_string(), self.abspath(a)))
             .collect();
-        let (mut sess, cred) = self.ops_session();
+        let (sess, cred) = self.ops_session();
         for (arg, path) in &files {
-            if let Err(e) = rm_via_ops(&mut sess, &cred, path, recursive) {
+            if let Err(e) = rm_via_ops(&sess, &cred, path, recursive) {
                 if e != OpErrno::ENOENT || !force {
                     return CmdResult {
                         lines: vec![format!("rm: cannot remove '{}': {}", arg, e.message())],
@@ -744,7 +739,7 @@ impl<'a> ExecEnv<'a> {
             .filter(|a| !a.starts_with('-'))
             .map(|a| (a.to_string(), self.abspath(a)))
             .collect();
-        let (mut sess, cred) = self.ops_session();
+        let (sess, cred) = self.ops_session();
         let mut lines = Vec::new();
         for (arg, path) in &files {
             // lookup → open → read → release, like a process on a mount.
@@ -755,7 +750,7 @@ impl<'a> ExecEnv<'a> {
                 let text = std::str::from_utf8(data.as_slice())
                     .map(|s| s.to_string())
                     .map_err(|_| OpErrno::EINVAL);
-                sess.release(opened.fh)?;
+                sess.release(&cred, opened.fh)?;
                 text
             })();
             match text {

@@ -1,7 +1,7 @@
 //! Build an image once, then serve it to many concurrent reader threads
 //! through the shared-image stack: one `SharedImage` (one inode table, one
 //! copy-on-write byte store, one pre-warmed lock-free resolve index) and a
-//! cheap `ReaderSession` per thread. Every thread runs full
+//! cheap reader `Session` per thread. Every thread runs full
 //! `resolve → open → read → release` cycles with its own credentials and
 //! handle table; the hot path takes no global lock, so aggregate throughput
 //! holds as readers are added — the paper's "many jobs read one image from
@@ -76,24 +76,27 @@ fn main() {
     assert!(!paths.is_empty());
     println!("== serving {} files to {} readers ==", paths.len(), READERS);
 
-    // 4. One ReaderSession per thread, all over the same image: full
+    // 4. One reader session per thread, all over the same image: full
     //    resolve/open/read/release cycles, counted in aggregate.
     let total_bytes = AtomicU64::new(0);
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..READERS {
-            let reader = shared.reader(container.fs_creds());
+            let cred = container.fs_creds();
+            let reader = shared.reader(cred.clone());
             let paths = &paths;
             let total_bytes = &total_bytes;
             s.spawn(move || {
                 let mut bytes = 0u64;
                 for i in 0..CYCLES_PER_READER {
                     let path = &paths[(t + i) % paths.len()];
-                    let entry = reader.resolve_path(path, true).expect("resolve");
-                    let o = reader.open(entry.ino, OpenFlags::RDONLY).expect("open");
-                    let data = reader.read(o.fh, 0, u32::MAX).expect("read");
+                    let entry = reader.resolve_path(&cred, path, true).expect("resolve");
+                    let o = reader
+                        .open(&cred, entry.ino, OpenFlags::RDONLY)
+                        .expect("open");
+                    let data = reader.read(&cred, o.fh, 0, u32::MAX).expect("read");
                     bytes += data.len() as u64;
-                    reader.release(o.fh).expect("release");
+                    reader.release(&cred, o.fh).expect("release");
                 }
                 assert_eq!(reader.open_handles(), 0, "reader {t} leaked handles");
                 total_bytes.fetch_add(bytes, Ordering::Relaxed);

@@ -82,7 +82,7 @@ fn main() {
     for e in &entries {
         println!("  {:<10} ino {:<4} {:?}", e.name, e.ino, e.file_type);
     }
-    session.releasedir(dh.fh).unwrap();
+    session.releasedir(&cred, dh.fh).unwrap();
     assert!(entries.iter().any(|e| e.name == "data"));
     assert!(entries.iter().any(|e| e.name == "run"));
     assert!(entries.iter().any(|e| e.name == "marker"));
@@ -105,7 +105,7 @@ fn main() {
         "read must share the image's bytes, not copy them"
     );
     println!("   (FileBytes shared with the image: zero-copy read)");
-    session.release(opened.fh).unwrap();
+    session.release(&cred, opened.fh).unwrap();
     assert_eq!(session.open_handles(), 0);
 
     // 6. The same traffic as a queued request stream — what a network
@@ -139,7 +139,7 @@ fn main() {
     //    many-threads version).
     let ro = container.mount_readonly();
     let err = ro
-        .mkdir(ro.root_ino(), "nope", hpcc_repro::vfs::Mode::DIR_755)
+        .mkdir(&cred, ro.root_ino(), "nope", hpcc_repro::vfs::Mode::DIR_755)
         .unwrap_err();
     println!("== read-only mount: mkdir -> {} ==", err);
 

@@ -156,7 +156,7 @@ fn main() {
     //    behind the identical Server — writes come back as EROFS frames.
     let (daemon_end, client_end) = unix_pair().expect("socketpair");
     let mut ro_server = container.serve_readonly(daemon_end);
-    let ro_cred = ro_server.dispatcher().cred().clone();
+    let ro_cred = ro_server.dispatcher().backend().cred().clone();
     let daemon = thread::spawn(move || {
         let summary = ro_server.serve().expect("serve loop");
         (ro_server, summary)

@@ -121,7 +121,9 @@ fn run(driver: Driver, cases: &[Case], cache: bool) -> Vec<Outcome> {
                     let result = results.remove(0);
                     let builder = farm.tenant_builder("tenant").expect("tenant builder");
                     let guard = builder.read().unwrap();
-                    let image = guard.image(&result.tag).map(|img| fingerprint(&img.fs));
+                    let image = guard
+                        .image(&result.report.tag)
+                        .map(|img| fingerprint(&img.fs));
                     Outcome {
                         report: result.report,
                         image,

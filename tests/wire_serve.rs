@@ -1,9 +1,9 @@
 //! End-to-end wire serving of a built image: a real CentOS 7 build from the
 //! unprivileged pipeline, served over the in-memory transport by the
 //! generic `Server`, must answer byte-for-byte what direct `Dispatch`
-//! calls answer — for both the read-write `Session` and the shared
-//! read-only `ReaderSession` — and must leak nothing when the client
-//! vanishes mid-handle.
+//! calls answer — for both the read-write `Container::mount` session and
+//! the shared read-only `Container::mount_readonly` one — and must leak
+//! nothing when the client vanishes mid-handle.
 
 use std::thread;
 
