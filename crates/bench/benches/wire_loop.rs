@@ -15,8 +15,15 @@
 //! server run on one thread in lockstep (`send_request` → `serve_one` →
 //! `recv_reply`), the overhead-maximizing layout: nothing pipelines, every
 //! frame pays its full cost on the measured path. Getattr (the cheapest
-//! op, so the purest view of fixed overhead) and a 4 KiB read (payload
-//! copy into the frame each way) are recorded alongside for PERF.md §10.
+//! op, so the purest view of fixed overhead) is recorded alongside for
+//! PERF.md §10.
+//!
+//! The read pair: `wire/roundtrip_read32k_batch` vs
+//! `wire/direct_read32k_batch`, the same 32 KiB reads as round trips and as
+//! direct calls, where a read's wire cost is its payload copies (into the
+//! frame, through the transport) and two checksums over the frame.
+//! `bench_gate --relative` bounds their ratio too (PERF.md §16). The 4 KiB
+//! read pair is recorded alongside.
 
 use std::time::Duration;
 
@@ -28,15 +35,67 @@ use hpcc_fuseproto::{
     Request, RetryPolicy, Server, ServerEvent, Session, Transport, TransportError,
 };
 use hpcc_kernel::{Gid, Uid, UserNamespace};
-use hpcc_vfs::{Filesystem, Mode};
+use hpcc_vfs::{Filesystem, Ino, Mode};
 
 const PATH: &str = "/usr/lib/sysimage/rpm/db/Packages/index/data";
+/// A 32 KiB file beside the 4 KiB one: a read the size of `serve_image`'s.
+const WIDE_PATH: &str = "/usr/lib/sysimage/rpm/db/Packages/index/wide";
 
 fn bench_session() -> Session<MemFs> {
     let mut fs = Filesystem::new_local();
     fs.install_file(PATH, vec![7u8; 4096], Uid(0), Gid(0), Mode::FILE_644)
         .unwrap();
+    fs.install_file(
+        WIDE_PATH,
+        vec![9u8; 32 << 10],
+        Uid(0),
+        Gid(0),
+        Mode::FILE_644,
+    )
+    .unwrap();
     Session::new(MemFs::new(fs, UserNamespace::initial()))
+}
+
+/// Opens `ino` through `call` and returns a read of its first `size` bytes
+/// on that handle.
+fn read_request(
+    mut call: impl FnMut(&Request) -> Reply,
+    cred: &FsCreds,
+    ino: Ino,
+    size: u32,
+) -> Request {
+    let open = Request::new(
+        cred.clone(),
+        Operation::Open {
+            ino,
+            flags: OpenFlags::RDONLY,
+        },
+    );
+    let fh = match call(&open) {
+        Reply::Opened(o) => o.fh,
+        other => panic!("{other:?}"),
+    };
+    Request::new(
+        cred.clone(),
+        Operation::Read {
+            fh,
+            offset: 0,
+            size,
+        },
+    )
+}
+
+/// Runs [`WIRE_OPS_PER_BATCH`] copies of `read` through `call`, checking
+/// each reply's length.
+fn read_batch(mut call: impl FnMut(&Request) -> Reply, read: &Request, size: usize) -> usize {
+    let mut last = 0;
+    for _ in 0..WIRE_OPS_PER_BATCH {
+        match call(black_box(read)) {
+            Reply::Data(d) if d.len() == size => last = d.len(),
+            other => panic!("{other:?}"),
+        }
+    }
+    last
 }
 
 /// A client transport that pumps its server inline on every send — the same
@@ -76,6 +135,7 @@ fn bench_wire_loop(c: &mut Criterion) {
     // the session moves into the server.
     let session = bench_session();
     let ino = session.resolve_path(&cred, PATH, true).unwrap().ino;
+    let wide = session.resolve_path(&cred, WIDE_PATH, true).unwrap().ino;
     let parent = session
         .resolve_path(&cred, "/usr/lib/sysimage/rpm/db/Packages/index", true)
         .unwrap()
@@ -123,6 +183,17 @@ fn bench_wire_loop(c: &mut Criterion) {
         })
     });
 
+    // Direct references for the reads: the same 4 KiB and 32 KiB reads
+    // through Dispatch::handle.
+    let direct_read4k = read_request(|r| direct.handle(r.clone()), &cred, ino, 4096);
+    let direct_read32k = read_request(|r| direct.handle(r.clone()), &cred, wide, 32 << 10);
+    group.bench_function("direct_read4k_batch", |b| {
+        b.iter(|| read_batch(|r| direct.handle(r.clone()), &direct_read4k, 4096))
+    });
+    group.bench_function("direct_read32k_batch", |b| {
+        b.iter(|| read_batch(|r| direct.handle(r.clone()), &direct_read32k, 32 << 10))
+    });
+
     // The wire loop, client and server in lockstep on this thread.
     let (server_end, client_end) = ChannelTransport::pair();
     let mut server = Server::new(session, server_end);
@@ -146,9 +217,7 @@ fn bench_wire_loop(c: &mut Criterion) {
         })
     });
 
-    // The gated wire side: the same lookup as full round trips. The 4 KiB
-    // read below (payload copy into the frame each way) is recorded for
-    // PERF.md §10.
+    // The gated wire side: the same lookup as full round trips.
     group.bench_function("roundtrip_lookup_batch", |b| {
         b.iter(|| {
             let mut last = 0;
@@ -162,35 +231,15 @@ fn bench_wire_loop(c: &mut Criterion) {
         })
     });
 
-    let fh = match roundtrip(&Request::new(
-        cred.clone(),
-        Operation::Open {
-            ino,
-            flags: OpenFlags::RDONLY,
-        },
-    )) {
-        Reply::Opened(o) => o.fh,
-        other => panic!("{other:?}"),
-    };
-    let read = Request::new(
-        cred.clone(),
-        Operation::Read {
-            fh,
-            offset: 0,
-            size: 4096,
-        },
-    );
+    // The reads as round trips; the 32 KiB batch is the gated wire side of
+    // the read pair.
+    let read4k = read_request(&mut roundtrip, &cred, ino, 4096);
+    let read32k = read_request(&mut roundtrip, &cred, wide, 32 << 10);
     group.bench_function("roundtrip_read4k_batch", |b| {
-        b.iter(|| {
-            let mut last = 0;
-            for _ in 0..WIRE_OPS_PER_BATCH {
-                match roundtrip(black_box(&read)) {
-                    Reply::Data(d) => last = d.len(),
-                    other => panic!("{other:?}"),
-                }
-            }
-            last
-        })
+        b.iter(|| read_batch(&mut roundtrip, &read4k, 4096))
+    });
+    group.bench_function("roundtrip_read32k_batch", |b| {
+        b.iter(|| read_batch(&mut roundtrip, &read32k, 32 << 10))
     });
 
     // The retry-policy fast path (ISSUE 9 gate): the same lookups driven

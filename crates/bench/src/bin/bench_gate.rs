@@ -19,7 +19,7 @@
 //! is the runner-variance-proof fallback (ROADMAP): instead of absolute
 //! times against a committed baseline, it compares benches from the *same
 //! run*, so a slow runner slows both sides identically and the ratio only
-//! moves when one code path regresses relative to the other. Five checks,
+//! moves when one code path regresses relative to the other. Six checks,
 //! one row each of the `CHECKS` table (numerator bench, denominator bench,
 //! per-unit divisor, bound, failure message):
 //!
@@ -69,6 +69,17 @@
 //!    arrives on the first receive, so the policy's deadline/backoff/jitter
 //!    machinery must stay entirely off the measured path; 1.2× is the
 //!    bound on the bookkeeping it is allowed to add per call.
+//! 6. **Wire read**: `wire/roundtrip_read32k_batch` against the same-run
+//!    `wire/direct_read32k_batch` figure, gated at a fixed 60×. Both
+//!    batches run [`hpcc_bench::WIRE_OPS_PER_BATCH`] reads of the same
+//!    32 KiB; the direct read only windows the file, so the ratio is what
+//!    the wire charges for a payload: one copy into the frame, one through
+//!    the transport, and a checksum on each end. Six measured runs put the
+//!    ratio at 33–46× (median 35×), and at 45–57× (median 51×) while a
+//!    read also copied into the reply cache and out of the client's
+//!    receive buffer (PERF.md §16). The bound keeps 1.3× headroom over the
+//!    worst measured run, because the direct batch is short enough for
+//!    host noise to move the ratio by a third.
 
 #![forbid(unsafe_code)]
 
@@ -103,7 +114,7 @@ impl Check {
 }
 
 /// The relative gate, one row per check (see the module docs).
-const CHECKS: [Check; 5] = [
+const CHECKS: [Check; 6] = [
     Check {
         numerator: "snapshot_store/many_tiny_run",
         denominator: "cached_rebuild/centos7_fully_cached",
@@ -138,6 +149,13 @@ const CHECKS: [Check; 5] = [
         divisor: 1,
         bound: Some(1.2),
         failure: "policy-wrapped fault-free round trips exceeded the bare call figure (retry machinery leaked onto the fast path)",
+    },
+    Check {
+        numerator: "wire/roundtrip_read32k_batch",
+        denominator: "wire/direct_read32k_batch",
+        divisor: 1,
+        bound: Some(60.0),
+        failure: "wire round-trip 32 KiB read cost exceeded its bound over the same-run direct read (a payload copy came back)",
     },
 ];
 
@@ -337,6 +355,9 @@ mod tests {
     const POLICY_ROUNDTRIP: &str = CHECKS[4].numerator;
     const POLICY_BARE: &str = CHECKS[4].denominator;
     const POLICY_MAX_RATIO: f64 = fixed(&CHECKS[4]);
+    const READ_ROUNDTRIP: &str = CHECKS[5].numerator;
+    const READ_DIRECT: &str = CHECKS[5].denominator;
+    const READ_MAX_RATIO: f64 = fixed(&CHECKS[5]);
 
     fn relative_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
         CHECKS[0].ratio(results)
@@ -356,6 +377,10 @@ mod tests {
 
     fn policy_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
         CHECKS[4].ratio(results)
+    }
+
+    fn read_ratio(results: &BTreeMap<String, f64>) -> Option<f64> {
+        CHECKS[5].ratio(results)
     }
 
     fn results(workload_ns: f64, reference_ns: f64) -> BTreeMap<String, f64> {
@@ -534,6 +559,42 @@ mod tests {
         only_one.insert(POLICY_ROUNDTRIP.to_string(), 1000.0);
         assert_eq!(policy_ratio(&only_one), None);
         assert_eq!(policy_ratio(&BTreeMap::new()), None);
+    }
+
+    fn read_results(roundtrip_ns: f64, direct_ns: f64) -> BTreeMap<String, f64> {
+        let mut m = BTreeMap::new();
+        m.insert(READ_ROUNDTRIP.to_string(), roundtrip_ns);
+        m.insert(READ_DIRECT.to_string(), direct_ns);
+        m
+    }
+
+    #[test]
+    fn read_ratio_is_the_plain_batch_quotient() {
+        // Equal op counts per batch: the quotient is the ratio, and a round
+        // trip costing twice the bound's worth of direct reads fails.
+        let direct = 40_000.0;
+        let at_bound = read_results(READ_MAX_RATIO * direct, direct);
+        assert!((read_ratio(&at_bound).unwrap() - READ_MAX_RATIO).abs() < 1e-9);
+        assert!(
+            read_ratio(&read_results(2.0 * READ_MAX_RATIO * direct, direct)).unwrap()
+                > READ_MAX_RATIO
+        );
+    }
+
+    #[test]
+    fn read_ratio_is_runner_speed_invariant() {
+        let fast = read_results(1_500_000.0, 40_000.0);
+        // The same machine 5x slower: both benches scale together.
+        let slow = read_results(5.0 * 1_500_000.0, 5.0 * 40_000.0);
+        assert!((read_ratio(&fast).unwrap() - read_ratio(&slow).unwrap()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn read_ratio_requires_both_benches() {
+        let mut only_one = BTreeMap::new();
+        only_one.insert(READ_ROUNDTRIP.to_string(), 1000.0);
+        assert_eq!(read_ratio(&only_one), None);
+        assert_eq!(read_ratio(&BTreeMap::new()), None);
     }
 
     #[test]

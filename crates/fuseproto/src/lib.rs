@@ -37,8 +37,9 @@
 //!
 //! Reads are zero-copy end to end: `read` replies window the file's shared
 //! copy-on-write [`hpcc_vfs::FileBytes`] handle, so serving a built image
-//! never duplicates its content (a wire reply copies the windowed bytes
-//! once, into the output frame). `hpcc-runtime`'s `Container::mount`
+//! never duplicates its content (a wire read copies the windowed bytes
+//! once into the reply frame and once through the transport; see
+//! [`wire`]). `hpcc-runtime`'s `Container::mount`
 //! and `Container::mount_readonly` return a `Session` serving the
 //! container's root filesystem read-write or from its shared frozen image,
 //! `Container::serve`/`serve_readonly` wrap one in a wire [`Server`], and

@@ -159,8 +159,9 @@ pub struct Opened {
 ///
 /// The reply holds the file's [`FileBytes`] handle (an `Arc` bump — the
 /// bytes are shared with the filesystem, never copied) plus the requested
-/// window. [`ReadReply::as_slice`] borrows the window.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// window. [`ReadReply::as_slice`] borrows the window. Two replies are equal
+/// when they show the same bytes, whatever buffer backs them.
+#[derive(Debug, Clone)]
 pub struct ReadReply {
     bytes: FileBytes,
     offset: usize,
@@ -191,13 +192,24 @@ impl ReadReply {
         self.len == 0
     }
 
-    /// The shared whole-file handle backing this reply — used by tests and
-    /// storage accounting to verify the read really was zero-copy
-    /// ([`FileBytes::shares_buffer_with`]).
+    /// The buffer backing this reply. A session's reply holds the file's
+    /// whole content, so tests can check the read was zero-copy
+    /// ([`FileBytes::shares_buffer_with`]). A reply decoded from the wire
+    /// holds either the whole reply frame it arrived in (a large payload,
+    /// read in place) or a copy of just the payload (see
+    /// [`decode_reply`](crate::wire::decode_reply)).
     pub fn bytes(&self) -> &FileBytes {
         &self.bytes
     }
 }
+
+impl PartialEq for ReadReply {
+    fn eq(&self, other: &ReadReply) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ReadReply {}
 
 /// A `write` reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -567,5 +579,8 @@ mod tests {
         assert_eq!(tail.as_slice(), b"89");
         let past = ReadReply::new(bytes, 64, 4);
         assert!(past.is_empty());
+        // Equality compares the bytes shown, not the backing buffer.
+        assert_eq!(r, ReadReply::new(FileBytes::from(b"2345".to_vec()), 0, 4));
+        assert_ne!(r, ReadReply::new(FileBytes::from(b"2346".to_vec()), 0, 4));
     }
 }

@@ -95,6 +95,9 @@ pub enum CallError {
     Disconnected,
     /// The transport failed in some other way (I/O, framing).
     Transport(TransportError),
+    /// The server answered [`Client::destroy_with`]'s `FUSE_DESTROY` with
+    /// this errno, after any retries: the session did not end.
+    Refused(Errno),
 }
 
 impl std::fmt::Display for CallError {
@@ -105,6 +108,7 @@ impl std::fmt::Display for CallError {
             }
             CallError::Disconnected => write!(f, "server disconnected mid-call"),
             CallError::Transport(e) => write!(f, "call transport error: {e}"),
+            CallError::Refused(e) => write!(f, "server refused destroy: {e}"),
         }
     }
 }
@@ -158,13 +162,16 @@ impl<T: Transport> Client<T> {
 
     /// [`Client::destroy`] under a policy: the destroy is resent freely (the
     /// server never sheds it, and re-delivery after the ack just finds a
-    /// closed transport, reported as [`CallError::Disconnected`]).
+    /// closed transport, reported as [`CallError::Disconnected`]). An errno
+    /// that is still the answer once retries end is [`CallError::Refused`].
     pub fn destroy_with(&mut self, policy: &RetryPolicy) -> Result<(), CallError> {
         let unique = self.next_unique;
         self.next_unique += 1;
         encode_destroy(&mut self.out_buf, unique);
-        self.drive(unique, ReplyKind::Unit, true, policy)
-            .map(|_| ())
+        match self.drive(unique, ReplyKind::Unit, true, policy)? {
+            Reply::Err(e) => Err(CallError::Refused(e)),
+            _ => Ok(()),
+        }
     }
 
     /// The shared retry loop over the request already encoded in `out_buf`.
@@ -196,7 +203,7 @@ impl<T: Transport> Client<T> {
                 Err(e) => return Err(CallError::Transport(e)),
                 Ok(RecvOutcome::Closed) => return Err(CallError::Disconnected),
                 Ok(RecvOutcome::TimedOut) => {}
-                Ok(RecvOutcome::Frame) => match decode_reply(&self.in_buf, kind) {
+                Ok(RecvOutcome::Frame) => match decode_reply(&mut self.in_buf, kind) {
                     // A frame that fails to decode is injector damage on the
                     // reply path; the request likely executed, so fall back
                     // to waiting — a resend replays from the server's cache.
@@ -459,6 +466,34 @@ mod tests {
         };
         let reply = client.call_with(&mkdir("busy"), &policy).unwrap();
         assert_eq!(reply, Reply::Err(Errno::EAGAIN));
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn destroy_with_reports_a_final_errno_as_refused() {
+        // Every destroy answered EINVAL: retried to the budget, then the
+        // errno is the outcome — an error, since the session did not end.
+        let (mut server_end, client_end) = ChannelTransport::pair();
+        let peer = std::thread::spawn(move || {
+            let mut buf = Vec::new();
+            let mut out = Vec::new();
+            for _ in 0..2 {
+                assert!(server_end.recv(&mut buf).unwrap());
+                let unique = crate::wire::peek_unique(&buf).unwrap();
+                encode_reply(&mut out, unique, &Reply::Err(Errno::EINVAL));
+                server_end.send(&out).unwrap();
+            }
+        });
+        let mut client = Client::new(client_end);
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            ..quick()
+        };
+        let got = client.destroy_with(&policy);
+        assert!(
+            matches!(got, Err(CallError::Refused(Errno::EINVAL))),
+            "{got:?}"
+        );
         peer.join().unwrap();
     }
 

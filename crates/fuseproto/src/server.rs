@@ -81,7 +81,9 @@ pub struct ServeConfig {
     /// cover the client's retransmission window: for the sequential
     /// [`Client`], whose resends always carry its latest unique id, one
     /// entry suffices — the default keeps a margin for injected duplicates
-    /// of older frames still in flight.
+    /// of older frames still in flight. Each entry owns the whole buffer
+    /// its reply frame was encoded in, so a connection holds at most
+    /// `reply_cache` + 1 reply buffers.
     pub reply_cache: usize,
     /// Shed (answer `EAGAIN`, skip execution) when more than this many
     /// frames are still queued behind the one being served. `None` never
@@ -102,16 +104,18 @@ impl Default for ServeConfig {
 /// A wire-protocol filesystem server: one dispatcher, one transport, one
 /// client session.
 ///
-/// The two buffers live for the server's lifetime, so a steady-state
-/// request/reply cycle performs no allocation beyond what the operation
-/// itself needs.
+/// The receive buffer lives for the server's lifetime. Each sent reply
+/// frame moves into the reply cache and the evicted entry's buffer becomes
+/// the next output buffer, so once every buffer in that rotation has grown
+/// a steady-state request/reply cycle performs no allocation beyond what
+/// the operation itself needs.
 pub struct Server<D, T> {
     dispatcher: D,
     transport: T,
     config: ServeConfig,
     in_buf: Vec<u8>,
     out_buf: Vec<u8>,
-    /// Recent (unique id, encoded reply frame) pairs, oldest first — the
+    /// Recent (unique id, reply frame as sent) pairs, oldest first — the
     /// replay source for retransmitted requests.
     cache: VecDeque<(u64, Vec<u8>)>,
     /// Highest unique id successfully dispatched; anything at or below it
@@ -205,8 +209,7 @@ impl<D: Dispatch, T: Transport> Server<D, T> {
             if unique != 0 && unique <= self.max_unique {
                 if let Some((_, cached)) = self.cache.iter().find(|(u, _)| *u == unique) {
                     self.replayed += 1;
-                    let frame = cached.clone();
-                    let sent = self.transport.send(&frame);
+                    let sent = self.transport.send(cached);
                     return self.finish_send(sent);
                 }
                 // Aged out of the cache: fall through and re-execute. Only
@@ -237,18 +240,16 @@ impl<D: Dispatch, T: Transport> Server<D, T> {
                 if event == ServerEvent::Served {
                     self.max_unique = self.max_unique.max(unique);
                     if self.config.reply_cache > 0 {
-                        // Steady state recycles the evicted entry's buffer:
-                        // caching a reply costs one memcpy, no allocation —
-                        // this runs on the serving hot path the wire-loop
-                        // bench gate covers.
-                        let mut slot = if self.cache.len() == self.config.reply_cache {
+                        // The frame just sent becomes the cache entry, and
+                        // the evicted entry's buffer (none while the cache
+                        // fills) is the next reply's: no byte is copied.
+                        let next = if self.cache.len() == self.config.reply_cache {
                             self.cache.pop_front().map(|(_, v)| v).unwrap_or_default()
                         } else {
-                            Vec::with_capacity(self.out_buf.len())
+                            Vec::new()
                         };
-                        slot.clear();
-                        slot.extend_from_slice(&self.out_buf);
-                        self.cache.push_back((unique, slot));
+                        let frame = std::mem::replace(&mut self.out_buf, next);
+                        self.cache.push_back((unique, frame));
                     }
                 }
                 Ok(event)
@@ -342,7 +343,8 @@ pub struct PendingCall {
 }
 
 /// A client-side failure: the transport broke, a reply frame was malformed,
-/// or the server answered a different request than the one pending.
+/// the server answered a different request than the one pending, or it
+/// refused to end the session.
 #[derive(Debug)]
 pub enum ClientError {
     /// The transport failed or closed before the reply arrived.
@@ -356,6 +358,10 @@ pub enum ClientError {
         /// The id the reply carried.
         got: u64,
     },
+    /// The server answered `FUSE_DESTROY` with this errno instead of an
+    /// acknowledgement (e.g. `EINVAL` for a destroy frame damaged in
+    /// flight): the session did not end.
+    Refused(Errno),
 }
 
 impl std::fmt::Display for ClientError {
@@ -366,6 +372,7 @@ impl std::fmt::Display for ClientError {
             ClientError::WrongUnique { expected, got } => {
                 write!(f, "reply for request {got}, expected {expected}")
             }
+            ClientError::Refused(e) => write!(f, "server refused destroy: {e}"),
         }
     }
 }
@@ -434,7 +441,7 @@ impl<T: Transport> Client<T> {
         if !self.transport.recv(&mut self.in_buf)? {
             return Err(ClientError::Transport(TransportError::Closed));
         }
-        let (unique, reply) = decode_reply(&self.in_buf, pending.kind)?;
+        let (unique, reply) = decode_reply(&mut self.in_buf, pending.kind)?;
         if unique != pending.unique {
             return Err(ClientError::WrongUnique {
                 expected: pending.unique,
@@ -451,7 +458,7 @@ impl<T: Transport> Client<T> {
     }
 
     /// Sends `FUSE_DESTROY` and waits for the acknowledgement, ending the
-    /// session politely.
+    /// session politely. An errno answer is [`ClientError::Refused`].
     pub fn destroy(&mut self) -> Result<(), ClientError> {
         let unique = self.next_unique;
         self.next_unique += 1;
@@ -460,15 +467,17 @@ impl<T: Transport> Client<T> {
         if !self.transport.recv(&mut self.in_buf)? {
             return Err(ClientError::Transport(TransportError::Closed));
         }
-        let (got, reply) = decode_reply(&self.in_buf, ReplyKind::Unit)?;
+        let (got, reply) = decode_reply(&mut self.in_buf, ReplyKind::Unit)?;
         if got != unique {
             return Err(ClientError::WrongUnique {
                 expected: unique,
                 got,
             });
         }
-        debug_assert_eq!(reply, Reply::Unit);
-        Ok(())
+        match reply {
+            Reply::Err(e) => Err(ClientError::Refused(e)),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -481,7 +490,7 @@ mod tests {
     use crate::session::Session;
     use crate::transport::ChannelTransport;
     use crate::wire::FUSE_ROOT_ID;
-    use hpcc_kernel::UserNamespace;
+    use hpcc_kernel::{Gid, Uid, UserNamespace};
     use hpcc_vfs::{Filesystem, Mode};
 
     fn cred() -> FsCreds {
@@ -621,7 +630,7 @@ mod tests {
 
         let mut buf = Vec::new();
         assert!(client_end.recv(&mut buf).unwrap());
-        let (unique, reply) = decode_reply(&buf, ReplyKind::Unit).unwrap();
+        let (unique, reply) = decode_reply(&mut buf, ReplyKind::Unit).unwrap();
         assert_eq!(unique, 55);
         assert_eq!(reply, Reply::Err(Errno::EINVAL));
 
@@ -633,7 +642,7 @@ mod tests {
         assert_eq!(server.serve_one().unwrap(), ServerEvent::Served);
         assert_eq!(server.protocol_errors(), 2);
         assert!(client_end.recv(&mut buf).unwrap());
-        let (unique, reply) = decode_reply(&buf, ReplyKind::Unit).unwrap();
+        let (unique, reply) = decode_reply(&mut buf, ReplyKind::Unit).unwrap();
         assert_eq!(unique, 56);
         assert_eq!(reply, Reply::Err(Errno::EINVAL));
     }
@@ -679,7 +688,7 @@ mod tests {
         let mut buf = Vec::new();
         for expect in [7u64, 8, 0] {
             assert!(faulty.recv(&mut buf).unwrap());
-            let (unique, reply) = decode_reply(&buf, ReplyKind::Unit).unwrap();
+            let (unique, reply) = decode_reply(&mut buf, ReplyKind::Unit).unwrap();
             assert_eq!(unique, expect);
             assert_eq!(reply, Reply::Err(Errno::EINVAL));
         }
@@ -715,6 +724,132 @@ mod tests {
     }
 
     #[test]
+    fn cached_frames_survive_buffer_rotation() {
+        // Each sent frame becomes a cache entry, and the evicted entry's
+        // buffer is the next reply's: an entry that aliased the buffer the
+        // next encode writes into would replay some later reply's bytes.
+        let mut fs = Filesystem::new_local();
+        let content: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+        fs.install_file("/big", content, Uid(0), Gid(0), Mode::FILE_644)
+            .unwrap();
+        let session = Session::new(MemFs::new(fs, UserNamespace::initial()));
+        let (server_end, mut client_end) = ChannelTransport::pair();
+        let mut server = Server::new(session, server_end);
+        let cache = ServeConfig::default().reply_cache as u64;
+
+        let mut requests: Vec<Request> = Vec::new();
+        let mut first: Vec<Vec<u8>> = Vec::new();
+        let mut frame = Vec::new();
+        let mut call = |req: Request, requests: &mut Vec<Request>| -> Vec<u8> {
+            requests.push(req);
+            let unique = requests.len() as u64;
+            encode_request(&mut frame, unique, requests.last().unwrap());
+            client_end.send(&frame).unwrap();
+            assert_eq!(server.serve_one().unwrap(), ServerEvent::Served);
+            let mut reply = Vec::new();
+            assert!(client_end.recv(&mut reply).unwrap());
+            reply
+        };
+        let mkdir = Request::new(
+            cred(),
+            Operation::Mkdir {
+                parent: FUSE_ROOT_ID,
+                name: "once".into(),
+                mode: Mode::DIR_755,
+            },
+        );
+        first.push(call(mkdir, &mut requests));
+        let lookup = Request::new(
+            cred(),
+            Operation::Lookup {
+                parent: FUSE_ROOT_ID,
+                name: "big".into(),
+            },
+        );
+        first.push(call(lookup, &mut requests));
+        let ino = match decode_reply(&mut first[1].clone(), ReplyKind::Entry).unwrap() {
+            (_, Reply::Entry(e)) => e.ino,
+            other => panic!("{other:?}"),
+        };
+        let open = Request::new(
+            cred(),
+            Operation::Open {
+                ino,
+                flags: crate::op::OpenFlags::RDONLY,
+            },
+        );
+        first.push(call(open, &mut requests));
+        let fh = match decode_reply(&mut first[2].clone(), ReplyKind::Opened).unwrap() {
+            (_, Reply::Opened(o)) => o.fh,
+            other => panic!("{other:?}"),
+        };
+        // 32 KiB reads at shifting offsets (the last ones cut short by end
+        // of file), alternating with small getattr replies.
+        while (first.len() as u64) < cache + 8 {
+            let n = first.len() as u64;
+            let op = if n.is_multiple_of(2) {
+                Operation::Read {
+                    fh,
+                    offset: n * 331,
+                    size: 32 << 10,
+                }
+            } else {
+                Operation::Getattr { ino }
+            };
+            first.push(call(Request::new(cred(), op), &mut requests));
+        }
+        let served = first.len() as u64;
+
+        // Every unique still cached replays the frame first received.
+        for unique in served - cache + 1..=served {
+            encode_request(&mut frame, unique, &requests[unique as usize - 1]);
+            client_end.send(&frame).unwrap();
+            assert_eq!(server.serve_one().unwrap(), ServerEvent::Served);
+            let mut replay = Vec::new();
+            assert!(client_end.recv(&mut replay).unwrap());
+            assert_eq!(
+                replay,
+                first[unique as usize - 1],
+                "unique {unique} replayed other bytes"
+            );
+        }
+        assert_eq!(server.replayed(), cache);
+
+        // The mkdir aged out: it re-executes, as documented, and answers
+        // the duplicated side effect's EEXIST.
+        encode_request(&mut frame, 1, &requests[0]);
+        client_end.send(&frame).unwrap();
+        assert_eq!(server.serve_one().unwrap(), ServerEvent::Served);
+        let mut reply = Vec::new();
+        assert!(client_end.recv(&mut reply).unwrap());
+        assert_eq!(
+            decode_reply(&mut reply, ReplyKind::Entry).unwrap(),
+            (1, Reply::Err(Errno::EEXIST))
+        );
+        assert_eq!(server.replayed(), cache);
+    }
+
+    #[test]
+    fn destroy_answered_with_an_errno_is_refused() {
+        // A destroy damaged in flight gets the best-effort EINVAL and ends
+        // nothing: the client must report that, not success (or panic).
+        let (server_end, client_end) = ChannelTransport::pair();
+        let mut server = Server::new(memfs_session(), server_end);
+        let plan = FaultPlan::new().on_send(0, Fault::Corrupt(200));
+        let mut client = Client::new(FaultTransport::new(client_end, plan));
+        std::thread::scope(|s| {
+            let h = s.spawn(|| client.destroy());
+            assert_eq!(server.serve_one().unwrap(), ServerEvent::Served);
+            let got = h.join().unwrap();
+            assert!(
+                matches!(got, Err(ClientError::Refused(Errno::EINVAL))),
+                "{got:?}"
+            );
+        });
+        assert_eq!(server.protocol_errors(), 1);
+    }
+
+    #[test]
     fn a_zero_entry_cache_disables_replay_protection() {
         let (server_end, mut client_end) = ChannelTransport::pair();
         let mut server = Server::with_config(
@@ -743,7 +878,7 @@ mod tests {
         }
         // The duplicate re-executed: the second answer is the duplicated
         // side effect's EEXIST, not a replay.
-        let (unique, reply) = decode_reply(&buf, ReplyKind::Entry).unwrap();
+        let (unique, reply) = decode_reply(&mut buf, ReplyKind::Entry).unwrap();
         assert_eq!(unique, 1);
         assert_eq!(reply, Reply::Err(Errno::EEXIST));
         assert_eq!(server.replayed(), 0);
@@ -784,10 +919,10 @@ mod tests {
 
         let mut buf = Vec::new();
         assert!(client_end.recv(&mut buf).unwrap());
-        let (unique, reply) = decode_reply(&buf, ReplyKind::Entry).unwrap();
+        let (unique, reply) = decode_reply(&mut buf, ReplyKind::Entry).unwrap();
         assert_eq!((unique, reply), (1, Reply::Err(Errno::EAGAIN)));
         assert!(client_end.recv(&mut buf).unwrap());
-        let (unique, reply) = decode_reply(&buf, ReplyKind::Entry).unwrap();
+        let (unique, reply) = decode_reply(&mut buf, ReplyKind::Entry).unwrap();
         assert_eq!(unique, 2);
         assert!(reply.is_ok());
 
@@ -806,7 +941,7 @@ mod tests {
         client_end.send(&frame).unwrap();
         assert_eq!(server.serve_one().unwrap(), ServerEvent::Served);
         assert!(client_end.recv(&mut buf).unwrap());
-        let (_, reply) = decode_reply(&buf, ReplyKind::Entry).unwrap();
+        let (_, reply) = decode_reply(&mut buf, ReplyKind::Entry).unwrap();
         assert_eq!(reply, Reply::Err(Errno::ENOENT));
     }
 

@@ -21,7 +21,8 @@
 //! Reads are O(1) and zero-copy end to end: `open` checks access once (per
 //! POSIX), and each `read` windows the file's shared
 //! [`FileBytes`](hpcc_vfs::FileBytes) handle via [`ReadReply`] — no bytes are
-//! copied at any point between the filesystem and the client.
+//! copied between the filesystem and a caller of the typed API
+//! ([`wire`](crate::wire) documents what a wire read copies).
 //!
 //! [`MemFs`]: crate::MemFs
 

@@ -46,9 +46,15 @@
 //! Decoding is strict: the header length must equal the frame length (so
 //! every truncated frame is rejected — see the property suite), the checksum
 //! trailer must verify, string fields must be UTF-8, and bodies must consume
-//! the frame exactly. Read replies stay zero-copy until the encode: the
-//! [`ReadReply`] windows the file's shared [`FileBytes`] and its bytes are
-//! copied once, straight into the output frame.
+//! the frame exactly.
+//!
+//! A read payload is copied twice between the file and the client: once
+//! into the reply frame, straight from the [`ReadReply`]'s window of the
+//! file's shared [`FileBytes`], and once through the transport. The server
+//! keeps the frame it sent as its reply-cache entry without copying it
+//! again, and the client reads a large payload where it landed:
+//! [`decode_reply`] hands the receive buffer itself to the decoded
+//! [`ReadReply`] and copies only a payload too small for its buffer.
 
 use hpcc_kernel::{Gid, Uid};
 use hpcc_vfs::{FileBytes, FileType, Mode, Setattr};
@@ -68,6 +74,10 @@ pub const REQUEST_HEADER: usize = 36;
 
 /// Size of the reply header.
 pub const REPLY_HEADER: usize = 16;
+
+/// Where a `Data` reply's payload starts in its frame: after the reply
+/// header and the payload's length field.
+const DATA_AT: usize = REPLY_HEADER + 4;
 
 /// Largest request frame a server accepts: FUSE's customary 1 MiB
 /// `max_write` plus header room. Anything larger is answered with a typed
@@ -781,6 +791,11 @@ fn read_attr(r: &mut Reader<'_>) -> Result<Attr, WireError> {
 /// replies append the payload for their variant.
 pub fn encode_reply(buf: &mut Vec<u8>, unique: u64, reply: &Reply) {
     buf.clear();
+    if let Reply::Data(d) = reply {
+        // Size the buffer for the whole frame at once: one allocation at
+        // most, and no doubled capacity left in a reply-cache entry.
+        buf.reserve(DATA_AT + d.len() + WIRE_TRAILER);
+    }
     put_u32(buf, 0); // length, sealed below
     match reply {
         Reply::Err(e) => put_i32(buf, -e.code()),
@@ -825,14 +840,17 @@ pub fn encode_reply(buf: &mut Vec<u8>, unique: u64, reply: &Reply) {
     seal(buf);
 }
 
-/// Decodes one reply frame against the expected success shape, returning the
-/// echoed unique id and the reply.
+/// Decodes the reply frame in `buf` against the expected success shape,
+/// returning the echoed unique id and the reply.
 ///
-/// A decoded `Data` reply is canonical: its [`ReadReply`] owns exactly the
-/// windowed bytes at offset 0 (the window is all that travels — the rest of
-/// the server-side buffer never leaves the server).
-pub fn decode_reply(frame: &[u8], kind: ReplyKind) -> Result<(u64, Reply), WireError> {
-    let body = check_frame(frame)?;
+/// A `Data` reply's payload is read where it landed when its frame fills at
+/// least half of `buf`'s capacity: the [`ReadReply`] takes `buf` and
+/// windows the payload inside the frame, and `buf` is left empty with the
+/// same capacity for the next receive. A smaller payload is copied out and
+/// `buf` keeps the frame. Either way a reply holds at most twice its
+/// frame's bytes. Every other reply leaves `buf` as it was.
+pub fn decode_reply(buf: &mut Vec<u8>, kind: ReplyKind) -> Result<(u64, Reply), WireError> {
+    let body = check_frame(buf)?;
     let mut r = Reader::new(body);
     let _ = r.u32()?; // length field, validated by check_frame
     let error = r.i32()?;
@@ -859,9 +877,17 @@ pub fn decode_reply(frame: &[u8], kind: ReplyKind) -> Result<(u64, Reply), WireE
             flags: OpenFlags::from_bits(r.u32()?),
         }),
         ReplyKind::Data => {
-            let data = r.bytes()?.to_vec();
+            let data = r.bytes()?;
+            r.finish()?;
             let size = wire_len(data.len());
-            Reply::Data(ReadReply::new(FileBytes::from(data), 0, size))
+            let cap = buf.capacity();
+            let read = if cap - buf.len() <= buf.len() {
+                let frame = std::mem::replace(buf, Vec::with_capacity(cap));
+                ReadReply::new(FileBytes::from(frame), DATA_AT as u64, size)
+            } else {
+                ReadReply::new(FileBytes::from(data.to_vec()), 0, size)
+            };
+            return Ok((unique, Reply::Data(read)));
         }
         ReplyKind::Written => Reply::Written(Written { size: r.u32()? }),
         ReplyKind::Dir => {
@@ -958,7 +984,7 @@ mod tests {
     fn round_trip_reply(reply: &Reply, kind: ReplyKind) -> Reply {
         let mut buf = Vec::new();
         encode_reply(&mut buf, 7, reply);
-        let (unique, decoded) = decode_reply(&buf, kind).unwrap();
+        let (unique, decoded) = decode_reply(&mut buf, kind).unwrap();
         assert_eq!(unique, 7);
         decoded
     }
@@ -1175,7 +1201,7 @@ mod tests {
         let mut reply = Vec::new();
         encode_reply(&mut reply, 1, &Reply::Attr(attr()));
         for cut in 0..reply.len() {
-            assert!(decode_reply(&reply[..cut], ReplyKind::Attr).is_err());
+            assert!(decode_reply(&mut reply[..cut].to_vec(), ReplyKind::Attr).is_err());
         }
     }
 
@@ -1237,7 +1263,7 @@ mod tests {
         encode_reply(&mut buf, 1, &Reply::Err(Errno::ENOENT));
         tamper(&mut buf, |b| b[4..8].copy_from_slice(&2i32.to_le_bytes()));
         assert_eq!(
-            decode_reply(&buf, ReplyKind::Unit),
+            decode_reply(&mut buf, ReplyKind::Unit),
             Err(WireError::BadErrno(2))
         );
     }
@@ -1286,7 +1312,7 @@ mod tests {
         encode_reply(&mut reply, 9, &Reply::Written(Written { size: 3 }));
         reply[10] ^= 0x80;
         assert!(matches!(
-            decode_reply(&reply, ReplyKind::Written),
+            decode_reply(&mut reply, ReplyKind::Written),
             Err(WireError::BadChecksum { .. })
         ));
 
@@ -1516,11 +1542,12 @@ mod proptests {
             let (reply, kind) = build_reply(sel, ino, num, name, data);
             let mut buf = Vec::new();
             encode_reply(&mut buf, unique, &reply);
-            let (back_unique, back) = decode_reply(&buf, kind).unwrap();
+            let frame = buf.clone();
+            let (back_unique, back) = decode_reply(&mut buf, kind).unwrap();
             prop_assert_eq!(back_unique, unique);
             prop_assert_eq!(back, reply);
-            let cut = cut as usize % buf.len();
-            prop_assert!(decode_reply(&buf[..cut], kind).is_err());
+            let cut = cut as usize % frame.len();
+            prop_assert!(decode_reply(&mut frame[..cut].to_vec(), kind).is_err());
         }
 
         /// Every errno the kernel models — and unmapped codes too — survives
@@ -1550,7 +1577,7 @@ mod proptests {
                 REPLY_HEADER + WIRE_TRAILER,
                 "error replies carry no payload beyond the checksum trailer"
             );
-            let (u, back) = decode_reply(&buf, kind).unwrap();
+            let (u, back) = decode_reply(&mut buf, kind).unwrap();
             prop_assert_eq!(u, unique);
             prop_assert_eq!(back, Reply::Err(e));
         }

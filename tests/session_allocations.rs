@@ -13,12 +13,19 @@
 //! as in `tests/cache_hit_allocations.rs`, and only inside each
 //! `Dispatch::handle` call: building the request and dropping the reply
 //! are not counted.
+//!
+//! A second case pins what a read costs over the wire: a lockstep
+//! `Client`/`Server` round trip over a `ChannelTransport`, the client's
+//! `send_request` + `recv_reply` counted apart from the server's
+//! `serve_one`. It also checks which reads the client takes in place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use hpcc_repro::fuseproto::{Dispatch, FsCreds, OpenFlags, Operation, Reply, Request};
+use hpcc_repro::fuseproto::{
+    ChannelTransport, Client, Dispatch, FsCreds, OpenFlags, Operation, ReadReply, Reply, Request,
+    Server, ServerEvent, FUSE_ROOT_ID,
+};
 use hpcc_repro::image::{Image, ImageConfig};
 use hpcc_repro::kernel::{Credentials, Gid, Uid, UserNamespace};
 use hpcc_repro::runtime::{Container, Invoker};
@@ -28,17 +35,18 @@ use hpcc_repro::vfs::{Actor, Filesystem, Mode};
 /// allocator by a thread that set [`COUNTING`].
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// Set by the measuring thread. Const-initialized and without a
     /// destructor, so reading it never allocates.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// The measuring thread's own count, so the tests of this file, which
+    /// run on parallel threads, never count each other's allocations.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count() {
     if COUNTING.with(Cell::get) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -106,6 +114,7 @@ fn container() -> Container {
         ("/etc/motd", b"welcome"),
         ("/etc/issue", b"CentOS Linux 7"),
         ("/opt/app/data", &[7u8; 8192]),
+        ("/opt/app/wide", &[9u8; WIDE_READ as usize]),
     ] {
         fs.install_file(path, content.to_vec(), Uid(0), Gid(0), Mode::FILE_644)
             .unwrap();
@@ -125,14 +134,19 @@ fn container() -> Container {
     Container::launch_type3(&image, &Invoker::user("alice", 1000, 1000)).unwrap()
 }
 
+/// Allocations `f` makes, and its result (dropped outside the count).
+fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    COUNTING.with(|c| c.set(true));
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    let allocations = ALLOCS.with(Cell::get) - before;
+    COUNTING.with(|c| c.set(false));
+    (allocations, out)
+}
+
 /// Allocations made by one `Dispatch::handle` call, and its reply.
 fn handle_counted<D: Dispatch>(d: &mut D, req: Request) -> (u64, Reply) {
-    COUNTING.with(|c| c.set(true));
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let reply = d.handle(req);
-    let allocations = ALLOCS.load(Ordering::Relaxed) - before;
-    COUNTING.with(|c| c.set(false));
-    (allocations, reply)
+    counted(|| d.handle(req))
 }
 
 /// The most allocations any single call of each opcode made, over `rounds`
@@ -263,4 +277,140 @@ fn served_requests_stay_within_their_allocation_ceilings() {
     worst_per_op(&mut reader, &cred, WARMUP_ROUNDS);
     let got = worst_per_op(&mut reader, &cred, 64);
     assert_within("reader", &got, &READER);
+}
+
+/// The large and the small served read, in bytes.
+const WIDE_READ: u32 = 32 << 10;
+const NARROW_READ: u32 = 1 << 10;
+
+/// A reply frame's bytes around a read payload: the 16-byte reply header,
+/// the payload's 4-byte length and the 4-byte checksum trailer.
+const DATA_FRAME_OVERHEAD: usize = 24;
+
+/// Allocations per wire read, client side (`send_request` + `recv_reply`)
+/// and server side (`serve_one`), pinned from the counts measured before
+/// the client read payloads in place. The client's two are the reply's
+/// `FileBytes` plus either the copied payload or the empty buffer that
+/// replaces the one the reply took; a server's are the decoded request's
+/// group list plus what its dispatch derives (see [`WRITER`]).
+#[derive(Default)]
+struct WireCeilings {
+    client: u64,
+    server: u64,
+}
+
+const WIRE_WRITER: WireCeilings = WireCeilings {
+    client: 2,
+    server: 3,
+};
+
+const WIRE_READER: WireCeilings = WireCeilings {
+    client: 2,
+    server: 1,
+};
+
+/// Rounds of `WIDE_READ`, `NARROW_READ`, getattr before measuring, so every
+/// buffer the channel and the reply cache rotate has grown to the largest
+/// frame it carries. Three replies a round make both of the channel's
+/// alternating reply buffers carry both read sizes, so the small read
+/// lands in a large buffer.
+const WIRE_WARMUP_ROUNDS: usize = 48;
+
+/// Serves `server` to a lockstep client and returns the most allocations
+/// any measured read made on each side, after asserting that every large
+/// read reply was read in place (it windows its whole frame) and every
+/// small one was copied out.
+fn worst_wire_read<D: Dispatch>(
+    mut server: Server<D, ChannelTransport>,
+    client_end: ChannelTransport,
+    cred: &FsCreds,
+) -> [WireCeilings; 2] {
+    let mut client = Client::new(client_end);
+    let mut call = |server: &mut Server<D, ChannelTransport>, op| {
+        let req = Request::new(cred.clone(), op);
+        let (sent, pending) = counted(|| client.send_request(&req).unwrap());
+        let (served, event) = counted(|| server.serve_one().unwrap());
+        assert_eq!(event, ServerEvent::Served);
+        let (received, reply) = counted(|| client.recv_reply(pending).unwrap());
+        (sent + received, served, reply)
+    };
+    let mut ino = FUSE_ROOT_ID;
+    for name in ["opt", "app", "wide"] {
+        let op = Operation::Lookup {
+            parent: ino,
+            name: name.into(),
+        };
+        ino = match call(&mut server, op).2 {
+            Reply::Entry(e) => e.ino,
+            other => panic!("lookup {name}: {other:?}"),
+        };
+    }
+    let op = Operation::Open {
+        ino,
+        flags: OpenFlags::RDONLY,
+    };
+    let fh = match call(&mut server, op).2 {
+        Reply::Opened(o) => o.fh,
+        other => panic!("open: {other:?}"),
+    };
+    let read = |size| Operation::Read {
+        fh,
+        offset: 0,
+        size,
+    };
+    let data = |reply: Reply, size: u32| -> ReadReply {
+        match reply {
+            Reply::Data(d) if d.len() == size as usize => d,
+            other => panic!("read {size}: {other:?}"),
+        }
+    };
+    let mut worst: [WireCeilings; 2] = Default::default();
+    for round in 0..WIRE_WARMUP_ROUNDS + 64 {
+        let measured = round >= WIRE_WARMUP_ROUNDS;
+        for (i, size) in [WIDE_READ, NARROW_READ].into_iter().enumerate() {
+            let (client_allocs, server_allocs, reply) = call(&mut server, read(size));
+            let d = data(reply, size);
+            if measured {
+                worst[i].client = worst[i].client.max(client_allocs);
+                worst[i].server = worst[i].server.max(server_allocs);
+                let windowed = d.bytes().len() == d.len() + DATA_FRAME_OVERHEAD;
+                assert_eq!(
+                    windowed,
+                    size == WIDE_READ,
+                    "{size}-byte read: windowed {windowed}, backing {} bytes",
+                    d.bytes().len()
+                );
+            }
+        }
+        assert!(call(&mut server, Operation::Getattr { ino }).2.is_ok());
+    }
+    assert!(call(&mut server, Operation::Release { fh }).2.is_ok());
+    worst
+}
+
+#[test]
+fn wire_reads_stay_within_their_allocation_ceilings() {
+    let c = container();
+    let cred = c.fs_creds();
+    for (flavor, ceiling, worst) in [
+        ("writer", &WIRE_WRITER, {
+            let (server_end, client_end) = ChannelTransport::pair();
+            worst_wire_read(c.serve(server_end), client_end, &cred)
+        }),
+        ("reader", &WIRE_READER, {
+            let (server_end, client_end) = ChannelTransport::pair();
+            worst_wire_read(c.serve_readonly(server_end), client_end, &cred)
+        }),
+    ] {
+        for (size, got) in [WIDE_READ, NARROW_READ].iter().zip(&worst) {
+            assert!(
+                got.client <= ceiling.client && got.server <= ceiling.server,
+                "{flavor} {size}-byte read: client {} (ceiling {}), server {} (ceiling {})",
+                got.client,
+                ceiling.client,
+                got.server,
+                ceiling.server
+            );
+        }
+    }
 }
