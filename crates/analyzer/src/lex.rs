@@ -197,11 +197,11 @@ pub fn lex(path: &str, src: &str) -> SourceFile {
                 // Char literal or lifetime. `'\...'` and `'x'` are chars;
                 // `'ident` (no closing quote right after) is a lifetime.
                 if i + 1 < b.len() && b[i + 1] == b'\\' {
-                    i += 2;
+                    // Skip the quote, the backslash and the escaped char
+                    // (which may itself be `\\` or `'`), then up to the
+                    // closing quote (`'\u{1F600}'`, `'\x7f'`).
+                    i += 3;
                     while i < b.len() && b[i] != b'\'' {
-                        if b[i] == b'\\' {
-                            i += 1;
-                        }
                         i += 1;
                     }
                     i += 1;

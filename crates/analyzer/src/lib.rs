@@ -1,7 +1,7 @@
 //! `hpcc-analyzer`: offline, std-only, token-level static analysis for the
-//! workspace's serving path.
+//! workspace's serving path and public API.
 //!
-//! Five passes, each with a stable finding code, run over the workspace by
+//! Six passes, each with a stable finding code, run over the workspace by
 //! `cargo run --release -p hpcc-analyzer -- --workspace` (CI's lint job):
 //!
 //! * **HL001** — no-panic serving path: in the designated fuseproto modules,
@@ -22,6 +22,10 @@
 //!   `#![forbid(unsafe_code)]` (`deny` for a root hosting an allow-listed
 //!   site); `unsafe` and `allow(unsafe_code)` appear only at the
 //!   [`UNSAFE_SITES`], each `unsafe` block under a `// SAFETY:` comment.
+//! * **HL006** — test-only public API: a `pub fn`, `pub const` or
+//!   `pub static` in a library crate needs a caller outside test code, or a
+//!   `// hpcc-lint: allow(test_only_api) — <reason>` marker naming the paper
+//!   claim or the `tests/` file that needs it.
 //!
 //! The passes work on a comment/string/raw-string-aware token stream
 //! ([`lex`]) — `unwrap` inside a string literal, a doc comment, or a
@@ -35,6 +39,7 @@ pub mod lock_order;
 pub mod no_panic;
 pub mod poison;
 pub mod protocol;
+pub mod test_only_api;
 pub mod unsafe_code;
 
 use std::fs;
@@ -148,7 +153,7 @@ fn lintable_crates(root: &Path) -> io::Result<Vec<String>> {
     Ok(names)
 }
 
-/// Runs all five passes over the workspace rooted at `root`, returning every
+/// Runs all six passes over the workspace rooted at `root`, returning every
 /// finding sorted by file and line.
 pub fn run_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
@@ -174,6 +179,9 @@ pub fn run_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 
     // HL005: unsafe confinement.
     findings.extend(unsafe_checks(root)?);
+
+    // HL006: test-only public API.
+    findings.extend(test_only_api_checks(root)?);
 
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.code).cmp(&(b.file.as_str(), b.line, b.code)));
@@ -257,6 +265,65 @@ pub fn unsafe_checks(root: &Path) -> io::Result<Vec<Finding>> {
         }
     }
     Ok(findings)
+}
+
+/// Crates whose public items HL006 does not check: they copy crates.io
+/// APIs and will be swapped for those crates whole.
+pub const API_SHIMS: &[&str] = &["criterion-shim", "proptest-shim"];
+
+/// HL006 over the workspace. Checked: every `.rs` file under
+/// `crates/*/src`, except crate `main.rs` files, `src/bin/**` and the
+/// [`API_SHIMS`]. Callers: those files plus the shims, the bins, the root
+/// package's `src/`, `crates/*/benches`, `examples/` and `perfbench/src/`.
+/// A file that its parent declares as `#[cfg(test)] mod name;` is test code
+/// as a whole, so it is neither checked nor a caller.
+pub fn test_only_api_checks(root: &Path) -> io::Result<Vec<Finding>> {
+    let mut checked = Vec::new();
+    let mut others = Vec::new();
+    let mut crates = Vec::new();
+    for entry in fs::read_dir(root.join("crates"))? {
+        crates.push(entry?.file_name().to_string_lossy().to_string());
+    }
+    crates.sort();
+    for krate in &crates {
+        let src = format!("crates/{krate}/src/");
+        for rel in src_files(root, &root.join(&src))? {
+            let in_src = &rel[src.len()..];
+            let library = !API_SHIMS.contains(&krate.as_str())
+                && in_src != "main.rs"
+                && !in_src.starts_with("bin/");
+            let file = load(root, &rel)?;
+            if library {
+                checked.push(file);
+            } else {
+                others.push(file);
+            }
+        }
+        for rel in src_files(root, &root.join("crates").join(krate).join("benches"))? {
+            others.push(load(root, &rel)?);
+        }
+    }
+    for dir in ["src", "examples", "perfbench/src"] {
+        for rel in src_files(root, &root.join(dir))? {
+            others.push(load(root, &rel)?);
+        }
+    }
+    let mut test_files = Vec::new();
+    for file in checked.iter().chain(&others) {
+        let (dir, stem) = file.path.rsplit_once('/').unwrap_or(("", &file.path));
+        let stem = stem.trim_end_matches(".rs");
+        for module in test_only_api::test_modules(file) {
+            if matches!(stem, "lib" | "main" | "mod") {
+                test_files.push(format!("{dir}/{module}.rs"));
+                test_files.push(format!("{dir}/{module}/mod.rs"));
+            } else {
+                test_files.push(format!("{dir}/{stem}/{module}.rs"));
+            }
+        }
+    }
+    checked.retain(|f| !test_files.contains(&f.path));
+    others.retain(|f| !test_files.contains(&f.path));
+    Ok(test_only_api::check(&checked, &others))
 }
 
 /// Ascends from `start` to the first directory whose `Cargo.toml` declares

@@ -246,3 +246,40 @@ fn hl005_ignores_prose_literals_lookalike_idents_and_justified_sites() {
             .join("\n")
     );
 }
+
+#[test]
+fn hl006_flags_items_without_a_non_test_caller() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join("hl006");
+    let findings = hpcc_analyzer::test_only_api_checks(&root).expect("fixture tree readable");
+    let mut names: Vec<&str> = findings
+        .iter()
+        .map(|f| {
+            f.message
+                .split('`')
+                .nth(1)
+                .and_then(|item| item.rsplit(' ').next())
+                .unwrap_or_default()
+        })
+        .collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        [
+            "FIRES_NAMED_ONLY",
+            "fires_marker_without_anchor",
+            "fires_marker_without_reason",
+            "fires_test_called",
+            "fires_uncalled",
+        ],
+        "expected the 5 seeded findings:\n{}",
+        findings
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    assert!(findings.iter().all(|f| f.code == "HL006"));
+    assert!(findings.iter().all(|f| f.file == "crates/lib/src/lib.rs"));
+}

@@ -1,14 +1,17 @@
-//! Benchmarks regenerating the paper's build transcripts (Figures 2, 3, 8–11)
-//! and the build-type / build-cache ablations (experiments E2, E3, E7–E10,
-//! E13, E15 in DESIGN.md).
+//! Benchmarks regenerating the paper's build transcripts (Figures 2, 3, 8–11),
+//! the build-type / build-cache ablations (experiments E2, E3, E7–E10,
+//! E13, E15 in DESIGN.md) and the §5.3.3 LANL CI pipeline (E12). No row here
+//! is in the gated baseline; the numbers are informational.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hpcc_bench::{alice, default_subuid_for};
+use hpcc_cluster::{lanl_ci_pipeline, Cluster};
 use hpcc_core::{
     centos7_dockerfile, centos7_fr_dockerfile, debian10_dockerfile, debian10_fr_dockerfile,
     BuildOptions, Builder,
 };
+use hpcc_image::Registry;
 
 fn bench_failing_builds(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig2_fig3_failing_type3_builds");
@@ -139,12 +142,30 @@ fn bench_build_cache(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_ci_pipeline(c: &mut Criterion) {
+    // E12: §5.3.3's LANL pipeline — schedule, build, push, pull, launch and
+    // validate on a three-node cluster.
+    let mut group = c.benchmark_group("lanl_ci_pipeline");
+    group.sample_size(10);
+    group.bench_function("three_stage_build_validate", |b| {
+        b.iter(|| {
+            let cluster = Cluster::generic_x86(3);
+            let mut registry = Registry::new("gitlab.lanl.example");
+            let report = lanl_ci_pipeline(&cluster, &mut registry, "builder", 2000);
+            assert!(report.success);
+            report.transcript.len()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_failing_builds,
     bench_manual_fakeroot_builds,
     bench_force_builds,
     bench_build_types,
-    bench_build_cache
+    bench_build_cache,
+    bench_ci_pipeline
 );
 criterion_main!(benches);

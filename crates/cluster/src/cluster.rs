@@ -231,11 +231,6 @@ impl Scheduler {
     pub fn job(&self, id: u64) -> Option<&Job> {
         self.jobs.iter().find(|j| j.id == id)
     }
-
-    /// Number of free compute nodes.
-    pub fn free_node_count(&self) -> usize {
-        self.free_nodes.len()
-    }
 }
 
 #[cfg(test)]
@@ -269,13 +264,13 @@ mod tests {
         assert_eq!(sched.job(a).unwrap().state, JobState::Running);
         assert_eq!(sched.job(b).unwrap().state, JobState::Running);
         assert_eq!(sched.job(c).unwrap().state, JobState::Pending);
-        assert_eq!(sched.free_node_count(), 1);
+        assert_eq!(sched.free_nodes.len(), 1);
         sched.complete(a, true);
         sched.complete(b, true);
         assert_eq!(sched.job(c).unwrap().state, JobState::Running);
         sched.complete(c, false);
         assert_eq!(sched.job(c).unwrap().state, JobState::Failed);
-        assert_eq!(sched.free_node_count(), 4);
+        assert_eq!(sched.free_nodes.len(), 4);
     }
 
     #[test]

@@ -264,143 +264,6 @@ CMD [\"/usr/bin/app\"]
 "
 }
 
-/// §5.3.3 via the stage graph: builds [`lanl_multistage_dockerfile`] with
-/// `ch-image --force` in one shot — independent stages in parallel, one
-/// shared build cache — then validates the assembled image on a compute
-/// node. The chained-Dockerfile form is [`lanl_ci_pipeline`]; this is what
-/// the same pipeline looks like once the builder is a DAG scheduler.
-pub fn lanl_ci_pipeline_multistage(
-    cluster: &Cluster,
-    registry: &mut Registry,
-    user: &str,
-    uid: u32,
-) -> WorkflowReport {
-    let mut transcript = Vec::new();
-    let invoker = Invoker::user(user, uid, uid);
-    let arch = cluster
-        .compute_nodes()
-        .first()
-        .map(|n| n.arch.clone())
-        .unwrap_or_else(|| "x86_64".to_string());
-    let mut scheduler = Scheduler::new(cluster);
-    let build_job = scheduler.submit("ci-build-multistage", 1);
-    transcript.push(format!(
-        "stage build (multi-stage graph): job {} on {:?}",
-        build_job,
-        scheduler.job(build_job).unwrap().allocation
-    ));
-
-    let mut context = hpcc_vfs::Filesystem::new_local();
-    context
-        .install_file(
-            "/app.c",
-            b"int main(){return 0;}".to_vec(),
-            hpcc_kernel::Uid(0),
-            hpcc_kernel::Gid(0),
-            hpcc_vfs::Mode::FILE_644,
-        )
-        .unwrap();
-
-    let mut builder = Builder::ch_image(invoker.clone());
-    let report = builder.build(
-        lanl_multistage_dockerfile(),
-        &BuildOptions::new("app")
-            .with_force()
-            .with_cache()
-            .with_arch(&arch),
-        Some(&context),
-    );
-    for stage in &report.stages {
-        transcript.push(format!(
-            "  stage {} : {} ({} instructions, {} modified, {} cache hits)",
-            stage.tag,
-            if stage.success { "ok" } else { "FAILED" },
-            stage.instructions_total,
-            stage.instructions_modified,
-            stage.cache_hits
-        ));
-    }
-    if !report.success {
-        if let Some(e) = report.error_text() {
-            transcript.push(format!("  error: {}", e));
-        }
-        scheduler.complete(build_job, false);
-        return WorkflowReport {
-            transcript,
-            success: false,
-            launches: Vec::new(),
-        };
-    }
-    let reference = format!("lanl/app-ms:{}", arch);
-    match builder.push("app", &reference, registry, PushOwnership::Flatten) {
-        Ok(d) => transcript.push(format!("  pushed {} ({})", reference, d.short())),
-        Err(e) => {
-            transcript.push(format!("  push failed: {}", e));
-            scheduler.complete(build_job, false);
-            return WorkflowReport {
-                transcript,
-                success: false,
-                launches: Vec::new(),
-            };
-        }
-    }
-    scheduler.complete(build_job, true);
-
-    let validate_job = scheduler.submit("ci-validate", 1);
-    transcript.push(format!(
-        "stage validate: job {} on {:?}",
-        validate_job,
-        scheduler.job(validate_job).unwrap().allocation
-    ));
-    let image = match registry.pull(&reference) {
-        Ok(i) => i,
-        Err(e) => {
-            transcript.push(format!("  pull failed: {}", e));
-            return WorkflowReport {
-                transcript,
-                success: false,
-                launches: Vec::new(),
-            };
-        }
-    };
-    let launch = match Container::launch_type3(&image, &invoker) {
-        Ok(c) => {
-            let ok = c.rootfs.exists(&c.actor(), "/usr/bin/app")
-                && c.rootfs.exists(&c.actor(), "/usr/lib64/openmpi/bin/mpirun")
-                && c.rootfs.exists(&c.actor(), "/opt/spack/bin/spack");
-            NodeLaunch {
-                node: scheduler
-                    .job(validate_job)
-                    .and_then(|j| j.allocation.first().cloned())
-                    .unwrap_or_default(),
-                success: ok,
-                detail: if ok {
-                    "test suite passed".to_string()
-                } else {
-                    "assembled artifacts missing".to_string()
-                },
-            }
-        }
-        Err(e) => NodeLaunch {
-            node: String::new(),
-            success: false,
-            detail: format!("launch failed: {}", e),
-        },
-    };
-    transcript.push(format!(
-        "  validate on {}: {}",
-        launch.node,
-        if launch.success { "ok" } else { "FAILED" }
-    ));
-    let success = launch.success;
-    scheduler.complete(validate_job, success);
-    WorkflowReport {
-        transcript,
-        success,
-        launches: vec![launch],
-    }
-}
-
 /// The three Dockerfiles of the LANL production pipeline (§5.3.3): OpenMPI
 /// base, Spack environment, application.
 pub fn lanl_pipeline_dockerfiles() -> [(&'static str, &'static str); 3] {
@@ -600,21 +463,6 @@ mod tests {
         assert!(t.contains("stage validate"));
         // The pushed image is flattened: a single recorded owner.
         let img = registry.pull("lanl/app:x86_64").unwrap();
-        assert_eq!(img.distinct_recorded_uids(), 1);
-    }
-
-    #[test]
-    fn lanl_multistage_pipeline_builds_and_validates() {
-        let cluster = Cluster::generic_x86(3);
-        let mut registry = Registry::new("gitlab.lanl.example");
-        let report = lanl_ci_pipeline_multistage(&cluster, &mut registry, "builder", 2000);
-        assert!(report.success, "{}", report.transcript_text());
-        let t = report.transcript_text();
-        assert!(t.contains("stage build (multi-stage graph)"));
-        assert!(t.contains("stage validate"));
-        // All three stages reported, and only the final tag exists.
-        assert_eq!(report.launches.len(), 1);
-        let img = registry.pull("lanl/app-ms:x86_64").unwrap();
         assert_eq!(img.distinct_recorded_uids(), 1);
     }
 

@@ -109,12 +109,6 @@ impl BuildOptions {
         self
     }
 
-    /// Adds a `--build-arg NAME=value` override.
-    pub fn with_build_arg(mut self, name: &str, value: &str) -> Self {
-        self.build_args.insert(name.to_string(), value.to_string());
-        self
-    }
-
     /// Caps the build cache at `capacity` entries (LRU eviction).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = Some(capacity);
@@ -432,13 +426,6 @@ impl BaseEnvMemo {
         self.len() == 0
     }
 
-    /// Drops every memoized environment. In-flight derivations complete on
-    /// their existing slots (waiters still see the result); the next request
-    /// for any key re-derives.
-    pub fn clear(&self) {
-        lock_recover(&self.slots).clear();
-    }
-
     /// Returns the memoized template for `key`, deriving it via `derive` if
     /// absent. Exactly one concurrent caller runs `derive`; the others block
     /// until the leader finishes and then share the leader's template (or
@@ -556,11 +543,6 @@ impl Builder {
         }
     }
 
-    /// The builder's instruction cache handle (shareable across builders).
-    pub fn shared_cache(&self) -> Arc<ShardedBuildCache> {
-        Arc::clone(&self.cache)
-    }
-
     /// The builder's base-environment memo handle (shareable across
     /// builders).
     pub fn base_env_memo(&self) -> Arc<BaseEnvMemo> {
@@ -610,13 +592,6 @@ impl Builder {
         let mut t: Vec<String> = self.store.keys().cloned().collect();
         t.sort();
         t
-    }
-
-    /// Clears the per-instruction build cache and the memoized base-image
-    /// environments.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-        self.base_envs.clear();
     }
 
     pub(crate) fn setup_from(&self, reference: &str, arch: &str) -> Result<BuildEnv, String> {
@@ -1216,7 +1191,11 @@ mod tests {
         assert_eq!(second.cache_misses, 0, "{}", second.transcript_text());
         // Overriding the ARG changes the substituted text, so the RUN key
         // misses — the cache can never serve a stale package set.
-        let overridden = b.build(df, &opts.clone().with_build_arg("PKG", "openmpi"), None);
+        let mut overrides = opts.clone();
+        overrides
+            .build_args
+            .insert("PKG".to_string(), "openmpi".to_string());
+        let overridden = b.build(df, &overrides, None);
         assert!(overridden.success, "{}", overridden.transcript_text());
         assert!(overridden
             .transcript_text()
@@ -1257,14 +1236,6 @@ mod tests {
             .write_file(&actor, "/etc/marker", b"one".to_vec(), Mode::FILE_644)
             .unwrap();
         assert!(!img_two.exists(&actor, "/etc/marker"));
-        // clear_cache also drops the memoized base envs.
-        b.clear_cache();
-        let r3 = b.build(
-            centos7_dockerfile(),
-            &BuildOptions::new("three").with_force(),
-            None,
-        );
-        assert!(r3.success);
     }
 
     #[test]

@@ -245,6 +245,7 @@ impl BuildCache {
     }
 
     /// Clears everything (including statistics).
+    #[cfg(test)]
     pub fn clear(&mut self) {
         self.entries.clear();
         self.hits = 0;
@@ -518,6 +519,7 @@ impl ShardedBuildCache {
 
     /// Clears every shard (including statistics). In-flight computations are
     /// left to complete; their stores land in the cleared cache.
+    #[cfg(test)]
     pub fn clear(&self) {
         for s in &self.shards {
             lock_recover(s).clear();

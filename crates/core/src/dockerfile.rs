@@ -301,14 +301,6 @@ impl Dockerfile {
             _ => None,
         })
     }
-
-    /// Number of RUN instructions.
-    pub fn run_count(&self) -> usize {
-        self.instructions
-            .iter()
-            .filter(|i| matches!(i, Instruction::Run(_)))
-            .count()
-    }
 }
 
 /// The paper's Figure 2 Dockerfile (`centos7.dockerfile`).
@@ -351,7 +343,12 @@ mod tests {
         let df = Dockerfile::parse(centos7_dockerfile()).unwrap();
         assert_eq!(df.instructions.len(), 3);
         assert_eq!(df.base_image(), Some("centos:7"));
-        assert_eq!(df.run_count(), 2);
+        let runs = df
+            .instructions
+            .iter()
+            .filter(|i| matches!(i, Instruction::Run(_)))
+            .count();
+        assert_eq!(runs, 2);
         assert_eq!(
             df.instructions[2],
             Instruction::Run("yum install -y openssh".to_string())
@@ -361,7 +358,12 @@ mod tests {
     #[test]
     fn parses_figure9_dockerfile() {
         let df = Dockerfile::parse(debian10_fr_dockerfile()).unwrap();
-        assert_eq!(df.run_count(), 5);
+        let runs = df
+            .instructions
+            .iter()
+            .filter(|i| matches!(i, Instruction::Run(_)))
+            .count();
+        assert_eq!(runs, 5);
         assert!(matches!(&df.instructions[1], Instruction::Run(c) if c.contains("no-sandbox")));
     }
 

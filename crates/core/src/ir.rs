@@ -72,11 +72,6 @@ impl BuildIr {
         BuildIr::from_dockerfile_with_args(&df, build_args)
     }
 
-    /// Lowers a parsed [`Dockerfile`] into stages without overrides.
-    pub fn from_dockerfile(df: &Dockerfile) -> Result<BuildIr, BuildError> {
-        BuildIr::from_dockerfile_with_args(df, &BTreeMap::new())
-    }
-
     /// Lowers a parsed [`Dockerfile`] into stages.
     ///
     /// `ARG` substitution happens here, at lowering time, so the planner
@@ -199,11 +194,6 @@ impl BuildIr {
         self.stages.len()
     }
 
-    /// True if the Dockerfile has more than one stage.
-    pub fn is_multistage(&self) -> bool {
-        self.stages.len() > 1
-    }
-
     /// Resolves a stage reference — an alias (`builder`) or a 0-based index
     /// (`0`) — to a stage index, without any position validation (the planner
     /// enforces backward-only references).
@@ -297,7 +287,7 @@ RUN echo runtime ready
     fn splits_stages_and_extracts_copy_from() {
         let ir = BuildIr::parse(TWO_STAGE).unwrap();
         assert_eq!(ir.stage_count(), 2);
-        assert!(ir.is_multistage());
+        assert!(ir.stage_count() > 1);
         assert_eq!(ir.stages[0].alias.as_deref(), Some("builder"));
         assert_eq!(ir.stages[0].base, "centos:7");
         assert_eq!(ir.stages[1].copy_from_refs(), vec![(1, "builder")]);
@@ -312,7 +302,6 @@ RUN echo runtime ready
     fn single_stage_keeps_all_instructions() {
         let ir = BuildIr::parse("FROM centos:7\nRUN echo hi\nENV A=b\n").unwrap();
         assert_eq!(ir.stage_count(), 1);
-        assert!(!ir.is_multistage());
         assert_eq!(ir.stages[0].instructions.len(), 3);
         assert_eq!(ir.stages[0].spans.len(), 3);
         assert!(matches!(

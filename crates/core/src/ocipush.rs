@@ -16,7 +16,7 @@ use hpcc_kernel::{Credentials, UserNamespace};
 use hpcc_oci::{ApiError, DistributionRegistry, FlattenPolicy, Platform, FLATTEN_ANNOTATION};
 use hpcc_vfs::{tar, Actor, Filesystem};
 
-use crate::builder::{Builder, BuilderKind, BuiltImage};
+use crate::builder::{Builder, BuiltImage};
 
 /// How to slice the built filesystem into layers for push.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,26 +58,6 @@ pub fn requested_flatten_policy(built: &BuiltImage) -> FlattenPolicy {
 /// platform.
 pub fn platform_for_arch(arch: &str) -> Platform {
     Platform::from_uname(arch).unwrap_or_else(Platform::linux_amd64)
-}
-
-fn push_actor(builder: &Builder) -> (Credentials, UserNamespace) {
-    match &builder.kind {
-        BuilderKind::Docker => (Credentials::host_root(), UserNamespace::initial()),
-        BuilderKind::RootlessPodman { subuid, .. } => {
-            let range = subuid.ranges_for(&builder.invoker.name).first().copied();
-            let ns = match range {
-                Some(r) => {
-                    UserNamespace::type2(builder.invoker.uid, builder.invoker.gid, r.start, r.count)
-                }
-                None => UserNamespace::type3(builder.invoker.uid, builder.invoker.gid),
-            };
-            (builder.invoker.host_creds().entered_own_namespace(), ns)
-        }
-        BuilderKind::ChImage => (
-            builder.invoker.host_creds().entered_own_namespace(),
-            UserNamespace::type3(builder.invoker.uid, builder.invoker.gid),
-        ),
-    }
 }
 
 /// Computes the diff of `built` relative to `base`: every path that is new or
@@ -145,7 +125,8 @@ pub fn push_to_oci(
     layer_mode: LayerMode,
 ) -> Result<OciPushReport, ApiError> {
     let built = builder.image(tag).ok_or(ApiError::NameUnknown)?;
-    let (creds, userns) = push_actor(builder);
+    let creds = builder.container_creds();
+    let userns = builder.container_userns();
     let actor = Actor::new(&creds, &userns);
     let mut cfg: ImageConfig = built.config.clone();
     cfg.architecture = built.arch.clone();

@@ -26,6 +26,4 @@ pub use package::{
     Scriptlet,
 };
 pub use passwd::{base_system_users, GroupEntry, PasswdEntry, UserDb};
-pub use yum::{
-    enabled_repos, is_installed, repo_defined, yum_config_manager, yum_install, PmOutput,
-};
+pub use yum::{enabled_repos, is_installed, yum_config_manager, yum_install, PmOutput};

@@ -113,16 +113,6 @@ impl PayloadEntry {
             gid: 0,
         }
     }
-
-    /// A character device node.
-    pub fn char_device(path: &str, major: u32, minor: u32, mode: u16) -> Self {
-        PayloadEntry {
-            path: path.to_string(),
-            kind: PayloadKind::CharDevice { major, minor, mode },
-            uid: 0,
-            gid: 0,
-        }
-    }
 }
 
 /// Maintainer-script operations run after payload extraction.
@@ -225,6 +215,7 @@ impl Package {
 
     /// True if installing this package requires privileged operations
     /// (multi-UID ownership, devices, setuid bits, or capabilities).
+    // hpcc-lint: allow(test_only_api) — Figure 2: openssh's multi-owner payload is what a basic Type III build cannot install; the catalog tests check it for CentOS 7 and Debian 10
     pub fn needs_privilege(&self) -> bool {
         self.payload.iter().any(|e| {
             e.uid != 0
@@ -302,6 +293,7 @@ impl Catalog {
 
     /// Finds a package in any repository regardless of enablement (used for
     /// diagnostics).
+    #[cfg(test)]
     pub fn find_anywhere(&self, name: &str) -> Option<&Package> {
         self.repos.iter().find_map(|r| r.find(name))
     }

@@ -79,9 +79,10 @@ pub fn enabled_repos(fs: &Filesystem, actor: &Actor) -> Vec<String> {
 }
 
 /// True if a repository is *defined* (enabled or not) in the image's repo
-/// configuration — the check `ch-image --force` performs by grepping the repo
-/// files rather than running `yum repolist` (paper §5.3.1).
-pub fn repo_defined(fs: &Filesystem, actor: &Actor, repo: &str) -> bool {
+/// configuration — the check `ch-image --force` makes with `grep` over the
+/// repo files rather than `yum repolist` (paper §5.3.1), as a test oracle.
+#[cfg(test)]
+fn repo_defined(fs: &Filesystem, actor: &Actor, repo: &str) -> bool {
     let needle = format!("[{}]", repo);
     let mut files = vec!["/etc/yum.conf".to_string()];
     if let Ok(entries) = fs.readdir(actor, "/etc/yum.repos.d") {

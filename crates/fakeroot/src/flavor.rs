@@ -161,11 +161,6 @@ impl Flavor {
         }
     }
 
-    /// Package name as installed by the distributions.
-    pub fn package_name(self) -> &'static str {
-        self.info().name
-    }
-
     /// True if this wrapper can intercept the given operation.
     pub fn intercepts(self, op: InterceptOp) -> bool {
         self.info().coverage.contains(&op)

@@ -15,7 +15,7 @@ use hpcc_vfs::{Actor, FileType, Filesystem, Mode, Setattr, Stat};
 use crate::db::LieDatabase;
 use crate::flavor::{Flavor, InterceptOp};
 
-/// Statistics about what the wrapper did, useful for the benches.
+/// Counts of what the wrapper did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Calls intercepted and faked.
@@ -89,40 +89,7 @@ impl FakerootSession {
         uid: Option<Uid>,
         gid: Option<Gid>,
     ) -> KResult<()> {
-        if self.flavor.intercepts(InterceptOp::Chown) {
-            // The file must exist; fakeroot does not fake ENOENT away.
-            fs.resolve(actor, path)?;
-            let cur = self.db.get(&Self::canonical(path)).cloned();
-            // Inside the wrapper everything appears root-owned by default, so
-            // an unspecified UID/GID stays at the previously-lied value or 0.
-            let new_uid = uid
-                .map(|u| u.0)
-                .unwrap_or_else(|| cur.as_ref().map(|r| r.uid).unwrap_or(0));
-            let new_gid = gid
-                .map(|g| g.0)
-                .unwrap_or_else(|| cur.as_ref().map(|r| r.gid).unwrap_or(0));
-            self.db
-                .record_chown(&Self::canonical(path), new_uid, new_gid);
-            self.stats.intercepted += 1;
-            Ok(())
-        } else {
-            self.stats.passed_through += 1;
-            let r = fs.resolve(actor, path).and_then(|ino| {
-                fs.setattr_ino(
-                    actor,
-                    ino,
-                    &Setattr {
-                        uid,
-                        gid,
-                        ..Setattr::default()
-                    },
-                )
-            });
-            if r.is_err() {
-                self.stats.failed += 1;
-            }
-            r
-        }
+        self.change_owner(fs, actor, path, uid, gid, InterceptOp::Chown)
     }
 
     /// Wrapped `lchown(2)` (ownership of the symlink itself). Coverage of
@@ -135,22 +102,41 @@ impl FakerootSession {
         uid: Option<Uid>,
         gid: Option<Gid>,
     ) -> KResult<()> {
-        if self.flavor.intercepts(InterceptOp::Lchown) {
-            fs.resolve_no_follow(actor, path)?;
-            let cur = self.db.get(&Self::canonical(path)).cloned();
-            let new_uid = uid
-                .map(|u| u.0)
-                .unwrap_or_else(|| cur.as_ref().map(|r| r.uid).unwrap_or(0));
-            let new_gid = gid
-                .map(|g| g.0)
-                .unwrap_or_else(|| cur.as_ref().map(|r| r.gid).unwrap_or(0));
-            self.db
-                .record_chown(&Self::canonical(path), new_uid, new_gid);
+        self.change_owner(fs, actor, path, uid, gid, InterceptOp::Lchown)
+    }
+
+    /// `chown` and `lchown`: `op` picks whether the final symlink is
+    /// followed and which coverage bit decides interception. One resolve
+    /// per call either way.
+    fn change_owner(
+        &mut self,
+        fs: &mut Filesystem,
+        actor: &Actor,
+        path: &str,
+        uid: Option<Uid>,
+        gid: Option<Gid>,
+        op: InterceptOp,
+    ) -> KResult<()> {
+        let resolved = if op == InterceptOp::Lchown {
+            fs.resolve_no_follow(actor, path)
+        } else {
+            fs.resolve(actor, path)
+        };
+        if self.flavor.intercepts(op) {
+            // The file must exist; fakeroot does not fake ENOENT away.
+            resolved?;
+            let key = Self::canonical(path);
+            // Inside the wrapper everything appears root-owned by default, so
+            // an unspecified UID/GID stays at the previously-lied value or 0.
+            let cur = self.db.get(&key);
+            let new_uid = uid.map_or_else(|| cur.map_or(0, |r| r.uid), |u| u.0);
+            let new_gid = gid.map_or_else(|| cur.map_or(0, |r| r.gid), |g| g.0);
+            self.db.record_chown(&key, new_uid, new_gid);
             self.stats.intercepted += 1;
             Ok(())
         } else {
             self.stats.passed_through += 1;
-            let r = fs.resolve_no_follow(actor, path).and_then(|ino| {
+            let r = resolved.and_then(|ino| {
                 fs.setattr_ino(
                     actor,
                     ino,
@@ -215,16 +201,11 @@ impl FakerootSession {
     ) -> KResult<()> {
         if file_type.is_device() && self.flavor.intercepts(InterceptOp::Mknod) {
             fs.write_file(actor, path, Vec::new(), Mode::new(mode.bits() & 0o777))?;
-            self.db
-                .record_mknod(&Self::canonical(path), file_type, major, minor);
-            self.db.record_chown(&Self::canonical(path), 0, 0);
-            if let Some(rec) = self.db.get(&Self::canonical(path)).cloned() {
-                // Preserve requested mode in the lie as well.
-                let mut rec = rec;
-                rec.mode = Some(mode);
-                self.db.record_chmod(&Self::canonical(path), mode);
-                let _ = rec;
-            }
+            let key = Self::canonical(path);
+            self.db.record_mknod(&key, file_type, major, minor);
+            self.db.record_chown(&key, 0, 0);
+            // Preserve the requested mode in the lie as well.
+            self.db.record_chmod(&key, mode);
             self.stats.intercepted += 1;
             Ok(())
         } else {
@@ -263,8 +244,11 @@ impl FakerootSession {
     /// Wrapped `stat(2)`: the real call (resolve + `stat_ino`) adjusted by
     /// recorded lies.
     pub fn stat(&self, fs: &Filesystem, actor: &Actor, path: &str) -> KResult<Stat> {
-        let ino = fs.resolve(actor, path)?;
-        let mut st = fs.stat_ino(actor, ino)?;
+        Ok(self.lie_about(path, fs.stat(actor, path)?))
+    }
+
+    /// Applies the lies recorded for `path` to a real stat.
+    fn lie_about(&self, path: &str, mut st: Stat) -> Stat {
         if let Some(lie) = self.db.get(&Self::canonical(path)) {
             st.uid_view = Uid(lie.uid);
             st.gid_view = Gid(lie.gid);
@@ -282,7 +266,7 @@ impl FakerootSession {
             st.uid_view = Uid::ROOT;
             st.gid_view = Gid::ROOT;
         }
-        Ok(st)
+        st
     }
 
     /// Wrapped `unlink(2)`: forwards (as a parent-directory entry op) and
@@ -294,7 +278,9 @@ impl FakerootSession {
         Ok(())
     }
 
-    /// `ls -lh` as seen *inside* the wrapper (Figure 7, lines 5–7).
+    /// `ls -lh` as seen *inside* the wrapper (Figure 7, lines 5–7): the
+    /// real `lstat(2)` adjusted by recorded lies, so a symlink lists as
+    /// itself, as with real fakeroot.
     pub fn ls_line(
         &self,
         fs: &Filesystem,
@@ -303,25 +289,8 @@ impl FakerootSession {
         user_name: impl Fn(Uid) -> String,
         group_name: impl Fn(Gid) -> String,
     ) -> KResult<String> {
-        let st = self.stat(fs, actor, path)?;
-        let name = Filesystem::components(path)
-            .last()
-            .cloned()
-            .unwrap_or_else(|| "/".to_string());
-        let size_field = match st.rdev {
-            Some((maj, min)) => format!("{}, {}", maj, min),
-            None => format!("{}", st.size),
-        };
-        Ok(format!(
-            "{}{} {} {} {} {} {}",
-            st.file_type.ls_char(),
-            st.mode.render(),
-            st.nlink,
-            user_name(st.uid_view),
-            group_name(st.gid_view),
-            size_field,
-            name
-        ))
+        let st = self.lie_about(path, fs.lstat(actor, path)?);
+        Ok(st.ls_line(path, user_name, group_name))
     }
 }
 

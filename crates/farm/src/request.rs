@@ -124,21 +124,9 @@ impl FarmConfig {
         self
     }
 
-    /// Sets the per-tenant queued-build bound.
-    pub fn with_tenant_queue_cap(mut self, cap: usize) -> Self {
-        self.per_tenant_queue_cap = Some(cap);
-        self
-    }
-
     /// Sets the per-tenant in-flight cap.
     pub fn with_tenant_max_running(mut self, cap: usize) -> Self {
         self.per_tenant_max_running = cap.max(1);
-        self
-    }
-
-    /// Sets the builder kind used for every tenant.
-    pub fn with_kind(mut self, kind: BuilderKind) -> Self {
-        self.kind = kind;
         self
     }
 }

@@ -2,7 +2,12 @@
 //! typed backpressure, and a determinism stress run checked against a
 //! serial replay on private builders.
 
-use hpcc_core::{centos7_dockerfile, centos7_fr_dockerfile, BuildOptions, Builder};
+use std::sync::Arc;
+
+use hpcc_core::{
+    centos7_dockerfile, centos7_fr_dockerfile, BaseEnvMemo, BuildOptions, Builder, BuilderKind,
+    ShardedBuildCache,
+};
 use hpcc_farm::{BuildFarm, BuildRequest, FarmConfig, SubmitError};
 use hpcc_image::{Digest, Sha256};
 use hpcc_kernel::{Credentials, UserNamespace};
@@ -52,11 +57,17 @@ fn image_fingerprint(farm: &BuildFarm, tenant: &str, tag: &str) -> Digest {
 #[test]
 fn cross_tenant_dedup_costs_one_set_of_misses_with_identical_digests() {
     // Reference: one tenant building alone over a private cache.
-    let mut solo = Builder::ch_image(Invoker::user("solo", 1000, 1000));
+    let solo_cache = Arc::new(ShardedBuildCache::new());
+    let mut solo = Builder::with_shared(
+        BuilderKind::ChImage,
+        Invoker::user("solo", 1000, 1000),
+        Arc::clone(&solo_cache),
+        Arc::new(BaseEnvMemo::new()),
+    );
     let opts = BuildOptions::new("img").with_cache();
     let report = solo.build(centos7_fr_dockerfile(), &opts, None);
     assert!(report.success, "{:?}", report.error);
-    let single_misses = solo.shared_cache().misses();
+    let single_misses = solo_cache.misses();
     assert!(single_misses > 0);
     let reference = fingerprint(&solo.image("img").unwrap().fs);
 
@@ -139,11 +150,10 @@ fn flooding_tenant_cannot_starve_another() {
 #[test]
 fn backpressure_is_typed_not_a_panic() {
     let quick = "FROM centos:7\nRUN echo hello\n";
-    let farm = BuildFarm::new(
-        FarmConfig::new(1)
-            .with_queue_capacity(2)
-            .with_tenant_queue_cap(1),
-    );
+    let farm = BuildFarm::new(FarmConfig {
+        per_tenant_queue_cap: Some(1),
+        ..FarmConfig::new(1).with_queue_capacity(2)
+    });
     farm.try_submit(BuildRequest::new("a", quick, BuildOptions::new("a1")))
         .unwrap();
     let err = farm

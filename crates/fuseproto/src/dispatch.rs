@@ -540,7 +540,10 @@ mod tests {
             Operation::Getattr { ino: host },
             Operation::Setattr {
                 ino: host,
-                changes: Setattr::none().with_mode(Mode::new(0o600)),
+                changes: Setattr {
+                    mode: Some(Mode::new(0o600)),
+                    ..Setattr::none()
+                },
             },
             Operation::Readlink { ino: host },
             Operation::Open {

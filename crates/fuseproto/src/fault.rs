@@ -110,12 +110,14 @@ impl FaultPlan {
     }
 
     /// Schedules `fault` on the `index`th outgoing frame.
+    // hpcc-lint: allow(test_only_api) — harness: tests/chaos_serve.rs scripts its duplicate storm with it
     pub fn on_send(mut self, index: u64, fault: Fault) -> FaultPlan {
         self.send.insert(index, fault);
         self
     }
 
     /// Schedules `fault` on the `index`th incoming frame.
+    #[cfg(test)]
     pub fn on_recv(mut self, index: u64, fault: Fault) -> FaultPlan {
         self.recv.insert(index, fault);
         self
@@ -137,6 +139,7 @@ impl FaultPlan {
     /// forever. With `allow_disconnect`, one extra hard [`Fault::Disconnect`]
     /// is placed at a random point, turning the schedule into a
     /// connection-killing one (for leak tests rather than equivalence tests).
+    // hpcc-lint: allow(test_only_api) — harness: tests/chaos_serve.rs derives its 1000 seeded fault schedules with it
     pub fn random(seed: u64, faults: usize, horizon: u64, allow_disconnect: bool) -> FaultPlan {
         let mut rng = Rng::new(seed);
         let mut plan = FaultPlan::new();

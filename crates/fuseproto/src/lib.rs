@@ -192,7 +192,14 @@ mod proptests {
                 let mode = Mode::new(if op.is_multiple_of(2) { 0o700 } else { 0o755 });
                 let s_res = session.resolve_path(cred, p1, true).and_then(|e| {
                     session
-                        .setattr(cred, e.ino, &Setattr::none().with_mode(mode))
+                        .setattr(
+                            cred,
+                            e.ino,
+                            &Setattr {
+                                mode: Some(mode),
+                                ..Setattr::none()
+                            },
+                        )
                         .map(|_| ())
                 });
                 let d_res = direct.chmod(actor, p1, mode);

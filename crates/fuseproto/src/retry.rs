@@ -71,18 +71,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never retransmits: one attempt, one timeout.
-    pub fn no_retry(attempt_timeout: Duration) -> RetryPolicy {
-        RetryPolicy {
-            attempt_timeout,
-            deadline: attempt_timeout,
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-}
-
 /// Why a policy-driven call gave up — always typed, never a hang.
 #[derive(Debug)]
 pub enum CallError {
@@ -164,6 +152,7 @@ impl<T: Transport> Client<T> {
     /// server never sheds it, and re-delivery after the ack just finds a
     /// closed transport, reported as [`CallError::Disconnected`]). An errno
     /// that is still the answer once retries end is [`CallError::Refused`].
+    // hpcc-lint: allow(test_only_api) — harness: tests/chaos_serve.rs ends every fault schedule with it
     pub fn destroy_with(&mut self, policy: &RetryPolicy) -> Result<(), CallError> {
         let unique = self.next_unique;
         self.next_unique += 1;
@@ -501,7 +490,12 @@ mod tests {
     fn no_retry_policy_times_out_after_one_attempt() {
         let (_server_end, client_end) = ChannelTransport::pair();
         let mut client = Client::new(client_end);
-        let policy = RetryPolicy::no_retry(Duration::from_millis(2));
+        let policy = RetryPolicy {
+            attempt_timeout: Duration::from_millis(2),
+            deadline: Duration::from_millis(2),
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
         match client.call_with(&lookup("void"), &policy) {
             Err(CallError::TimedOut { attempts }) => assert_eq!(attempts, 1),
             other => panic!("{other:?}"),

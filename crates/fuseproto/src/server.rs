@@ -419,11 +419,6 @@ impl<T: Transport> Client<T> {
         &self.transport
     }
 
-    /// Tears the client down, returning its transport.
-    pub fn into_transport(self) -> T {
-        self.transport
-    }
-
     /// Encodes and sends one request, returning the pending call to redeem.
     pub fn send_request(&mut self, req: &Request) -> Result<PendingCall, ClientError> {
         let unique = self.next_unique;

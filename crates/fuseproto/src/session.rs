@@ -352,6 +352,7 @@ impl<B: FsOps> Session<B> {
     /// Sequential `read`: continues from the handle's current position.
     /// Two threads streaming through the *same* handle race on the cursor
     /// exactly as two processes sharing a file description do.
+    // hpcc-lint: allow(test_only_api) — harness: crates/fuseproto/tests/concurrent_stress.rs streams through shared handles with it
     pub fn read_next(&self, cred: &FsCreds, fh: u64, size: u32) -> OpResult<ReadReply> {
         let offset = {
             let shard = self.handles.read_shard(fh);

@@ -69,9 +69,6 @@ use crate::op::{
 /// `FUSE_ROOT_ID`, and the inode [`hpcc_vfs::Filesystem`] roots at.
 pub const FUSE_ROOT_ID: u64 = 1;
 
-/// Size of the fixed request header (before supplementary groups and body).
-pub const REQUEST_HEADER: usize = 36;
-
 /// Size of the reply header.
 pub const REPLY_HEADER: usize = 16;
 
@@ -999,14 +996,19 @@ mod tests {
             Operation::Getattr { ino: 3 },
             Operation::Setattr {
                 ino: 3,
-                changes: Setattr::none()
-                    .with_mode(Mode::new(0o640))
-                    .with_uid(Uid(7))
-                    .with_size(10),
+                changes: Setattr {
+                    mode: Some(Mode::new(0o640)),
+                    uid: Some(Uid(7)),
+                    size: Some(10),
+                    ..Setattr::none()
+                },
             },
             Operation::Setattr {
                 ino: 3,
-                changes: Setattr::none().with_gid(Gid(8)),
+                changes: Setattr {
+                    gid: Some(Gid(8)),
+                    ..Setattr::none()
+                },
             },
             Operation::Readlink { ino: 4 },
             Operation::Open {

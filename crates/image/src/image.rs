@@ -52,16 +52,6 @@ pub struct Layer {
 }
 
 impl Layer {
-    /// Creates a layer from tar bytes; a `FileBytes` handle is adopted
-    /// without copying.
-    pub fn from_tar(tar: impl Into<FileBytes>) -> Self {
-        let tar = tar.into();
-        Layer {
-            digest: sha256(&tar),
-            tar,
-        }
-    }
-
     /// Serializes the subtree at `root` of `fs` into a layer, hashing the
     /// tar stream while it is produced (single pass over the bytes).
     pub fn pack_from_fs(
@@ -158,27 +148,6 @@ impl Image {
             doc.push_str(&l.digest.to_oci_string());
         }
         sha256(doc.as_bytes())
-    }
-
-    /// Renders an OCI-style manifest document.
-    pub fn render_manifest(&self) -> String {
-        let mut out = String::from("{\n  \"schemaVersion\": 2,\n  \"layers\": [\n");
-        for l in &self.layers {
-            out.push_str(&format!(
-                "    {{ \"digest\": \"{}\", \"size\": {} }},\n",
-                l.digest,
-                l.tar.len()
-            ));
-        }
-        out.push_str(&format!(
-            "  ],\n  \"architecture\": \"{}\",\n  \"ownership\": \"{}\"\n}}\n",
-            self.config.architecture,
-            match self.ownership {
-                OwnershipMode::Preserved => "preserved",
-                OwnershipMode::Flattened => "flattened",
-            }
-        ));
-        out
     }
 
     /// Total compressed (well, tar) size of all layers.
@@ -286,6 +255,7 @@ impl Image {
     }
 
     /// Counts distinct owner UIDs recorded across all layers.
+    // hpcc-lint: allow(test_only_api) — §6.1: tests/paper_figures.rs checks that a flattened push records a single owner
     pub fn distinct_recorded_uids(&self) -> usize {
         let mut uids = Vec::new();
         for l in &self.layers {
@@ -397,17 +367,6 @@ mod tests {
             .unwrap();
         let b = Image::from_fs_flattened("x", &fs2, &actor, ImageConfig::default()).unwrap();
         assert_ne!(a.manifest_digest(), b.manifest_digest());
-    }
-
-    #[test]
-    fn manifest_rendering_mentions_layers_and_ownership() {
-        let fs = sample_fs();
-        let (c, n) = root_actor();
-        let actor = Actor::new(&c, &n);
-        let img = Image::from_fs_flattened("x", &fs, &actor, ImageConfig::default()).unwrap();
-        let m = img.render_manifest();
-        assert!(m.contains("sha256:"));
-        assert!(m.contains("\"ownership\": \"flattened\""));
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub mod sha256;
 
 pub use image::{Image, ImageConfig, Layer, OwnershipMode};
 pub use registry::{Registry, RegistryError};
-pub use sha256::{sha256, sha256_str, Digest, Sha256, Sha256Writer};
+pub use sha256::{sha256, Digest, Sha256, Sha256Writer};
 // Re-exported so blob consumers (`hpcc-oci`) can share layer buffers without
 // depending on the VFS crate directly.
 pub use hpcc_vfs::FileBytes;

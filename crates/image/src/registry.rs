@@ -17,8 +17,6 @@ pub enum RegistryError {
     UnknownRepository(String),
     /// The tag does not exist in the repository.
     UnknownTag(String),
-    /// Authentication failed.
-    Unauthorized,
     /// A blob referenced by a manifest is missing.
     MissingBlob(Digest),
 }
@@ -28,7 +26,6 @@ impl std::fmt::Display for RegistryError {
         match self {
             RegistryError::UnknownRepository(r) => write!(f, "unknown repository: {}", r),
             RegistryError::UnknownTag(t) => write!(f, "unknown tag: {}", t),
-            RegistryError::Unauthorized => write!(f, "unauthorized"),
             RegistryError::MissingBlob(d) => write!(f, "missing blob: {}", d),
         }
     }
@@ -49,8 +46,6 @@ pub struct Registry {
     /// Registry host name (informational).
     pub host: String,
     repositories: BTreeMap<String, BTreeMap<String, TagEntry>>,
-    /// Users allowed to push (empty = anonymous pushes allowed).
-    authorized_users: Vec<String>,
     push_count: u64,
     pull_count: u64,
 }
@@ -64,12 +59,6 @@ impl Registry {
         }
     }
 
-    /// Restricts pushes to the given users (e.g. CI service accounts).
-    pub fn with_authorized_users(mut self, users: &[&str]) -> Self {
-        self.authorized_users = users.iter().map(|s| s.to_string()).collect();
-        self
-    }
-
     /// Splits a reference `repo/name:tag` into `(repository, tag)`.
     pub fn split_reference(reference: &str) -> (String, String) {
         match reference.rsplit_once(':') {
@@ -79,10 +68,9 @@ impl Registry {
     }
 
     /// Pushes an image under its reference. Returns the manifest digest.
-    pub fn push(&mut self, user: &str, image: &Image) -> Result<Digest, RegistryError> {
-        if !self.authorized_users.is_empty() && !self.authorized_users.iter().any(|u| u == user) {
-            return Err(RegistryError::Unauthorized);
-        }
+    /// Every user may push: per-repository push authorization is modelled by
+    /// the OCI registry (`hpcc_oci::DistributionRegistry`).
+    pub fn push(&mut self, _user: &str, image: &Image) -> Result<Digest, RegistryError> {
         let (repo, tag) = Self::split_reference(&image.reference);
         let digest = image.manifest_digest();
         self.repositories.entry(repo).or_default().insert(
@@ -150,12 +138,16 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::image::{ImageConfig, Layer, OwnershipMode};
+    use crate::sha256::sha256;
 
     fn dummy_image(reference: &str, payload: &[u8]) -> Image {
         Image {
             reference: reference.to_string(),
             config: ImageConfig::default(),
-            layers: vec![Layer::from_tar(payload.to_vec())],
+            layers: vec![Layer {
+                digest: sha256(payload),
+                tar: payload.to_vec().into(),
+            }],
             ownership: OwnershipMode::Flattened,
         }
     }
@@ -185,17 +177,6 @@ mod tests {
             reg.pull("present/app:2"),
             Err(RegistryError::UnknownTag(_))
         ));
-    }
-
-    #[test]
-    fn authorization_is_enforced() {
-        let mut reg = Registry::new("r").with_authorized_users(&["ci-runner"]);
-        let img = dummy_image("a/b:1", b"x");
-        assert_eq!(
-            reg.push("mallory", &img).unwrap_err(),
-            RegistryError::Unauthorized
-        );
-        assert!(reg.push("ci-runner", &img).is_ok());
     }
 
     #[test]

@@ -475,11 +475,6 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// Convenience: digest of a string.
-pub fn sha256_str(s: &str) -> Digest {
-    sha256(s.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,7 +600,7 @@ mod tests {
     #[test]
     fn different_inputs_differ() {
         assert_ne!(sha256(b"a"), sha256(b"b"));
-        assert_ne!(sha256_str("centos:7"), sha256_str("debian:buster"));
+        assert_ne!(sha256(b"centos:7"), sha256(b"debian:buster"));
     }
 
     #[test]

@@ -78,18 +78,6 @@ impl Credentials {
         self.caps.has(cap)
     }
 
-    /// All groups the process is a member of: effective GID plus
-    /// supplementary groups.
-    pub fn all_groups(&self) -> Vec<Gid> {
-        let mut g = vec![self.egid];
-        for s in &self.supplementary {
-            if !g.contains(s) {
-                g.push(*s);
-            }
-        }
-        g
-    }
-
     /// True if the process is a member of `gid` (by effective or
     /// supplementary group).
     pub fn in_group(&self, gid: Gid) -> bool {
@@ -102,13 +90,9 @@ impl Credentials {
         ns.display_uid(self.euid)
     }
 
-    /// The effective GID as seen *inside* the given namespace.
-    pub fn egid_in(&self, ns: &UserNamespace) -> Gid {
-        ns.display_gid(self.egid)
-    }
-
     /// True if the process *appears* to be root inside the namespace —
     /// regardless of whether it actually holds host privilege.
+    // hpcc-lint: allow(test_only_api) — §2.1: a containerized process appears to be root without host privilege; the creds and runtime container tests check it for Types I–III
     pub fn appears_root_in(&self, ns: &UserNamespace) -> bool {
         self.euid_in(ns).is_root()
     }
@@ -190,16 +174,6 @@ pub fn sys_setresuid(
 /// `seteuid(2)` in terms of [`sys_setresuid`].
 pub fn sys_seteuid(creds: &mut Credentials, ns: &UserNamespace, euid: Uid) -> KResult<()> {
     sys_setresuid(creds, ns, None, Some(euid), None)
-}
-
-/// `setuid(2)`: for privileged callers sets all three UIDs; otherwise only the
-/// effective UID (to the real or saved UID).
-pub fn sys_setuid(creds: &mut Credentials, ns: &UserNamespace, uid: Uid) -> KResult<()> {
-    if creds.has_cap(Capability::CapSetuid) {
-        sys_setresuid(creds, ns, Some(uid), Some(uid), Some(uid))
-    } else {
-        sys_setresuid(creds, ns, None, Some(uid), None)
-    }
 }
 
 /// `setresgid(2)` (also used to model `setegid(2)` / `setgid(2)`).
@@ -378,7 +352,14 @@ mod tests {
         let ns = unprivileged_ns(&alice);
         let mut creds = alice.entered_own_namespace();
         assert_eq!(
-            sys_setuid(&mut creds, &ns, Uid(65_537)).unwrap_err(),
+            sys_setresuid(
+                &mut creds,
+                &ns,
+                Some(Uid(65_537)),
+                Some(Uid(65_537)),
+                Some(Uid(65_537))
+            )
+            .unwrap_err(),
             Errno::EINVAL
         );
     }
@@ -427,9 +408,9 @@ mod tests {
     }
 
     #[test]
-    fn all_groups_deduplicates() {
+    fn in_group_counts_effective_and_supplementary_groups() {
         let creds = Credentials::unprivileged_user(Uid(1), Gid(5), vec![Gid(5), Gid(7)]);
-        assert_eq!(creds.all_groups(), vec![Gid(5), Gid(7)]);
+        assert!(creds.in_group(Gid(5)));
         assert!(creds.in_group(Gid(7)));
         assert!(!creds.in_group(Gid(8)));
     }

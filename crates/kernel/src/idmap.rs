@@ -138,6 +138,7 @@ impl IdMap {
     }
 
     /// Total number of IDs mapped.
+    // hpcc-lint: allow(test_only_api) — Figure 5: tests/paper_figures.rs checks that unprivileged Podman maps exactly one ID
     pub fn mapped_count(&self) -> u64 {
         self.entries.iter().map(|e| e.count as u64).sum()
     }
@@ -190,6 +191,7 @@ impl IdMap {
     }
 
     /// Parses `/proc/<pid>/uid_map`-style text.
+    // hpcc-lint: allow(test_only_api) — Figure 4: tests/paper_figures.rs round-trips the rendered `/proc/<pid>/uid_map`
     pub fn parse_procfs(text: &str) -> KResult<Self> {
         let mut entries = Vec::new();
         for line in text.lines() {
@@ -228,6 +230,7 @@ pub enum IdMapCase {
 
 /// Classifies a host ID with respect to a map and a predicate describing
 /// whether the host ID is "in use" (has a passwd/group entry or owns files).
+// hpcc-lint: allow(test_only_api) — §2.1.1: the four cases of a host ID with respect to a map, checked case by case in this module's tests
 pub fn classify_host_id(map: &IdMap, host_id: u32, in_use_on_host: bool) -> IdMapCase {
     match (in_use_on_host, map.to_namespace(host_id).is_some()) {
         (true, true) => IdMapCase::InUseMapped,

@@ -16,15 +16,15 @@
 //!    what `fakeroot(1)` does in user space, but as kernel state.
 //!
 //! None of these exist in Linux today; this module implements them as a
-//! design-space model so the repository can measure what each would buy
-//! (see the `idmap_policies` bench and EXPERIMENTS.md E18).
+//! design-space model so the repository can show what each would buy
+//! (`examples/future_privileges.rs` prints the comparison).
 
 use std::collections::BTreeMap;
 
 use crate::creds::Credentials;
 use crate::errno::{Errno, KResult};
 use crate::idmap::{IdMap, IdMapEntry};
-use crate::ids::{Gid, Owner, Uid};
+use crate::ids::{Owner, Uid};
 
 /// A proposed map-construction policy (paper §6.2.4, item "general policies").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,19 +47,13 @@ pub enum MapPolicy {
 }
 
 impl MapPolicy {
-    /// Short policy name for transcripts and bench labels.
+    /// Short policy name for transcripts and tables.
     pub fn name(self) -> &'static str {
         match self {
             MapPolicy::SingleId => "single-id",
             MapPolicy::RootPlusUniqueRange { .. } => "root+unique-range",
             MapPolicy::SupplementaryIdentity => "supplementary-identity",
         }
-    }
-
-    /// Whether the policy needs any setuid/setcap helper or sysadmin-managed
-    /// configuration under the proposal (it never does — that is the point).
-    pub fn needs_privileged_helper(self) -> bool {
-        false
     }
 }
 
@@ -70,7 +64,6 @@ impl MapPolicy {
 /// user who builds twice gets the same range (stable image ownership).
 #[derive(Debug, Clone)]
 pub struct UniqueRangeAllocator {
-    floor: u32,
     range_size: u32,
     grants: BTreeMap<u32, IdMapEntry>,
     next_start: u32,
@@ -81,7 +74,6 @@ impl UniqueRangeAllocator {
     /// `floor` (e.g. 200 000, matching Figure 1's convention).
     pub fn new(floor: u32, range_size: u32) -> Self {
         UniqueRangeAllocator {
-            floor,
             range_size,
             grants: BTreeMap::new(),
             next_start: floor,
@@ -108,31 +100,6 @@ impl UniqueRangeAllocator {
         let grant = IdMapEntry::new(1, start, self.range_size);
         self.grants.insert(invoker.0, grant);
         Ok(IdMapEntry::new(1, start, count))
-    }
-
-    /// Number of users holding grants.
-    pub fn granted_users(&self) -> usize {
-        self.grants.len()
-    }
-
-    /// Verifies the invariant the sysadmin must maintain by hand with
-    /// `/etc/subuid` (§2.1.2): no two users' ranges overlap, and no range
-    /// dips below the floor into host system/user IDs.
-    pub fn verify_disjoint(&self) -> bool {
-        let mut prev_end = self.floor;
-        for grant in self.grants.values().collect::<Vec<_>>().iter() {
-            // BTreeMap iterates by invoker UID, not range start; sort by start.
-            let _ = grant;
-        }
-        let mut ranges: Vec<&IdMapEntry> = self.grants.values().collect();
-        ranges.sort_by_key(|e| e.outside_start);
-        for e in ranges {
-            if e.outside_start < prev_end {
-                return false;
-            }
-            prev_end = e.outside_start + e.count;
-        }
-        true
     }
 }
 
@@ -187,17 +154,6 @@ pub fn policy_gid_map(
     }
 }
 
-/// Which groups would stop displaying as `nogroup` under
-/// [`MapPolicy::SupplementaryIdentity`].
-pub fn newly_visible_groups(invoker: &Credentials) -> Vec<Gid> {
-    invoker
-        .supplementary
-        .iter()
-        .copied()
-        .filter(|g| *g != invoker.egid)
-        .collect()
-}
-
 /// The kernel-managed fake ownership database of §6.2.4 item 3: files are
 /// stored on disk as the invoking user, and the kernel tracks the ownership
 /// the containerized process *claimed* via `chown(2)`/`chgrp(2)`, returning it
@@ -233,11 +189,6 @@ impl KernelOwnershipDb {
         self.claims.get(&ino).copied().unwrap_or(fallback)
     }
 
-    /// Whether an inode has a recorded claim.
-    pub fn has_claim(&self, ino: u64) -> bool {
-        self.claims.contains_key(&ino)
-    }
-
     /// Number of inodes with claims.
     pub fn len(&self) -> usize {
         self.claims.len()
@@ -248,7 +199,7 @@ impl KernelOwnershipDb {
         self.claims.is_empty()
     }
 
-    /// Total `chown`-style claim calls handled (for the ablation bench).
+    /// Total `chown`-style claim calls handled.
     pub fn claim_calls(&self) -> u64 {
         self.claim_calls
     }
@@ -261,6 +212,7 @@ impl KernelOwnershipDb {
     /// Exports all claims — the interface an image builder would use to write
     /// correct ownership into layer tarballs (§6.2.2 item 2) without reading
     /// the filesystem's (flattened) IDs.
+    // hpcc-lint: allow(test_only_api) — §6.2.4 item 3: claims survive export from the kernel database, checked by this module's tests
     pub fn export(&self) -> Vec<(u64, Owner)> {
         self.claims.iter().map(|(ino, o)| (*ino, *o)).collect()
     }
@@ -325,8 +277,30 @@ pub fn policy_requirements() -> Vec<PolicyRequirements> {
 }
 
 #[cfg(test)]
+impl UniqueRangeAllocator {
+    /// Verifies the invariant the sysadmin must maintain by hand with
+    /// `/etc/subuid` (§2.1.2): no two users' ranges overlap, and no range
+    /// dips below `floor` into host system/user IDs.
+    pub(crate) fn verify_disjoint(&self, floor: u32) -> bool {
+        let mut prev_end = floor;
+        // `grants` iterates by invoker UID, not range start; sort by start.
+        let mut ranges: Vec<&IdMapEntry> = self.grants.values().collect();
+        ranges.sort_by_key(|e| e.outside_start);
+        for e in ranges {
+            if e.outside_start < prev_end {
+                return false;
+            }
+            prev_end = e.outside_start + e.count;
+        }
+        true
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::ids::Gid;
 
     fn alice() -> Credentials {
         Credentials::unprivileged_user(Uid(1000), Gid(1000), vec![Gid(1000), Gid(2000), Gid(3000)])
@@ -338,8 +312,7 @@ mod tests {
         let a = alloc.grant(Uid(1000), 65_536).unwrap();
         let b = alloc.grant(Uid(1001), 65_536).unwrap();
         assert_ne!(a.outside_start, b.outside_start);
-        assert!(alloc.verify_disjoint());
-        assert_eq!(alloc.granted_users(), 2);
+        assert!(alloc.verify_disjoint(200_000));
     }
 
     #[test]
@@ -348,7 +321,6 @@ mod tests {
         let first = alloc.grant(Uid(1000), 65_536).unwrap();
         let again = alloc.grant(Uid(1000), 4_096).unwrap();
         assert_eq!(first.outside_start, again.outside_start);
-        assert_eq!(alloc.granted_users(), 1);
     }
 
     #[test]
@@ -379,7 +351,6 @@ mod tests {
         assert_eq!(map.to_host(0), Some(1000));
         assert_eq!(map.to_host(1), Some(200_000));
         assert_eq!(map.to_host(65_536), Some(265_535));
-        assert!(!MapPolicy::RootPlusUniqueRange { count: 65_536 }.needs_privileged_helper());
     }
 
     #[test]
@@ -392,7 +363,6 @@ mod tests {
         assert_eq!(map.to_host(3000), Some(3000));
         // A group the user is not in stays unmapped.
         assert_eq!(map.to_host(4000), None);
-        assert_eq!(newly_visible_groups(&alice()), vec![Gid(2000), Gid(3000)]);
     }
 
     #[test]
@@ -409,7 +379,6 @@ mod tests {
         assert!(db.is_empty());
         db.claim(42, Owner::new(0, 999)); // root:ssh_keys, as the openssh RPM wants
         db.claim(43, Owner::new(100, 65_534));
-        assert!(db.has_claim(42));
         assert_eq!(db.effective(42, Owner::ROOT), Owner::new(0, 999));
         assert_eq!(
             db.effective(99, Owner::new(1000, 1000)),
@@ -420,7 +389,7 @@ mod tests {
         let exported = db.export();
         assert_eq!(exported.len(), 2);
         db.forget(42);
-        assert!(!db.has_claim(42));
+        assert_eq!(db.effective(42, Owner::ROOT), Owner::ROOT);
     }
 
     #[test]

@@ -39,8 +39,6 @@ impl Uid {
 impl Gid {
     /// The root group.
     pub const ROOT: Gid = Gid(0);
-    /// The overflow GID (`nogroup`).
-    pub const NOGROUP: Gid = Gid(OVERFLOW_ID);
 
     /// Returns true for GID 0.
     pub fn is_root(self) -> bool {
@@ -122,7 +120,6 @@ mod tests {
     #[test]
     fn overflow_ids() {
         assert_eq!(Uid::NOBODY.raw(), 65_534);
-        assert_eq!(Gid::NOGROUP.raw(), 65_534);
     }
 
     #[test]

@@ -127,7 +127,7 @@ mod proptests {
                 let entry = first_grant.entry(*u).or_insert(grant.outside_start);
                 prop_assert_eq!(*entry, grant.outside_start);
             }
-            prop_assert!(alloc.verify_disjoint());
+            prop_assert!(alloc.verify_disjoint(200_000));
         }
 
         /// The root+unique-range policy always produces a map with the same

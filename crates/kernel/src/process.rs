@@ -52,6 +52,7 @@ pub struct Kernel {
 impl Kernel {
     /// Boots a kernel with the given sysctl configuration. PID 1 runs as host
     /// root in the initial namespace.
+    // hpcc-lint: allow(test_only_api) — §3.1: tests/security_model.rs boots modern, RHEL ≤ 7.5 and pre-3.8 kernels
     pub fn boot(sysctl: Sysctl) -> Self {
         let mut namespaces = HashMap::new();
         namespaces.insert(UsernsId::INIT, UserNamespace::initial());
@@ -77,20 +78,9 @@ impl Kernel {
         }
     }
 
-    /// Boots a modern kernel.
-    pub fn boot_modern() -> Self {
-        Kernel::boot(Sysctl::modern())
-    }
-
     /// The kernel's sysctl configuration.
     pub fn sysctl(&self) -> &Sysctl {
         &self.sysctl
-    }
-
-    /// Mutable sysctl access (for sysadmin reconfiguration in tests and
-    /// scenarios).
-    pub fn sysctl_mut(&mut self) -> &mut Sysctl {
-        &mut self.sysctl
     }
 
     /// Looks up a namespace.
@@ -98,24 +88,9 @@ impl Kernel {
         self.namespaces.get(&id)
     }
 
-    /// Mutable namespace access.
-    pub fn userns_mut(&mut self, id: UsernsId) -> Option<&mut UserNamespace> {
-        self.namespaces.get_mut(&id)
-    }
-
     /// Looks up a process.
     pub fn process(&self, pid: Pid) -> Option<&Process> {
         self.processes.get(&pid)
-    }
-
-    /// Mutable process access.
-    pub fn process_mut(&mut self, pid: Pid) -> Option<&mut Process> {
-        self.processes.get_mut(&pid)
-    }
-
-    /// Number of live processes.
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
     }
 
     /// Number of user namespaces ever created (excluding the initial one).
@@ -124,6 +99,7 @@ impl Kernel {
     }
 
     /// Spawns a login session process for an ordinary user.
+    // hpcc-lint: allow(test_only_api) — harness: tests/security_model.rs starts its §2.1.2 helper and §3.1 kernel scenarios from a user process
     pub fn spawn_user_process(
         &mut self,
         uid: Uid,
@@ -147,33 +123,10 @@ impl Kernel {
         pid
     }
 
-    /// `fork(2)`: clones credentials and namespace membership.
-    pub fn fork(&mut self, parent: Pid, comm: &str) -> KResult<Pid> {
-        let p = self.processes.get(&parent).ok_or(Errno::ESRCH)?.clone();
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        self.processes.insert(
-            pid,
-            Process {
-                pid,
-                ppid: parent,
-                creds: p.creds,
-                userns: p.userns,
-                umask: p.umask,
-                comm: comm.to_string(),
-            },
-        );
-        Ok(pid)
-    }
-
-    /// Terminates a process.
-    pub fn exit(&mut self, pid: Pid) {
-        self.processes.remove(&pid);
-    }
-
     /// `unshare(CLONE_NEWUSER)`: creates a new user namespace and moves the
     /// process into it. The process gains all capabilities *within* the new
     /// namespace but its maps are unwritten.
+    // hpcc-lint: allow(test_only_api) — §3.1: tests/security_model.rs checks ENOSPC on RHEL ≤ 7.5 and EINVAL before 3.8
     pub fn unshare_userns(&mut self, pid: Pid) -> KResult<UsernsId> {
         let proc = self.processes.get(&pid).ok_or(Errno::ESRCH)?.clone();
         if !self.sysctl.has_user_namespaces() {
@@ -250,10 +203,20 @@ impl Kernel {
         deny_setgroups(ns)
     }
 
-    /// Convenience used throughout the runtime crate: set up a fully
-    /// unprivileged (Type III) namespace for a process — its own UID/GID
-    /// mapped to in-namespace root, nothing else.
-    pub fn setup_type3_namespace(&mut self, pid: Pid) -> KResult<UsernsId> {
+    /// Renders `/proc/<pid>/uid_map` for a process.
+    // hpcc-lint: allow(test_only_api) — Figure 4: the `/proc/<pid>/uid_map` a Type II helper writes, read by the Figure 4 tests here and in runtime's subid module
+    pub fn proc_uid_map(&self, pid: Pid) -> KResult<String> {
+        let p = self.processes.get(&pid).ok_or(Errno::ESRCH)?;
+        let ns = self.namespaces.get(&p.userns).ok_or(Errno::ESRCH)?;
+        Ok(ns.uid_map.render_procfs())
+    }
+}
+
+#[cfg(test)]
+impl Kernel {
+    /// Sets up a fully unprivileged (Type III) namespace for a process —
+    /// its own UID/GID mapped to in-namespace root, nothing else.
+    fn setup_type3_namespace(&mut self, pid: Pid) -> KResult<UsernsId> {
         let creds = self.processes.get(&pid).ok_or(Errno::ESRCH)?.creds.clone();
         // The creator is unprivileged on the host.
         let host_caps = CapabilitySet::empty();
@@ -273,20 +236,6 @@ impl Kernel {
         )?;
         Ok(ns_id)
     }
-
-    /// Renders `/proc/<pid>/uid_map` for a process.
-    pub fn proc_uid_map(&self, pid: Pid) -> KResult<String> {
-        let p = self.processes.get(&pid).ok_or(Errno::ESRCH)?;
-        let ns = self.namespaces.get(&p.userns).ok_or(Errno::ESRCH)?;
-        Ok(ns.uid_map.render_procfs())
-    }
-
-    /// Renders `/proc/<pid>/gid_map` for a process.
-    pub fn proc_gid_map(&self, pid: Pid) -> KResult<String> {
-        let p = self.processes.get(&pid).ok_or(Errno::ESRCH)?;
-        let ns = self.namespaces.get(&p.userns).ok_or(Errno::ESRCH)?;
-        Ok(ns.gid_map.render_procfs())
-    }
 }
 
 #[cfg(test)]
@@ -294,18 +243,17 @@ mod tests {
     use super::*;
 
     fn kernel_with_alice() -> (Kernel, Pid) {
-        let mut k = Kernel::boot_modern();
+        let mut k = Kernel::boot(Sysctl::modern());
         let pid = k.spawn_user_process(Uid(1000), Gid(1000), vec![Gid(1000)], "bash");
         (k, pid)
     }
 
     #[test]
     fn boot_creates_init() {
-        let k = Kernel::boot_modern();
+        let k = Kernel::boot(Sysctl::modern());
         let init = k.process(Pid(1)).unwrap();
         assert!(init.creds.euid.is_root());
         assert_eq!(init.userns, UsernsId::INIT);
-        assert_eq!(k.process_count(), 1);
     }
 
     #[test]
@@ -356,19 +304,6 @@ mod tests {
         k.unshare_userns(a).unwrap();
         k.unshare_userns(b).unwrap();
         assert_eq!(k.unshare_userns(c).unwrap_err(), Errno::ENOSPC);
-    }
-
-    #[test]
-    fn fork_clones_namespace_membership() {
-        let (mut k, pid) = kernel_with_alice();
-        k.setup_type3_namespace(pid).unwrap();
-        let child = k.fork(pid, "yum").unwrap();
-        assert_eq!(
-            k.process(child).unwrap().userns,
-            k.process(pid).unwrap().userns
-        );
-        k.exit(child);
-        assert!(k.process(child).is_none());
     }
 
     #[test]

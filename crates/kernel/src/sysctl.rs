@@ -51,6 +51,7 @@ impl Sysctl {
     }
 
     /// RHEL 7.5-and-earlier-era kernel: user namespace creation disabled.
+    // hpcc-lint: allow(test_only_api) — §3.1: RHEL ≤ 7.5 kernels disable user namespaces; tests/security_model.rs checks that Type III fails there
     pub fn rhel_pre_76() -> Self {
         Sysctl {
             max_user_namespaces: 0,
@@ -63,6 +64,7 @@ impl Sysctl {
 
     /// Pre-3.8 kernel: no user namespaces at all (Docker's initial target,
     /// paper §3.1 — Linux 2.6.24).
+    // hpcc-lint: allow(test_only_api) — §3.1: kernels before 3.8 have no user namespaces; tests/security_model.rs checks that only Type I builds there
     pub fn pre_userns() -> Self {
         Sysctl {
             max_user_namespaces: 0,

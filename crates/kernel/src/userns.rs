@@ -93,11 +93,6 @@ impl UserNamespace {
         self.parent.is_none()
     }
 
-    /// True once both maps are written.
-    pub fn maps_written(&self) -> bool {
-        self.uid_map.is_written() && self.gid_map.is_written()
-    }
-
     /// True if this namespace was configured by privileged helpers — the
     /// paper's Type II setup.
     pub fn is_privileged_setup(&self) -> bool {
@@ -139,6 +134,7 @@ impl UserNamespace {
     /// The capabilities a process holds *with respect to this namespace*:
     /// full if the process's credentials say so and it is either in this
     /// namespace or is a privileged process of an ancestor namespace.
+    // hpcc-lint: allow(test_only_api) — §2.1: capabilities are relative to a user namespace, so container root is not host root; checked by this module's `caps_are_namespace_relative`
     pub fn caps_of(&self, creds: &Credentials, process_ns: UsernsId) -> CapabilitySet {
         if process_ns == self.id {
             creds.caps
@@ -267,6 +263,7 @@ pub fn deny_setgroups(ns: &mut UserNamespace) -> KResult<()> {
 mod tests {
     use super::*;
     use crate::creds::Credentials;
+    use crate::ids::OVERFLOW_ID;
 
     fn alice() -> Credentials {
         Credentials::unprivileged_user(Uid(1000), Gid(1000), vec![Gid(1000), Gid(2000)])
@@ -293,7 +290,7 @@ mod tests {
         assert!(ns.is_initial());
         assert_eq!(ns.uid_to_host(Uid(1000)), Some(Uid(1000)));
         assert_eq!(ns.display_uid(Uid(55)), Uid(55));
-        assert!(ns.maps_written());
+        assert!(ns.uid_map.is_written() && ns.gid_map.is_written());
     }
 
     #[test]
@@ -360,7 +357,7 @@ mod tests {
         .unwrap();
         assert!(ns.is_privileged_setup());
         assert_eq!(ns.uid_to_host(Uid(74)), Some(Uid(200_073)));
-        assert!(ns.maps_written());
+        assert!(ns.uid_map.is_written() && ns.gid_map.is_written());
     }
 
     #[test]
@@ -399,7 +396,7 @@ mod tests {
         assert_eq!(ns.display_uid(Uid(1001)), Uid::NOBODY);
         // Unmapped groups appear as nogroup even when accessible (paper
         // §2.1.1 case 3).
-        assert_eq!(ns.display_gid(Gid(2000)), Gid::NOGROUP);
+        assert_eq!(ns.display_gid(Gid(2000)), Gid(OVERFLOW_ID));
     }
 
     #[test]

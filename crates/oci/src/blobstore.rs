@@ -1,5 +1,5 @@
-//! Content-addressed blob storage and the two-phase upload protocol of the
-//! OCI distribution specification.
+//! Content-addressed blob storage for the OCI distribution specification's
+//! monolithic blob upload.
 //!
 //! The registry in the Astra workflow (paper Figure 6, a GitLab Container
 //! Registry) stores layer tars and config documents as content-addressed
@@ -8,9 +8,9 @@
 //! are skipped (`HEAD` before `PUT`), which is one half of the build-cache
 //! story the paper notes Charliecloud lacks (§6.1 disadvantage 3).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use hpcc_image::{sha256, Digest, FileBytes, Sha256};
+use hpcc_image::{sha256, Digest, FileBytes};
 
 use crate::error::ApiError;
 
@@ -28,8 +28,6 @@ pub struct BlobStore {
     /// Bytes offered for upload including duplicates (what a naive store
     /// would hold) — the difference is the dedup saving.
     offered_bytes: u64,
-    uploads_started: u64,
-    uploads_completed: u64,
 }
 
 impl BlobStore {
@@ -66,18 +64,12 @@ impl BlobStore {
         if actual != *claimed {
             return Err(ApiError::DigestInvalid);
         }
-        self.insert_verified(actual, data);
-        Ok(())
-    }
-
-    /// Records a digest-verified blob, deduplicating and keeping the byte
-    /// accounting consistent across both upload protocols.
-    fn insert_verified(&mut self, digest: Digest, data: FileBytes) {
         self.offered_bytes += data.len() as u64;
-        if !self.blobs.contains_key(&digest) {
+        if !self.blobs.contains_key(&actual) {
             self.stored_bytes += data.len() as u64;
-            self.blobs.insert(digest, data);
+            self.blobs.insert(actual, data);
         }
+        Ok(())
     }
 
     /// Number of distinct blobs stored.
@@ -103,99 +95,6 @@ impl BlobStore {
     /// Bytes saved by content-addressed deduplication.
     pub fn dedup_savings(&self) -> u64 {
         self.offered_bytes - self.stored_bytes
-    }
-
-    /// Uploads started (chunked protocol).
-    pub fn uploads_started(&self) -> u64 {
-        self.uploads_started
-    }
-
-    /// Uploads completed (chunked protocol).
-    pub fn uploads_completed(&self) -> u64 {
-        self.uploads_completed
-    }
-
-    /// Begins a chunked upload session (`POST /v2/.../blobs/uploads/`).
-    pub fn begin_upload(&mut self) -> UploadSession {
-        self.uploads_started += 1;
-        UploadSession {
-            buffer: Vec::new(),
-            hasher: Sha256::new(),
-            session_id: self.uploads_started,
-        }
-    }
-
-    /// Completes a chunked upload (`PUT .../uploads/<id>?digest=<d>`). The
-    /// claimed digest must match the content, which was hashed incrementally
-    /// as the chunks arrived — no final pass over the accumulated buffer.
-    pub fn complete_upload(
-        &mut self,
-        session: UploadSession,
-        claimed: &Digest,
-    ) -> Result<Digest, ApiError> {
-        let actual = session.hasher.finalize();
-        if actual != *claimed {
-            return Err(ApiError::DigestInvalid);
-        }
-        // The accumulated buffer moves into a shared handle — the chunks
-        // were hashed as they arrived and are never re-read or re-copied.
-        self.insert_verified(actual, FileBytes::new(session.buffer));
-        self.uploads_completed += 1;
-        Ok(actual)
-    }
-
-    /// Deletes a blob (garbage collection after untagging).
-    pub fn delete(&mut self, digest: &Digest) -> Result<(), ApiError> {
-        match self.blobs.remove(digest) {
-            Some(data) => {
-                self.stored_bytes -= data.len() as u64;
-                Ok(())
-            }
-            None => Err(ApiError::BlobUnknown),
-        }
-    }
-
-    /// Garbage-collects every blob not in the referenced set; returns the
-    /// number of blobs removed.
-    pub fn gc(&mut self, referenced: &BTreeMap<Digest, ()>) -> usize {
-        let stale: Vec<Digest> = self
-            .blobs
-            .keys()
-            .filter(|d| !referenced.contains_key(*d))
-            .copied()
-            .collect();
-        for d in &stale {
-            let _ = self.delete(d);
-        }
-        stale.len()
-    }
-}
-
-/// An in-progress chunked blob upload. Chunks are hashed as they arrive via
-/// the incremental hasher, so completing the upload is O(1) in blob size.
-#[derive(Debug, Clone)]
-pub struct UploadSession {
-    buffer: Vec<u8>,
-    hasher: Sha256,
-    session_id: u64,
-}
-
-impl UploadSession {
-    /// Appends a chunk (`PATCH .../uploads/<id>`), updating the running
-    /// digest.
-    pub fn append(&mut self, chunk: &[u8]) {
-        self.hasher.update(chunk);
-        self.buffer.extend_from_slice(chunk);
-    }
-
-    /// Bytes received so far.
-    pub fn received(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Opaque session identifier.
-    pub fn id(&self) -> u64 {
-        self.session_id
     }
 }
 
@@ -230,49 +129,6 @@ mod tests {
         assert_eq!(store.stored_bytes(), 1000);
         assert_eq!(store.offered_bytes(), 3000);
         assert_eq!(store.dedup_savings(), 2000);
-    }
-
-    #[test]
-    fn chunked_upload_accumulates_and_verifies() {
-        let mut store = BlobStore::new();
-        let mut session = store.begin_upload();
-        session.append(b"hello ");
-        session.append(b"world");
-        assert_eq!(session.received(), 11);
-        let digest = sha256(b"hello world");
-        let stored = store.complete_upload(session, &digest).unwrap();
-        assert_eq!(stored, digest);
-        assert!(store.has(&digest));
-        assert_eq!(store.uploads_completed(), 1);
-    }
-
-    #[test]
-    fn chunked_upload_with_wrong_digest_is_rejected() {
-        let mut store = BlobStore::new();
-        let mut session = store.begin_upload();
-        session.append(b"data");
-        let wrong = sha256(b"other");
-        assert_eq!(
-            store.complete_upload(session, &wrong).unwrap_err(),
-            ApiError::DigestInvalid
-        );
-        assert!(store.is_empty());
-    }
-
-    #[test]
-    fn gc_removes_unreferenced_blobs() {
-        let mut store = BlobStore::new();
-        let keep = b"keep".to_vec();
-        let drop_ = b"drop".to_vec();
-        let dk = sha256(&keep);
-        let dd = sha256(&drop_);
-        store.put(&dk, keep).unwrap();
-        store.put(&dd, drop_).unwrap();
-        let mut referenced = BTreeMap::new();
-        referenced.insert(dk, ());
-        assert_eq!(store.gc(&referenced), 1);
-        assert!(store.has(&dk));
-        assert!(!store.has(&dd));
     }
 
     #[test]

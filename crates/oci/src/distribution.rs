@@ -79,6 +79,7 @@ impl DistributionRegistry {
     /// Declares a repository, optionally restricting pushers and setting the
     /// §6.2.5 flatten policy. Repositories are also auto-created on first
     /// push by any authorized user with the default (allow) policy.
+    // hpcc-lint: allow(test_only_api) — §6.2.5: tests/extensions.rs declares a repository that requires flattened pushes
     pub fn create_repository(
         &mut self,
         name: &str,
@@ -277,33 +278,6 @@ impl DistributionRegistry {
             },
         })
     }
-
-    /// Deletes a tag and garbage-collects blobs no longer referenced by any
-    /// manifest in any repository. Returns the number of blobs removed.
-    pub fn delete_tag(&mut self, repo: &str, tag: &str) -> Result<usize, ApiError> {
-        {
-            let r = self.repos.get_mut(repo).ok_or(ApiError::NameUnknown)?;
-            r.tags.remove(tag).ok_or(ApiError::ManifestUnknown)?;
-            r.indexes.remove(tag);
-            // Drop manifests no tag/index references any more.
-            let referenced: Vec<hpcc_image::Digest> = r
-                .indexes
-                .values()
-                .flat_map(|i| i.manifests.iter().map(|d| d.digest))
-                .chain(r.tags.values().copied())
-                .collect();
-            r.manifests.retain(|d, _| referenced.contains(d));
-        }
-        let mut referenced = BTreeMap::new();
-        for r in self.repos.values() {
-            for m in r.manifests.values() {
-                for d in m.referenced_blobs() {
-                    referenced.insert(d, ());
-                }
-            }
-        }
-        Ok(self.blobs.gc(&referenced))
-    }
 }
 
 #[cfg(test)]
@@ -319,7 +293,10 @@ mod tests {
         Image {
             reference: "local/atse:dev".to_string(),
             config,
-            layers: vec![Layer::from_tar(payload.to_vec())],
+            layers: vec![Layer {
+                digest: sha256(payload),
+                tar: payload.to_vec().into(),
+            }],
             ownership,
         }
     }
@@ -447,22 +424,6 @@ mod tests {
         // One layer blob + one config blob, not two of each.
         assert_eq!(reg.blob_stats().len(), 2);
         assert_eq!(reg.push_count(), 2);
-    }
-
-    #[test]
-    fn delete_tag_garbage_collects_unreferenced_blobs() {
-        let mut reg = registry();
-        let img = test_image("amd64", b"short-lived", OwnershipMode::Flattened);
-        reg.push_image("alice", "scratch/tmp", "dev", Platform::linux_amd64(), &img)
-            .unwrap();
-        assert!(reg.blob_stats().len() >= 2);
-        let removed = reg.delete_tag("scratch/tmp", "dev").unwrap();
-        assert!(removed >= 2);
-        assert_eq!(reg.blob_stats().len(), 0);
-        assert_eq!(
-            reg.delete_tag("scratch/tmp", "dev").unwrap_err(),
-            ApiError::ManifestUnknown
-        );
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! of the Figure 6 workflow:
 //!
 //! * [`media`] — media types, content descriptors, platforms;
-//! * [`blobstore`] — content-addressed blob storage with chunked uploads and
-//!   deduplication;
+//! * [`blobstore`] — content-addressed blob storage with deduplication;
 //! * [`manifest`] — image manifests and multi-architecture indexes;
 //! * [`distribution`] — the registry itself, with per-repository push
 //!   authorization and flatten-policy enforcement;
@@ -27,7 +26,7 @@ pub mod flatten;
 pub mod manifest;
 pub mod media;
 
-pub use blobstore::{BlobStore, UploadSession};
+pub use blobstore::BlobStore;
 pub use distribution::{DistributionRegistry, PulledImage};
 pub use error::ApiError;
 pub use flatten::{FlattenPolicy, FLATTEN_ANNOTATION};

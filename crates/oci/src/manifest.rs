@@ -80,18 +80,6 @@ impl OciManifest {
         sha256(self.render().as_bytes())
     }
 
-    /// Total size of all referenced layers.
-    pub fn layers_size(&self) -> u64 {
-        self.layers.iter().map(|l| l.size).sum()
-    }
-
-    /// Every blob digest this manifest references (config + layers).
-    pub fn referenced_blobs(&self) -> Vec<Digest> {
-        let mut v = vec![self.config.digest];
-        v.extend(self.layers.iter().map(|l| l.digest));
-        v
-    }
-
     /// Validation: layer list non-empty, media types sensible.
     pub fn validate(&self) -> Result<(), ApiError> {
         if self.layers.is_empty() {
@@ -264,12 +252,5 @@ mod tests {
             index.select(&Platform::linux_arm64()).unwrap().digest,
             sha256(b"v2")
         );
-    }
-
-    #[test]
-    fn referenced_blobs_cover_config_and_layers() {
-        let m = OciManifest::new(config_desc(), vec![layer_desc(b"a"), layer_desc(b"b")]);
-        assert_eq!(m.referenced_blobs().len(), 3);
-        assert_eq!(m.layers_size(), 2);
     }
 }

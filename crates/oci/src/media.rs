@@ -37,11 +37,6 @@ impl MediaType {
             MediaType::LayerTarGzip => "application/vnd.oci.image.layer.v1.tar+gzip",
         }
     }
-
-    /// True for media types that may appear as manifest-list entries.
-    pub fn is_manifest(self) -> bool {
-        matches!(self, MediaType::ImageManifest | MediaType::ImageIndex)
-    }
 }
 
 impl std::fmt::Display for MediaType {
@@ -179,8 +174,6 @@ mod tests {
             MediaType::ImageManifest.as_str(),
             "application/vnd.oci.image.manifest.v1+json"
         );
-        assert!(MediaType::ImageIndex.is_manifest());
-        assert!(!MediaType::LayerTar.is_manifest());
     }
 
     #[test]

@@ -8,11 +8,9 @@
 
 use std::sync::OnceLock;
 
-use hpcc_fuseproto::{
-    FrozenImage, FsCreds, MemFs, ServeConfig, Server, Session, SharedImage, Transport,
-};
+use hpcc_fuseproto::{FrozenImage, FsCreds, MemFs, Server, Session, SharedImage, Transport};
 use hpcc_kernel::{Credentials, Errno, Gid, KResult, Sysctl, Uid, UserNamespace};
-use hpcc_vfs::{tar, Actor, Filesystem, FsBackend, Mode};
+use hpcc_vfs::{Actor, Filesystem, FsBackend, Mode};
 
 use hpcc_image::Image;
 
@@ -180,6 +178,7 @@ impl Container {
     /// "Unprivileged Podman" (paper §4.1.1, Figure 5): no subordinate ranges,
     /// single-ID map, `--ignore_chown_errors`. Functionally close to Type III
     /// but retains Podman's storage stack.
+    // hpcc-lint: allow(test_only_api) — §4.1.1, Figure 5: tests/paper_figures.rs launches unprivileged Podman
     pub fn launch_podman_unprivileged(
         image: &Image,
         invoker: &Invoker,
@@ -266,17 +265,6 @@ impl Container {
         Server::new(self.mount(), transport)
     }
 
-    /// [`Container::serve`] with explicit robustness knobs — reply-cache
-    /// depth and overload shedding — for serving over lossy transports to
-    /// retransmitting clients.
-    pub fn serve_with<T: Transport>(
-        &self,
-        transport: T,
-        config: ServeConfig,
-    ) -> Server<Session<MemFs>, T> {
-        Server::with_config(self.mount(), transport, config)
-    }
-
     /// Like [`Container::serve`] but read-only over the shared frozen image:
     /// each call hands out one [`Container::mount_readonly`] session, so
     /// many servers on many transports share a single image in memory. The
@@ -286,28 +274,9 @@ impl Container {
         Server::new(self.mount_readonly(), transport)
     }
 
-    /// [`Container::serve_readonly`] with explicit robustness knobs.
-    pub fn serve_readonly_with<T: Transport>(
-        &self,
-        transport: T,
-        config: ServeConfig,
-    ) -> Server<Session<FrozenImage>, T> {
-        Server::with_config(self.mount_readonly(), transport, config)
-    }
-
-    /// True if the container's processes appear to be root inside the
-    /// namespace.
-    pub fn appears_root(&self) -> bool {
-        self.creds.appears_root_in(&self.userns)
-    }
-
-    /// True if the containerized processes hold real host privilege.
-    pub fn host_privileged(&self) -> bool {
-        self.privilege == PrivilegeType::TypeI
-    }
-
     /// The UID that `/proc` appears to be owned by inside the container —
     /// `nobody` for unprivileged namespaces (paper §4.1.1).
+    // hpcc-lint: allow(test_only_api) — §4.1.1, Figure 5: tests/paper_figures.rs checks that `/proc` appears owned by nobody
     pub fn proc_owner_view(&self) -> Uid {
         let st = self.rootfs.lstat(&self.actor(), "/proc");
         match st {
@@ -343,21 +312,6 @@ fn remap_ownership_into(fs: &mut Filesystem, ns: &UserNamespace) -> KResult<()> 
         inode.gid = host_gid;
     }
     Ok(())
-}
-
-/// Packs a container's rootfs back into a tar archive from *inside* the
-/// namespace (correct in-container IDs, paper §2.1.2).
-pub fn export_rootfs(container: &Container) -> KResult<Vec<u8>> {
-    tar::pack(
-        &container.rootfs,
-        &container.actor(),
-        "/",
-        &tar::PackOptions {
-            ownership: tar::OwnershipPolicy::NamespaceView,
-            skip_devices: true,
-            clear_setid: false,
-        },
-    )
 }
 
 #[cfg(test)]
@@ -400,8 +354,8 @@ mod tests {
     #[test]
     fn type1_root_is_host_root() {
         let c = Container::launch_type1(&sample_image("x86_64"), None).unwrap();
-        assert!(c.appears_root());
-        assert!(c.host_privileged());
+        assert!(c.creds.appears_root_in(&c.userns));
+        assert_eq!(c.privilege, PrivilegeType::TypeI);
         // IDs are shared with the host: the sshd file keeps UID 74.
         let st = c.rootfs.stat(&c.actor(), "/var/empty/sshd/.keep").unwrap();
         assert_eq!(st.uid_host, Uid(74));
@@ -418,8 +372,8 @@ mod tests {
             &Sysctl::rhel76(),
         )
         .unwrap();
-        assert!(c.appears_root());
-        assert!(!c.host_privileged());
+        assert!(c.creds.appears_root_in(&c.userns));
+        assert_ne!(c.privilege, PrivilegeType::TypeI);
         let st = c.rootfs.stat(&c.actor(), "/var/empty/sshd/.keep").unwrap();
         assert_eq!(st.uid_view, Uid(74));
         assert_eq!(st.uid_host, Uid(200_073));
@@ -460,8 +414,8 @@ mod tests {
     #[test]
     fn type3_flattens_to_invoker_and_appears_root() {
         let c = Container::launch_type3(&sample_image("x86_64"), &alice()).unwrap();
-        assert!(c.appears_root());
-        assert!(!c.host_privileged());
+        assert!(c.creds.appears_root_in(&c.userns));
+        assert_ne!(c.privilege, PrivilegeType::TypeI);
         let st = c.rootfs.stat(&c.actor(), "/var/empty/sshd/.keep").unwrap();
         assert_eq!(st.uid_host, Uid(1000));
         // Inside the namespace it displays as root (the single mapped ID).
@@ -499,28 +453,6 @@ mod tests {
             Container::launch_type1(&x86_image, Some("aarch64")).unwrap_err(),
             Errno::ENOSYS
         );
-    }
-
-    #[test]
-    fn export_from_type2_preserves_container_ids() {
-        let c = Container::launch_type2(
-            &sample_image("x86_64"),
-            &alice(),
-            &subdb(),
-            StorageDriver::Vfs,
-            FsBackend::LocalDisk,
-            &Sysctl::rhel76(),
-        )
-        .unwrap();
-        let archive = export_rootfs(&c).unwrap();
-        let entries = tar::list(&archive).unwrap();
-        let sshd = entries
-            .iter()
-            .find(|e| e.path == "var/empty/sshd/.keep")
-            .unwrap();
-        assert_eq!(sshd.uid, 74);
-        let sh = entries.iter().find(|e| e.path == "bin/sh").unwrap();
-        assert_eq!(sh.uid, 0);
     }
 
     #[test]

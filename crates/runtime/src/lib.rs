@@ -14,10 +14,9 @@ pub mod privilege;
 pub mod storage;
 pub mod subid;
 
-pub use container::{check_arch, export_rootfs, Container, Invoker};
+pub use container::{check_arch, Container, Invoker};
 pub use privilege::{
-    dockerfile_builders, implementations, render_implementation_table, BuildSupport,
-    Implementation, PrivilegeType,
+    implementations, render_implementation_table, BuildSupport, Implementation, PrivilegeType,
 };
 pub use storage::{prepare_rootfs, IdPersistence, StorageCost, StorageDriver};
 pub use subid::{newgidmap, newuidmap, HelperConfig, SubIdDb, SubIdRange};

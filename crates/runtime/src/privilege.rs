@@ -162,15 +162,6 @@ pub fn implementations() -> Vec<Implementation> {
     ]
 }
 
-/// Implementations able to build unmodified Dockerfiles at the given
-/// privilege type.
-pub fn dockerfile_builders(privilege: PrivilegeType) -> Vec<Implementation> {
-    implementations()
-        .into_iter()
-        .filter(|i| i.types.contains(&privilege) && i.build == BuildSupport::Dockerfile)
-        .collect()
-}
-
 /// Renders a summary table of §3.1.
 pub fn render_implementation_table() -> String {
     let mut out = format!(
@@ -235,8 +226,13 @@ mod tests {
 
     #[test]
     fn only_charliecloud_builds_dockerfiles_fully_unprivileged() {
-        let builders = dockerfile_builders(PrivilegeType::TypeIII);
-        let names: Vec<&str> = builders.iter().map(|b| b.name).collect();
+        let names: Vec<&str> = implementations()
+            .into_iter()
+            .filter(|i| {
+                i.types.contains(&PrivilegeType::TypeIII) && i.build == BuildSupport::Dockerfile
+            })
+            .map(|i| i.name)
+            .collect();
         assert!(names.contains(&"Charliecloud"));
         assert!(!names.contains(&"Singularity"));
         assert!(!names.contains(&"Enroot"));

@@ -56,11 +56,6 @@ impl SubIdDb {
         self.ranges.get(user).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// True if the user has at least one range.
-    pub fn has_ranges(&self, user: &str) -> bool {
-        !self.ranges_for(user).is_empty()
-    }
-
     /// Renders the file, e.g. (Figure 1 / Figure 4):
     ///
     /// ```text
@@ -153,6 +148,7 @@ impl Default for HelperConfig {
 
 /// `newuidmap(1)`: writes a privileged UID map for a namespace on behalf of
 /// `invoking_user`, enforcing `/etc/subuid`.
+// hpcc-lint: allow(test_only_api) — §2.1.2: the setuid helper behind Type II maps; tests/security_model.rs checks that it refuses ranges outside `/etc/subuid`
 pub fn newuidmap(
     kernel: &mut Kernel,
     ns: UsernsId,
@@ -185,6 +181,7 @@ pub fn newuidmap(
 /// `newgidmap(1)`: like [`newuidmap`] for GIDs. A correct implementation
 /// denies `setgroups(2)` before installing the map; the CVE-2018-7169 variant
 /// does not.
+// hpcc-lint: allow(test_only_api) — §2.1.2: the setuid helper behind Type II maps; tests/security_model.rs reproduces CVE-2018-7169 through it
 pub fn newgidmap(
     kernel: &mut Kernel,
     ns: UsernsId,
@@ -217,7 +214,7 @@ pub fn newgidmap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcc_kernel::{Gid, SetgroupsPolicy, Uid};
+    use hpcc_kernel::{Gid, SetgroupsPolicy, Sysctl, Uid};
 
     fn figure1_db() -> SubIdDb {
         let mut db = SubIdDb::new();
@@ -253,7 +250,7 @@ mod tests {
 
     #[test]
     fn newuidmap_installs_figure4_map() {
-        let mut kernel = Kernel::boot_modern();
+        let mut kernel = Kernel::boot(Sysctl::modern());
         let pid = kernel.spawn_user_process(Uid(1234), Gid(1234), vec![Gid(1234)], "podman");
         let creds = kernel.process(pid).unwrap().creds.clone();
         let ns = kernel.unshare_userns(pid).unwrap();
@@ -283,7 +280,7 @@ mod tests {
 
     #[test]
     fn newuidmap_rejects_ranges_outside_subuid() {
-        let mut kernel = Kernel::boot_modern();
+        let mut kernel = Kernel::boot(Sysctl::modern());
         let pid = kernel.spawn_user_process(Uid(1000), Gid(1000), vec![Gid(1000)], "podman");
         let creds = kernel.process(pid).unwrap().creds.clone();
         let ns = kernel.unshare_userns(pid).unwrap();
@@ -321,7 +318,7 @@ mod tests {
     fn user_without_ranges_cannot_get_privileged_map() {
         // Figure 5: empty /etc/subuid -> only the single-ID unprivileged map
         // is possible.
-        let mut kernel = Kernel::boot_modern();
+        let mut kernel = Kernel::boot(Sysctl::modern());
         let pid = kernel.spawn_user_process(Uid(1234), Gid(1234), vec![], "podman");
         let creds = kernel.process(pid).unwrap().creds.clone();
         let ns = kernel.unshare_userns(pid).unwrap();
@@ -357,7 +354,7 @@ mod tests {
     fn fixed_newgidmap_denies_setgroups_but_cve_version_does_not() {
         let db = figure1_db();
         for vulnerable in [false, true] {
-            let mut kernel = Kernel::boot_modern();
+            let mut kernel = Kernel::boot(Sysctl::modern());
             let pid = kernel.spawn_user_process(Uid(1000), Gid(1000), vec![Gid(1000)], "podman");
             let creds = kernel.process(pid).unwrap().creds.clone();
             let ns = kernel.unshare_userns(pid).unwrap();
@@ -388,7 +385,7 @@ mod tests {
 
     #[test]
     fn missing_helpers_report_enoent() {
-        let mut kernel = Kernel::boot_modern();
+        let mut kernel = Kernel::boot(Sysctl::modern());
         let pid = kernel.spawn_user_process(Uid(1000), Gid(1000), vec![], "podman");
         let creds = kernel.process(pid).unwrap().creds.clone();
         let ns = kernel.unshare_userns(pid).unwrap();

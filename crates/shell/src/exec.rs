@@ -1204,6 +1204,22 @@ mod tests {
     }
 
     #[test]
+    fn wrapped_ls_lists_a_symlink_as_itself() {
+        let mut env = centos_type3();
+        let mut sh = exec(&mut env);
+        assert!(sh.run_command("yum install -y epel-release").success());
+        assert!(sh.run_command("yum install -y fakeroot").success());
+        let plain = sh.run_command("ls -l /bin/bash");
+        let wrapped = sh.run_command("fakeroot ls -l /bin/bash");
+        assert!(
+            plain.success() && wrapped.success(),
+            "{plain:?} {wrapped:?}"
+        );
+        assert!(plain.lines[0].starts_with('l'), "{:?}", plain.lines);
+        assert!(wrapped.lines[0].starts_with('l'), "{:?}", wrapped.lines);
+    }
+
+    #[test]
     fn wrapped_run_persists_lie_database() {
         let mut env = centos_type3();
         let mut sh = exec(&mut env);

@@ -2,7 +2,7 @@
 //!
 //! Every regular file's bytes live behind an [`FileBytes`] handle: a
 //! reference-counted, immutable-until-written byte buffer. Cloning a
-//! filesystem (build-cache snapshots, multi-stage `FROM`, overlay commits)
+//! filesystem (build-cache snapshots, multi-stage `FROM`, layer diffs)
 //! clones these handles, not the bytes; the first mutation through
 //! [`FileBytes::to_mut`] detaches a private copy, so snapshots can never
 //! observe later writes.
@@ -48,11 +48,6 @@ impl FileBytes {
     /// has happened between them. Used by tests and storage accounting.
     pub fn shares_buffer_with(&self, other: &FileBytes) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
-    }
-
-    /// Extracts the bytes, avoiding a copy when this handle is the only one.
-    pub fn into_vec(self) -> Vec<u8> {
-        Arc::try_unwrap(self.0).unwrap_or_else(|arc| (*arc).clone())
     }
 }
 
@@ -145,11 +140,5 @@ mod tests {
         let before = a.0.as_ptr();
         a.to_mut().push(b'y');
         assert_eq!(a.0.as_ptr(), before, "no copy when unshared");
-    }
-
-    #[test]
-    fn into_vec_avoids_copy_when_unique() {
-        let a = FileBytes::from(b"data".to_vec());
-        assert_eq!(a.into_vec(), b"data".to_vec());
     }
 }

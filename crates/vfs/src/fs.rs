@@ -57,7 +57,7 @@ struct ResolveEntry {
 /// touched inode — never the whole table, and regular-file bytes stay shared
 /// copy-on-write via [`FileBytes`] until the individual file is written.
 /// This is what makes build-cache hits, per-instruction snapshot stores,
-/// multi-stage `FROM`, and overlay commits O(metadata of what changed)
+/// multi-stage `FROM`, and push layer diffs O(metadata of what changed)
 /// instead of O(image size).
 ///
 /// Repeated lookups are O(1): a per-filesystem resolve cache maps raw path
@@ -830,24 +830,6 @@ impl Filesystem {
         self.symlink_at(actor, parent, &name, target)
     }
 
-    /// `link(2)`: hard link.
-    pub fn link(&mut self, actor: &Actor, existing: &str, new: &str) -> KResult<()> {
-        self.check_writable()?;
-        let src = self.resolve(actor, existing)?;
-        if self.inode(src)?.is_dir() {
-            return Err(Errno::EPERM);
-        }
-        let (parent, name) = self.resolve_parent(actor, new)?;
-        let parent_inode = self.inode(parent)?;
-        actor.check_access(parent_inode, Access::WRITE)?;
-        if parent_inode.entries().contains_key(&name) {
-            return Err(Errno::EEXIST);
-        }
-        self.link_entry(parent, name, src)?;
-        self.inode_mut_quiet(src)?.nlink += 1;
-        Ok(())
-    }
-
     /// `rename(2)` within this filesystem: resolves both parents, then
     /// delegates to the inode-level [`Filesystem::rename_at`].
     pub fn rename(&mut self, actor: &Actor, from: &str, to: &str) -> KResult<()> {
@@ -1079,19 +1061,13 @@ impl Filesystem {
 
     /// `getxattr(2)`. Delegates to the inode-level
     /// [`Filesystem::get_xattr_ino`].
+    // hpcc-lint: allow(test_only_api) — §4.1.1: fuse-overlayfs records ownership in `user.containers.override_stat`; runtime's Type II storage and container tests read it back
     pub fn get_xattr(&self, actor: &Actor, path: &str, name: &str) -> KResult<Vec<u8>> {
         if name.starts_with("user.") && !self.backend.supports_user_xattrs() {
             return Err(Errno::EOPNOTSUPP);
         }
         let ino = self.resolve(actor, path)?;
         self.get_xattr_ino(actor, ino, name)
-    }
-
-    /// `listxattr(2)`. Delegates to the inode-level
-    /// [`Filesystem::list_xattrs_ino`].
-    pub fn list_xattrs(&self, actor: &Actor, path: &str) -> KResult<Vec<String>> {
-        let ino = self.resolve(actor, path)?;
-        self.list_xattrs_ino(actor, ino)
     }
 
     // ------------------------------------------------------------ traversal
@@ -1293,25 +1269,30 @@ impl Filesystem {
         user_name: impl Fn(Uid) -> String,
         group_name: impl Fn(Gid) -> String,
     ) -> KResult<String> {
-        let st = self.lstat(actor, path)?;
-        let name = PathComponents::parse(path)
-            .last()
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "/".to_string());
-        let size_field = match st.rdev {
-            Some((maj, min)) => format!("{}, {}", maj, min),
-            None => format!("{}", st.size),
-        };
-        Ok(format!(
-            "{}{} {} {} {} {} {}",
-            st.file_type.ls_char(),
-            st.mode.render(),
-            st.nlink,
-            user_name(st.uid_view),
-            group_name(st.gid_view),
-            size_field,
-            name
-        ))
+        Ok(self
+            .lstat(actor, path)?
+            .ls_line(path, user_name, group_name))
+    }
+}
+
+#[cfg(test)]
+impl Filesystem {
+    /// `link(2)`: hard link.
+    fn link(&mut self, actor: &Actor, existing: &str, new: &str) -> KResult<()> {
+        self.check_writable()?;
+        let src = self.resolve(actor, existing)?;
+        if self.inode(src)?.is_dir() {
+            return Err(Errno::EPERM);
+        }
+        let (parent, name) = self.resolve_parent(actor, new)?;
+        let parent_inode = self.inode(parent)?;
+        actor.check_access(parent_inode, Access::WRITE)?;
+        if parent_inode.entries().contains_key(&name) {
+            return Err(Errno::EEXIST);
+        }
+        self.link_entry(parent, name, src)?;
+        self.inode_mut_quiet(src)?.nlink += 1;
+        Ok(())
     }
 }
 

@@ -51,30 +51,6 @@ impl Setattr {
     pub fn none() -> Self {
         Setattr::default()
     }
-
-    /// Sets the mode.
-    pub fn with_mode(mut self, mode: Mode) -> Self {
-        self.mode = Some(mode);
-        self
-    }
-
-    /// Sets the owner (in-namespace ID).
-    pub fn with_uid(mut self, uid: Uid) -> Self {
-        self.uid = Some(uid);
-        self
-    }
-
-    /// Sets the group (in-namespace ID).
-    pub fn with_gid(mut self, gid: Gid) -> Self {
-        self.gid = Some(gid);
-        self
-    }
-
-    /// Sets the file size.
-    pub fn with_size(mut self, size: u64) -> Self {
-        self.size = Some(size);
-        self
-    }
 }
 
 impl Filesystem {
@@ -577,11 +553,12 @@ mod tests {
         fs.setattr_ino(
             &actor,
             ino,
-            &Setattr::none()
-                .with_mode(Mode::new(0o600))
-                .with_uid(Uid(1000))
-                .with_gid(Gid(1000))
-                .with_size(2),
+            &Setattr {
+                mode: Some(Mode::new(0o600)),
+                uid: Some(Uid(1000)),
+                gid: Some(Gid(1000)),
+                size: Some(2),
+            },
         )
         .unwrap();
         let st = fs.stat_ino(&actor, ino).unwrap();

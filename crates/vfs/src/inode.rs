@@ -6,6 +6,7 @@ use hpcc_kernel::{Gid, Uid};
 
 use crate::bytes::FileBytes;
 use crate::mode::{FileType, Mode};
+use crate::path::PathComponents;
 
 /// Inode number.
 pub type Ino = u64;
@@ -184,6 +185,33 @@ pub struct Stat {
     pub rdev: Option<(u32, u32)>,
     /// Logical mtime.
     pub mtime: u64,
+}
+
+impl Stat {
+    /// One `ls -l` line for this stat, named by the last component of
+    /// `path`, as in Figure 7.
+    pub fn ls_line(
+        &self,
+        path: &str,
+        user_name: impl Fn(Uid) -> String,
+        group_name: impl Fn(Gid) -> String,
+    ) -> String {
+        let name = PathComponents::parse(path).last().unwrap_or("/");
+        let size_field = match self.rdev {
+            Some((maj, min)) => format!("{}, {}", maj, min),
+            None => format!("{}", self.size),
+        };
+        format!(
+            "{}{} {} {} {} {} {}",
+            self.file_type.ls_char(),
+            self.mode.render(),
+            self.nlink,
+            user_name(self.uid_view),
+            group_name(self.gid_view),
+            size_field,
+            name
+        )
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@ pub mod fs;
 pub mod ino_ops;
 pub mod inode;
 pub mod mode;
-pub mod overlay;
 pub mod path;
 pub mod sharedfs;
 pub mod table;
@@ -30,7 +29,6 @@ pub use fs::Filesystem;
 pub use ino_ops::{Setattr, MAX_FILE_SIZE};
 pub use inode::{Ino, Inode, InodeData, Stat};
 pub use mode::{Access, FileType, Mode};
-pub use overlay::{OverlayBackend, OverlayFs, OverlayStats};
 pub use path::PathComponents;
 pub use sharedfs::FsBackend;
 pub use table::{cow_detach_nodes, InodeTable};

@@ -72,11 +72,6 @@ impl Mode {
         self.0
     }
 
-    /// Permission-only bits (no setuid/setgid/sticky).
-    pub fn perm_bits(self) -> u16 {
-        self.0 & 0o777
-    }
-
     /// Owner permission triplet (0..=7).
     pub fn user_bits(self) -> u16 {
         (self.0 >> 6) & 0o7
@@ -111,11 +106,6 @@ impl Mode {
     /// does on push "to avoid leaking site IDs" (paper §6.1).
     pub fn without_setid(self) -> Mode {
         Mode(self.0 & !(Self::SETUID | Self::SETGID))
-    }
-
-    /// Applies a umask.
-    pub fn masked(self, umask: u16) -> Mode {
-        Mode(self.0 & !(umask & 0o777))
     }
 
     /// Renders the nine permission characters, honouring setuid/setgid/sticky
@@ -185,6 +175,7 @@ impl Access {
         execute: true,
     };
     /// Read + write.
+    #[cfg(test)]
     pub const READ_WRITE: Access = Access {
         read: true,
         write: true,
@@ -242,13 +233,7 @@ mod tests {
         let c = m.without_setid();
         assert!(!c.is_setuid());
         assert!(!c.is_setgid());
-        assert_eq!(c.perm_bits(), 0o755);
-    }
-
-    #[test]
-    fn umask_application() {
-        assert_eq!(Mode::new(0o666).masked(0o022).bits(), 0o644);
-        assert_eq!(Mode::new(0o777).masked(0o077).bits(), 0o700);
+        assert_eq!(c.bits(), 0o755);
     }
 
     #[test]

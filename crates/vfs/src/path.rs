@@ -99,8 +99,8 @@ impl<'a> PathComponents<'a> {
 }
 
 /// Renders the normalized absolute form of `path` (`"/"` for the root) into
-/// one preallocated buffer — no per-component strings. Shared by the overlay
-/// and the fakeroot lie database, which both key state on canonical paths.
+/// one preallocated buffer — no per-component strings. The fakeroot lie
+/// database keys its state on canonical paths.
 pub fn canonical(path: &str) -> String {
     let comps = PathComponents::parse(path);
     if comps.is_empty() {

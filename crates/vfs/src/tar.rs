@@ -271,6 +271,7 @@ pub fn pack_into<W: std::io::Write>(
 }
 
 /// Packs the subtree rooted at `root_path` into a ustar archive in memory.
+#[cfg(test)]
 pub fn pack(
     fs: &Filesystem,
     actor: &Actor,

@@ -22,7 +22,7 @@ use std::time::Duration;
 use hpcc_repro::core::{BuildOptions, Builder};
 use hpcc_repro::fuseproto::{
     wire, CallError, ChannelTransport, Client, Fault, FaultPlan, FaultTransport, FsCreds,
-    OpenFlags, Operation, Reply, Request, RetryPolicy, ServeConfig, Shutdown, FUSE_ROOT_ID,
+    OpenFlags, Operation, Reply, Request, RetryPolicy, ServeConfig, Server, Shutdown, FUSE_ROOT_ID,
 };
 use hpcc_repro::image::{Image, ImageConfig};
 use hpcc_repro::runtime::{Container, Invoker};
@@ -167,7 +167,8 @@ fn run_schedule(c: &Container, reference: &[Vec<u8>], seed: u64, totals: &mut To
 
     let cred = c.fs_creds();
     let (server_end, client_end) = ChannelTransport::pair();
-    let mut server = c.serve_with(
+    let mut server = Server::with_config(
+        c.mount(),
         server_end,
         ServeConfig {
             reply_cache: 32,
@@ -309,7 +310,8 @@ fn chaos_shedding_under_duplicate_storm_stays_exactly_once() {
         plan = plan.on_send(i, Fault::Duplicate);
     }
     let (server_end, client_end) = ChannelTransport::pair();
-    let mut server = c.serve_with(
+    let mut server = Server::with_config(
+        c.mount(),
         server_end,
         ServeConfig {
             reply_cache: 32,

@@ -35,6 +35,8 @@ struct Case {
     dockerfile: String,
     options: BuildOptions,
     context: Option<Filesystem>,
+    /// Paths the final image must contain.
+    artifacts: &'static [&'static str],
 }
 
 impl Case {
@@ -48,6 +50,7 @@ impl Case {
             dockerfile: dockerfile.to_string(),
             options,
             context: None,
+            artifacts: &[],
         }
     }
 
@@ -59,8 +62,20 @@ impl Case {
     /// the stored final image.
     fn build_on(&self, builder: &mut Builder, options: &BuildOptions) -> Outcome {
         let report = builder.build(&self.dockerfile, options, self.context.as_ref());
-        let image = builder.image(&options.tag).map(|img| fingerprint(&img.fs));
+        let image = builder.image(&options.tag).map(|img| self.inspect(&img.fs));
         Outcome { report, image }
+    }
+
+    /// Checks that the final image holds the case's artifacts and returns
+    /// its fingerprint.
+    fn inspect(&self, fs: &Filesystem) -> Digest {
+        let creds = Credentials::host_root();
+        let ns = UserNamespace::initial();
+        let actor = Actor::new(&creds, &ns);
+        for path in self.artifacts {
+            assert!(fs.exists(&actor, path), "{}: no {path}", self.name);
+        }
+        fingerprint(fs)
     }
 }
 
@@ -110,7 +125,10 @@ fn run(driver: Driver, cases: &[Case], cache: bool) -> Vec<Outcome> {
                     case.build_on(builder, &options)
                 }
                 Driver::Farm => {
-                    let farm = BuildFarm::new(FarmConfig::new(1).with_kind(case.kind.clone()));
+                    let farm = BuildFarm::new(FarmConfig {
+                        kind: case.kind.clone(),
+                        ..FarmConfig::new(1)
+                    });
                     let mut request = BuildRequest::new("tenant", &case.dockerfile, options)
                         .with_invoker(case.invoker.clone());
                     request.context = case.context.clone();
@@ -123,7 +141,7 @@ fn run(driver: Driver, cases: &[Case], cache: bool) -> Vec<Outcome> {
                     let guard = builder.read().unwrap();
                     let image = guard
                         .image(&result.report.tag)
-                        .map(|img| fingerprint(&img.fs));
+                        .map(|img| case.inspect(&img.fs));
                     Outcome {
                         report: result.report,
                         image,
@@ -252,6 +270,11 @@ fn success_cases() -> Vec<Case> {
         BuildOptions::new("app").with_force(),
     );
     lanl.context = Some(app_context());
+    lanl.artifacts = &[
+        "/usr/bin/app",
+        "/usr/lib64/openmpi/bin/mpirun",
+        "/opt/spack/bin/spack",
+    ];
     cases.push(lanl);
     cases
 }

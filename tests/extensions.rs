@@ -1,7 +1,7 @@
 //! Cross-crate integration tests for the future-work extensions:
 //! §6.2.2 (fakeroot coverage and placement), §6.2.4 (kernel ID-map policies),
-//! §6.2.5 (flatten annotation), §6.3 (multi-site CI), plus the overlay
-//! storage and multi-stage build machinery they rest on.
+//! §6.2.5 (flatten annotation), §6.3 (multi-site CI), plus the multi-stage
+//! build machinery they rest on.
 
 use hpcc_repro::cluster::{astra_plus_x86_sites, multisite_ci};
 use hpcc_repro::core::{
@@ -15,7 +15,7 @@ use hpcc_repro::kernel::nsproxy::{build_container_kinds, unshare, NsAllocator, N
 use hpcc_repro::kernel::{CapabilitySet, Credentials, Gid, Uid, UserNamespace, UsernsId};
 use hpcc_repro::oci::{ApiError, DistributionRegistry, FlattenPolicy, Platform};
 use hpcc_repro::runtime::Invoker;
-use hpcc_repro::vfs::{Actor, Mode, OverlayBackend, OverlayFs};
+use hpcc_repro::vfs::Actor;
 
 /// The Type III foundation end to end: an unprivileged user cannot unshare a
 /// mount namespace directly, but can after creating a user namespace — and a
@@ -173,7 +173,7 @@ COPY --from=compile /opt/app/bin/hpc-app /usr/local/bin/hpc-app
 RUN echo runtime stage done
 ";
     let ir = BuildIr::parse(text).unwrap();
-    assert!(ir.is_multistage());
+    assert!(ir.stage_count() > 1);
     let graph = BuildGraph::plan(&ir).unwrap();
     assert_eq!(graph.node(1).deps, vec![0]);
     let alice = Invoker::user("alice", 1000, 1000);
@@ -245,37 +245,6 @@ RUN echo assembled
     );
     // The final image is the runtime stage, not a union: no compilers.
     assert!(!built.fs.exists(&actor, "/usr/bin/gcc"));
-}
-
-/// Overlay storage behaves like the paper's storage drivers: writes copy up,
-/// deletes whiteout, and squashing produces the flat single-layer tree a
-/// Charliecloud push would ship.
-#[test]
-fn overlay_squash_matches_merged_view() {
-    let mut base = hpcc_repro::vfs::Filesystem::new_local();
-    base.install_file(
-        "/etc/os-release",
-        b"CentOS 7".to_vec(),
-        Uid::ROOT,
-        Gid::ROOT,
-        Mode::FILE_644,
-    )
-    .unwrap();
-    base.install_file("/bin/true", b"#!", Uid::ROOT, Gid::ROOT, Mode::EXEC_755)
-        .unwrap();
-    let mut ov = OverlayFs::new(vec![base], OverlayBackend::Fuse);
-    let creds = Credentials::host_root();
-    let ns = UserNamespace::initial();
-    let actor = Actor::new(&creds, &ns);
-    ov.write_file(&actor, "/etc/motd", b"hello".to_vec())
-        .unwrap();
-    ov.unlink(&actor, "/bin/true").unwrap();
-    let (diff, whiteouts) = ov.commit_layer();
-    assert!(diff.exists(&actor, "/etc/motd"));
-    assert_eq!(whiteouts, vec!["/bin/true".to_string()]);
-    let flat = ov.squash();
-    assert!(flat.exists(&actor, "/etc/motd"));
-    assert!(flat.exists(&actor, "/etc/os-release"));
 }
 
 /// The coverage matrix reproduces the paper's §5.1 observation that pseudo

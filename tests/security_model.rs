@@ -54,7 +54,7 @@ fn cve_2018_7169_vulnerable_newgidmap_leaves_setgroups_enabled() {
     let mut subgid = SubIdDb::new();
     subgid.add_range("manager", 200_000, 65_536);
     for vulnerable in [false, true] {
-        let mut kernel = Kernel::boot_modern();
+        let mut kernel = Kernel::boot(Sysctl::modern());
         let pid = kernel.spawn_user_process(Uid(10), Gid(100), vec![Gid(100), Gid(500)], "attack");
         let creds = kernel.process(pid).unwrap().creds.clone();
         let ns = kernel.unshare_userns(pid).unwrap();
@@ -94,7 +94,7 @@ fn misconfigured_subuid_ranges_are_detected() {
     // validator flags overlapping ranges.
     let mut subuid = SubIdDb::new();
     subuid.add_range("alice", 200_000, 65_536);
-    let mut kernel = Kernel::boot_modern();
+    let mut kernel = Kernel::boot(Sysctl::modern());
     let pid = kernel.spawn_user_process(Uid(1000), Gid(1000), vec![Gid(1000)], "podman");
     let creds = kernel.process(pid).unwrap().creds.clone();
     let ns = kernel.unshare_userns(pid).unwrap();
