@@ -33,6 +33,36 @@ pub static USED_BY_BENCH: u8 = 0;
 /// Crate-visible items are not checked.
 pub(crate) fn crate_visible() {}
 
+/// Used only as a range bound in `other.rs` (`0..RANGE_END`).
+pub const RANGE_END: usize = 4;
+
+/// A counter whose getter only tests call: its field of the same name is
+/// declared, set in a struct literal and read through `self.`, none of
+/// which calls the getter.
+pub struct Counter {
+    fires_count: u64,
+}
+
+impl Counter {
+    pub fn new() -> Counter {
+        Counter { fires_count: 0 }
+    }
+
+    /// Called only as `c.bump()` in `other.rs`.
+    pub fn bump(&mut self) {
+        self.fires_count += 1;
+    }
+
+    /// Named only as the path `Counter::reset` in `other.rs`.
+    pub fn reset(&mut self) {
+        self.fires_count = 0;
+    }
+
+    pub fn fires_count(&self) -> u64 {
+        self.fires_count
+    }
+}
+
 pub struct Thing;
 
 impl std::fmt::Display for Thing {
@@ -55,6 +85,7 @@ mod tests {
     fn calls() {
         super::fires_test_called();
         super::test_gated();
+        assert_eq!(super::Counter::new().fires_count(), 0);
     }
 }
 

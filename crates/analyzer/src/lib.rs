@@ -17,7 +17,8 @@
 //!   forms) outside tests must route through the helper.
 //! * **HL004** — protocol exhaustiveness: every `Operation` variant must
 //!   appear in the opcode table, encode/decode arms, and `reply_kind`;
-//!   every kernel `Errno` variant must appear in the wire errno table.
+//!   every kernel `Errno` variant must appear in `message` and in
+//!   `from_code`, which decodes a reply's error field.
 //! * **HL005** — unsafe confinement: every crate root declares
 //!   `#![forbid(unsafe_code)]` (`deny` for a root hosting an allow-listed
 //!   site); `unsafe` and `allow(unsafe_code)` appear only at the
@@ -191,14 +192,13 @@ pub fn run_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 /// The workspace's wire-surface cross-checks:
 /// * `Operation` (fuseproto/src/op.rs) ↔ opcode consts + encode/decode arms
 ///   (wire.rs) + `reply_kind`/`mutates` arms (op.rs);
-/// * kernel `Errno` (kernel/src/errno.rs) ↔ the wire errno table
-///   (`to_kernel` in fuseproto/src/errno.rs).
+/// * kernel `Errno` (kernel/src/errno.rs) ↔ its `message` arms and the
+///   variant list `from_code` decodes a wire error field through (same file).
 pub fn protocol_checks(root: &Path) -> io::Result<Vec<Finding>> {
     use protocol::{EnumCheck, Region};
     let op = load(root, "crates/fuseproto/src/op.rs")?;
     let wire = load(root, "crates/fuseproto/src/wire.rs")?;
     let kernel_errno = load(root, "crates/kernel/src/errno.rs")?;
-    let proto_errno = load(root, "crates/fuseproto/src/errno.rs")?;
 
     let mut findings = Vec::new();
     findings.extend(protocol::check(&EnumCheck {
@@ -217,9 +217,8 @@ pub fn protocol_checks(root: &Path) -> io::Result<Vec<Finding>> {
         enum_file: &kernel_errno,
         enum_name: "Errno",
         regions: vec![
-            (&kernel_errno, Region::FnBody("code")),
             (&kernel_errno, Region::FnBody("message")),
-            (&proto_errno, Region::FnBody("to_kernel")),
+            (&kernel_errno, Region::FnBody("from_code")),
         ],
     }));
     Ok(findings)

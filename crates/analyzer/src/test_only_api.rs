@@ -12,7 +12,9 @@
 //! `tests/` file.
 //!
 //! Matching is by name: an item that shares its name with any used
-//! identifier (`new`, `len`, an enum variant) is never flagged.
+//! identifier (`new`, `len`, an enum variant) is never flagged. A field
+//! read (`self.count`) and a field declaration or struct-literal field
+//! (`count: 0`) do not use the name.
 
 use std::collections::HashSet;
 
@@ -85,7 +87,10 @@ pub fn items(file: &SourceFile) -> Vec<PubItem> {
 
 /// Adds to `names` every identifier in `file` that counts as a caller:
 /// outside test code, outside `use` declarations, and not the name a
-/// `fn`, `const` or `static` definition introduces.
+/// `fn`, `const` or `static` definition introduces. A name after a single
+/// `.` is a method only when `(` or `::` follows (otherwise a field read),
+/// and a name before a single `:` is a field declaration or a struct
+/// literal's field.
 pub fn add_callers(file: &SourceFile, names: &mut HashSet<String>) {
     let t = &file.tokens;
     let mut in_use = false;
@@ -105,9 +110,15 @@ pub fn add_callers(file: &SourceFile, names: &mut HashSet<String>) {
             continue;
         }
         let before = |k: usize| i.checked_sub(k).map(|p| t[p].text.as_str());
+        let after_is = |k: usize, p: char| t.get(i + k).is_some_and(|n| n.is(p));
         let defines = matches!(before(1), Some("fn" | "const" | "static"))
             || (before(1) == Some("mut") && before(2) == Some("static"));
-        if !defines {
+        // `..` (a range) is not a single `.`; `::` is not a single `:`.
+        let after_single_dot = before(1) == Some(".") && before(2) != Some(".");
+        let path_follows = after_is(1, ':') && after_is(2, ':');
+        let field_read = after_single_dot && !after_is(1, '(') && !path_follows;
+        let field_name = after_is(1, ':') && !path_follows;
+        if !defines && !field_read && !field_name {
             names.insert(tok.text.clone());
         }
     }

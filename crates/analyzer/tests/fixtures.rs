@@ -268,12 +268,13 @@ fn hl006_flags_items_without_a_non_test_caller() {
         names,
         [
             "FIRES_NAMED_ONLY",
+            "fires_count",
             "fires_marker_without_anchor",
             "fires_marker_without_reason",
             "fires_test_called",
             "fires_uncalled",
         ],
-        "expected the 5 seeded findings:\n{}",
+        "expected the 6 seeded findings:\n{}",
         findings
             .iter()
             .map(ToString::to_string)

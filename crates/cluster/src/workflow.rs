@@ -431,7 +431,7 @@ mod tests {
         // The image pushed is aarch64.
         let img = registry.pull("atse/app:aarch64").unwrap();
         assert_eq!(img.config.architecture, "aarch64");
-        assert_eq!(registry.push_count(), 1);
+        assert_eq!(registry.tags("atse/app"), ["aarch64"]);
     }
 
     #[test]

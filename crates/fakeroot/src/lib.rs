@@ -20,7 +20,7 @@ pub use coverage::{
 };
 pub use db::{LieDatabase, LieRecord};
 pub use flavor::{render_table1, Approach, Flavor, FlavorInfo, InterceptOp, Persistency};
-pub use session::{FakerootSession, SessionStats};
+pub use session::FakerootSession;
 
 // The property-based suite runs against the offline `proptest` drop-in in
 // crates/proptest-shim (a path dev-dependency, so no registry is needed):

@@ -15,17 +15,6 @@ use hpcc_vfs::{Actor, FileType, Filesystem, Mode, Setattr, Stat};
 use crate::db::LieDatabase;
 use crate::flavor::{Flavor, InterceptOp};
 
-/// Counts of what the wrapper did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Calls intercepted and faked.
-    pub intercepted: u64,
-    /// Calls passed through to the real VFS.
-    pub passed_through: u64,
-    /// Calls that failed even after wrapping.
-    pub failed: u64,
-}
-
 /// An active wrapper session.
 #[derive(Debug, Clone)]
 pub struct FakerootSession {
@@ -33,7 +22,6 @@ pub struct FakerootSession {
     pub flavor: Flavor,
     /// Lies told so far.
     pub db: LieDatabase,
-    stats: SessionStats,
 }
 
 impl FakerootSession {
@@ -42,22 +30,12 @@ impl FakerootSession {
         FakerootSession {
             flavor,
             db: LieDatabase::new(),
-            stats: SessionStats::default(),
         }
     }
 
     /// Resumes a session from a previously saved database (`fakeroot -i`).
     pub fn with_db(flavor: Flavor, db: LieDatabase) -> Self {
-        FakerootSession {
-            flavor,
-            db,
-            stats: SessionStats::default(),
-        }
-    }
-
-    /// Session statistics.
-    pub fn stats(&self) -> SessionStats {
-        self.stats
+        FakerootSession { flavor, db }
     }
 
     /// Checks that this wrapper can interpose on an executable with the given
@@ -132,11 +110,9 @@ impl FakerootSession {
             let new_uid = uid.map_or_else(|| cur.map_or(0, |r| r.uid), |u| u.0);
             let new_gid = gid.map_or_else(|| cur.map_or(0, |r| r.gid), |g| g.0);
             self.db.record_chown(&key, new_uid, new_gid);
-            self.stats.intercepted += 1;
             Ok(())
         } else {
-            self.stats.passed_through += 1;
-            let r = resolved.and_then(|ino| {
+            resolved.and_then(|ino| {
                 fs.setattr_ino(
                     actor,
                     ino,
@@ -146,11 +122,7 @@ impl FakerootSession {
                         ..Setattr::default()
                     },
                 )
-            });
-            if r.is_err() {
-                self.stats.failed += 1;
-            }
-            r
+            })
         }
     }
 
@@ -170,17 +142,10 @@ impl FakerootSession {
             let ino = fs.resolve(actor, path)?;
             let _ = fs.chmod_ino(actor, ino, Mode::new(mode.bits() & 0o777));
             self.db.record_chmod(&Self::canonical(path), mode);
-            self.stats.intercepted += 1;
             Ok(())
         } else {
-            self.stats.passed_through += 1;
-            let r = fs
-                .resolve(actor, path)
-                .and_then(|ino| fs.chmod_ino(actor, ino, mode));
-            if r.is_err() {
-                self.stats.failed += 1;
-            }
-            r
+            fs.resolve(actor, path)
+                .and_then(|ino| fs.chmod_ino(actor, ino, mode))
         }
     }
 
@@ -206,17 +171,10 @@ impl FakerootSession {
             self.db.record_chown(&key, 0, 0);
             // Preserve the requested mode in the lie as well.
             self.db.record_chmod(&key, mode);
-            self.stats.intercepted += 1;
             Ok(())
         } else {
-            self.stats.passed_through += 1;
-            let r = fs
-                .mknod(actor, path, file_type, major, minor, mode)
-                .map(|_| ());
-            if r.is_err() {
-                self.stats.failed += 1;
-            }
-            r
+            fs.mknod(actor, path, file_type, major, minor, mode)
+                .map(|_| ())
         }
     }
 
@@ -232,11 +190,8 @@ impl FakerootSession {
     ) -> KResult<()> {
         if self.flavor.intercepts(InterceptOp::Xattr) {
             fs.stat(actor, path)?;
-            self.stats.intercepted += 1;
             Ok(())
         } else {
-            self.stats.passed_through += 1;
-            self.stats.failed += 1;
             Err(Errno::EPERM)
         }
     }
@@ -419,7 +374,6 @@ mod tests {
                 .unwrap_err(),
             Errno::EPERM
         );
-        assert_eq!(fr.stats().failed, 1);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! reader was not opened for, `EROFS` for mutations — is the backend's
 //! ([`FsOps`]). `&mut D` forwards, so a server can borrow any dispatcher.
 
+use hpcc_kernel::KResult;
 use hpcc_vfs::Ino;
 
-use crate::errno::OpResult;
 use crate::op::{Operation, Reply, Request};
 use crate::ops::FsOps;
 use crate::session::Session;
@@ -42,7 +42,7 @@ pub trait Dispatch {
     }
 }
 
-fn reply(r: OpResult<Reply>) -> Reply {
+fn reply(r: KResult<Reply>) -> Reply {
     r.unwrap_or_else(Reply::Err)
 }
 
@@ -150,11 +150,10 @@ impl<D: Dispatch> Dispatch for &mut D {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::errno::Errno;
     use crate::memfs::MemFs;
     use crate::op::{FsCreds, OpenFlags};
     use crate::shared::SharedImage;
-    use hpcc_kernel::{Credentials, Gid, Uid, UserNamespace};
+    use hpcc_kernel::{Credentials, Errno, Gid, Uid, UserNamespace};
     use hpcc_vfs::{Actor, Filesystem, Mode, Setattr};
 
     fn fs() -> Filesystem {

@@ -10,8 +10,8 @@
 //!   **open handle**, carrying per-request credentials ([`FsCreds`]:
 //!   uid/gid/groups, as a FUSE request header does) instead of a borrowed
 //!   `Actor`;
-//! * errno-coded failures ([`Errno`]) mapped bidirectionally from the
-//!   simulated kernel's error type — raw POSIX numbers on the wire;
+//! * errno-coded failures: the simulated kernel's own [`Errno`], whose
+//!   Linux numbers travel negated on the wire, as in `fuse_out_header`;
 //! * one [`Session`] holding the open-handle table (flags, sequential
 //!   offsets, readdir cursors) and every op's VFS logic, and the one
 //!   [`Dispatch`] impl that routes requests to it, so anything that pumps
@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 
 pub mod dispatch;
-pub mod errno;
 pub mod fault;
 pub mod memfs;
 pub mod op;
@@ -63,7 +62,6 @@ pub mod transport;
 pub mod wire;
 
 pub use dispatch::Dispatch;
-pub use errno::{Errno, OpResult};
 pub use fault::{Fault, FaultCounters, FaultPlan, FaultTransport};
 pub use memfs::MemFs;
 pub use op::{
@@ -71,7 +69,7 @@ pub use op::{
     Request, StatfsReply, Written,
 };
 pub use ops::FsOps;
-pub use retry::{CallError, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use server::{Client, ClientError, ServeConfig, ServeSummary, Server, ServerEvent, Shutdown};
 pub use session::Session;
 pub use shared::{FrozenImage, SharedImage};
@@ -81,8 +79,9 @@ pub use wire::{Incoming, WireError, FUSE_ROOT_ID};
 #[cfg(unix)]
 pub use transport::unix_pair;
 
-// Re-exported so protocol clients can build `Setattr` requests without
-// depending on hpcc-vfs directly.
+// Re-exported so protocol clients can build `Setattr` requests and match
+// reply errnos without depending on hpcc-vfs or hpcc-kernel directly.
+pub use hpcc_kernel::Errno;
 pub use hpcc_vfs::Setattr;
 
 // The property-based suite runs against the offline `proptest` drop-in in
@@ -91,7 +90,7 @@ pub use hpcc_vfs::Setattr;
 #[cfg(all(test, feature = "proptest"))]
 mod proptests {
     use super::*;
-    use hpcc_kernel::{Credentials, Gid, Uid, UserNamespace};
+    use hpcc_kernel::{Credentials, Gid, KResult, Uid, UserNamespace};
     use hpcc_vfs::{Actor, Filesystem, Mode};
     use proptest::prelude::*;
 
@@ -124,7 +123,7 @@ mod proptests {
         let (parent2, name2) = split(p2);
         // Resolve a parent directory the way `resolve_parent` does: a
         // non-directory parent is ENOTDIR at resolution time.
-        let sess_parent = |s: &Session<MemFs>, parent: &str| -> OpResult<hpcc_vfs::Ino> {
+        let sess_parent = |s: &Session<MemFs>, parent: &str| -> KResult<hpcc_vfs::Ino> {
             let e = s.resolve_path(cred, parent, true)?;
             if e.attr.file_type != hpcc_vfs::FileType::Directory {
                 return Err(Errno::ENOTDIR);
@@ -135,7 +134,7 @@ mod proptests {
             0 => {
                 // Whole-file write: open-or-create + write through a handle
                 // (always released) vs direct `write_file`.
-                let s_res: OpResult<()> = (|| {
+                let s_res: KResult<()> = (|| {
                     let parent = sess_parent(session, parent1)?;
                     let fh = match session.lookup(cred, parent, name1) {
                         Ok(e) => {
@@ -143,7 +142,7 @@ mod proptests {
                                 .open(cred, e.ino, OpenFlags::WRONLY | OpenFlags::TRUNC)?
                                 .fh
                         }
-                        Err(e) if e == Errno::ENOENT => {
+                        Err(Errno::ENOENT) => {
                             session
                                 .create(cred, parent, name1, Mode::FILE_644, OpenFlags::WRONLY)?
                                 .1

@@ -9,7 +9,10 @@
 //! [`SharedImage`](crate::SharedImage) instead.
 //!
 //! Every session op takes `&self`, so the filesystem sits behind one
-//! `Mutex`; a mount served to one client takes it uncontended.
+//! `Mutex`; a mount served to one client takes it uncontended. Paths
+//! resolve through the VFS's own walk ([`Filesystem::resolve`] and its
+//! resolve cache), so a mount follows symlinks and answers `ELOOP`
+//! exactly as the filesystem does.
 //!
 //! `Container::mount` is implemented in the `hpcc-runtime` crate.
 
@@ -17,16 +20,11 @@ use std::borrow::BorrowMut;
 use std::sync::Mutex;
 
 use hpcc_kernel::sync::lock_recover;
-use hpcc_kernel::{Credentials, UserNamespace};
-use hpcc_vfs::{Actor, FileType, Filesystem, Ino, PathComponents};
+use hpcc_kernel::{Credentials, KResult, UserNamespace};
+use hpcc_vfs::{Actor, Filesystem, Ino};
 
-use crate::errno::OpResult;
 use crate::op::FsCreds;
 use crate::ops::FsOps;
-use crate::Errno;
-
-/// Maximum symlink traversals in a lookup walk before `ELOOP`.
-const MAX_SYMLINK_DEPTH: u32 = 40;
 
 /// The in-memory copy-on-write filesystem served read-write.
 ///
@@ -67,15 +65,10 @@ pub(crate) fn derive_credentials(userns: &UserNamespace, cred: &FsCreds) -> Cred
     }
 }
 
-/// Maps a kernel error into the wire errno.
-pub(crate) fn wire(e: hpcc_kernel::Errno) -> Errno {
-    Errno::from(e)
-}
-
 impl<F: BorrowMut<Filesystem>> FsOps for MemFs<F> {
     /// A writable mount serves any requester, with that requester's
     /// privilege.
-    fn admit(&self, _cred: &FsCreds) -> OpResult<()> {
+    fn admit(&self, _cred: &FsCreds) -> KResult<()> {
         Ok(())
     }
 
@@ -88,66 +81,25 @@ impl<F: BorrowMut<Filesystem>> FsOps for MemFs<F> {
     fn write<R>(
         &self,
         cred: &FsCreds,
-        op: impl FnOnce(&mut Filesystem, &Actor<'_>) -> OpResult<R>,
-    ) -> OpResult<R> {
+        op: impl FnOnce(&mut Filesystem, &Actor<'_>) -> KResult<R>,
+    ) -> KResult<R> {
         let creds = derive_credentials(&self.userns, cred);
         let mut fs = lock_recover(&self.fs);
         op((*fs).borrow_mut(), &Actor::new(&creds, &self.userns))
     }
 
-    /// Chains `lookup`s from the root, exactly as a FUSE client's kernel
-    /// would drive the protocol.
+    /// The VFS's own walk, through the filesystem's resolve cache.
     fn resolve(
         &self,
         fs: &Filesystem,
         actor: &Actor<'_>,
         path: &str,
         follow_final: bool,
-    ) -> OpResult<Ino> {
-        walk(fs, actor, path, follow_final, 0)
-    }
-}
-
-/// The lookup walk: one `lookup` per component from the root, following
-/// each intermediate symlink (and the final one when `follow_final`) by
-/// re-walking its target with the rest of the path appended.
-fn walk(
-    fs: &Filesystem,
-    actor: &Actor<'_>,
-    path: &str,
-    follow_final: bool,
-    depth: u32,
-) -> OpResult<Ino> {
-    if depth > MAX_SYMLINK_DEPTH {
-        return Err(Errno::ELOOP);
-    }
-    let comps = PathComponents::parse(path);
-    let comps = comps.as_slice();
-    let mut cur = fs.root_ino();
-    for (i, &name) in comps.iter().enumerate() {
-        let is_last = i + 1 == comps.len();
-        let ino = fs.lookup_at(actor, cur, name).map_err(wire)?;
-        let is_symlink = fs.inode(ino).map_err(wire)?.file_type() == FileType::Symlink;
-        if is_symlink && (!is_last || follow_final) {
-            let target = fs.readlink_ino(actor, ino).map_err(wire)?;
-            let rest = comps.get(i + 1..).unwrap_or(&[]).join("/");
-            let resolved = if target.starts_with('/') {
-                if rest.is_empty() {
-                    target
-                } else {
-                    format!("{}/{}", target, rest)
-                }
-            } else {
-                let parent = comps.get(..i).unwrap_or(&[]).join("/");
-                let mut p = format!("/{}/{}", parent, target);
-                if !rest.is_empty() {
-                    p = format!("{}/{}", p, rest);
-                }
-                p
-            };
-            return walk(fs, actor, &resolved, follow_final, depth + 1);
+    ) -> KResult<Ino> {
+        if follow_final {
+            fs.resolve(actor, path)
+        } else {
+            fs.resolve_no_follow(actor, path)
         }
-        cur = ino;
     }
-    Ok(cur)
 }

@@ -510,7 +510,8 @@ impl Request {
     }
 }
 
-/// A typed reply, one variant per reply shape; `Err` carries the wire errno.
+/// A typed reply, one variant per reply shape; `Err` carries the errno
+/// (negated in the wire frame's error field).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// `lookup`/`create`(entry half)/`mkdir`/`symlink` result.
@@ -535,7 +536,7 @@ pub enum Reply {
     Names(Vec<String>),
     /// Success with no payload (`release`, `unlink`, `rename`, …).
     Unit,
-    /// Failure, as a wire errno.
+    /// Failure, as an errno.
     Err(crate::Errno),
 }
 

@@ -13,14 +13,15 @@
 //!
 //! [`MemFs`](crate::MemFs) admits anyone and derives each request's kernel
 //! credentials from its [`FsCreds`], reads and writes under one `Mutex`, and
-//! resolves by walking `lookup`s. [`FrozenImage`](crate::FrozenImage)
+//! resolves through the VFS's own cached walk
+//! ([`Filesystem::resolve`]). [`FrozenImage`](crate::FrozenImage)
 //! admits only the principal it was opened for, reads lock-free with
 //! credentials derived once, refuses writes, and resolves through the
 //! image's pre-warmed index.
 
+use hpcc_kernel::KResult;
 use hpcc_vfs::{Actor, Filesystem, Ino};
 
-use crate::errno::OpResult;
 use crate::op::FsCreds;
 
 /// What a filesystem backend must provide to be served by a
@@ -28,7 +29,7 @@ use crate::op::FsCreds;
 pub trait FsOps {
     /// Admits a request's credentials, or refuses them (`EACCES`). Called
     /// first by every op, including those that only touch the handle table.
-    fn admit(&self, cred: &FsCreds) -> OpResult<()>;
+    fn admit(&self, cred: &FsCreds) -> KResult<()>;
 
     /// Runs `op` over the filesystem for reading, as the principal of
     /// `cred` (which [`FsOps::admit`] has admitted).
@@ -39,8 +40,8 @@ pub trait FsOps {
     fn write<R>(
         &self,
         cred: &FsCreds,
-        op: impl FnOnce(&mut Filesystem, &Actor<'_>) -> OpResult<R>,
-    ) -> OpResult<R>;
+        op: impl FnOnce(&mut Filesystem, &Actor<'_>) -> KResult<R>,
+    ) -> KResult<R>;
 
     /// Resolves an absolute path inside a [`FsOps::read`], following
     /// intermediate symlinks (and the final one when `follow_final`).
@@ -50,5 +51,5 @@ pub trait FsOps {
         actor: &Actor<'_>,
         path: &str,
         follow_final: bool,
-    ) -> OpResult<Ino>;
+    ) -> KResult<Ino>;
 }

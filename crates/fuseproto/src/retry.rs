@@ -25,10 +25,11 @@
 
 use std::time::{Duration, Instant};
 
-use crate::errno::Errno;
+use hpcc_kernel::Errno;
+
 use crate::fault::Rng;
 use crate::op::{Reply, ReplyKind, Request};
-use crate::server::Client;
+use crate::server::{Client, ClientError};
 use crate::transport::{RecvOutcome, Transport, TransportError};
 use crate::wire::{decode_reply, encode_destroy, encode_request};
 
@@ -71,50 +72,11 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Why a policy-driven call gave up — always typed, never a hang.
-#[derive(Debug)]
-pub enum CallError {
-    /// Every attempt timed out (or the deadline/attempt budget ran dry).
-    TimedOut {
-        /// Attempts made, the original send included.
-        attempts: u32,
-    },
-    /// The server went away: the transport closed mid-call.
-    Disconnected,
-    /// The transport failed in some other way (I/O, framing).
-    Transport(TransportError),
-    /// The server answered [`Client::destroy_with`]'s `FUSE_DESTROY` with
-    /// this errno, after any retries: the session did not end.
-    Refused(Errno),
-}
-
-impl std::fmt::Display for CallError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CallError::TimedOut { attempts } => {
-                write!(f, "call timed out after {attempts} attempt(s)")
-            }
-            CallError::Disconnected => write!(f, "server disconnected mid-call"),
-            CallError::Transport(e) => write!(f, "call transport error: {e}"),
-            CallError::Refused(e) => write!(f, "server refused destroy: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CallError {}
-
 /// Errnos that prove the server did *not* execute the request: `EAGAIN` is
 /// the shedding server's typed busy answer, `EINVAL` its best-effort reply
 /// to a frame it could not parse (an injector-corrupted request).
 fn retryable(e: Errno) -> bool {
     e == Errno::EAGAIN || e == Errno::EINVAL
-}
-
-fn send_err(e: TransportError) -> CallError {
-    match e {
-        TransportError::Closed => CallError::Disconnected,
-        other => CallError::Transport(other),
-    }
 }
 
 /// Backoff before resend number `attempts`: base · 2^(attempts−1), capped.
@@ -139,8 +101,10 @@ impl<T: Transport> Client<T> {
     /// One round trip under a [`RetryPolicy`]: send, wait up to
     /// [`attempt_timeout`](RetryPolicy::attempt_timeout), retransmit with
     /// backoff while the policy allows, and always terminate — with the
-    /// server's reply, the last busy answer, or a typed [`CallError`].
-    pub fn call_with(&mut self, req: &Request, policy: &RetryPolicy) -> Result<Reply, CallError> {
+    /// server's reply, the last busy answer, or a typed [`ClientError`]:
+    /// [`ClientError::TimedOut`] when the budget runs out, and
+    /// `Transport(Closed)` when the server goes away mid-call.
+    pub fn call_with(&mut self, req: &Request, policy: &RetryPolicy) -> Result<Reply, ClientError> {
         let unique = self.next_unique;
         self.next_unique += 1;
         encode_request(&mut self.out_buf, unique, req);
@@ -150,15 +114,15 @@ impl<T: Transport> Client<T> {
 
     /// [`Client::destroy`] under a policy: the destroy is resent freely (the
     /// server never sheds it, and re-delivery after the ack just finds a
-    /// closed transport, reported as [`CallError::Disconnected`]). An errno
-    /// that is still the answer once retries end is [`CallError::Refused`].
+    /// closed transport, reported as `Transport(Closed)`). An errno that is
+    /// still the answer once retries end is [`ClientError::Refused`].
     // hpcc-lint: allow(test_only_api) — harness: tests/chaos_serve.rs ends every fault schedule with it
-    pub fn destroy_with(&mut self, policy: &RetryPolicy) -> Result<(), CallError> {
+    pub fn destroy_with(&mut self, policy: &RetryPolicy) -> Result<(), ClientError> {
         let unique = self.next_unique;
         self.next_unique += 1;
         encode_destroy(&mut self.out_buf, unique);
         match self.drive(unique, ReplyKind::Unit, true, policy)? {
-            Reply::Err(e) => Err(CallError::Refused(e)),
+            Reply::Err(e) => Err(ClientError::Refused(e)),
             _ => Ok(()),
         }
     }
@@ -170,8 +134,8 @@ impl<T: Transport> Client<T> {
         kind: ReplyKind,
         resend_on_timeout: bool,
         policy: &RetryPolicy,
-    ) -> Result<Reply, CallError> {
-        self.transport.send(&self.out_buf).map_err(send_err)?;
+    ) -> Result<Reply, ClientError> {
+        self.transport.send(&self.out_buf)?;
         let mut attempts: u32 = 1;
         // Both the deadline and the jitter stream materialize lazily: the
         // fast path (reply already queued) runs zero clock reads and zero
@@ -188,9 +152,8 @@ impl<T: Transport> Client<T> {
                 .transport
                 .recv_timeout(&mut self.in_buf, policy.attempt_timeout)
             {
-                Err(TransportError::Closed) => return Err(CallError::Disconnected),
-                Err(e) => return Err(CallError::Transport(e)),
-                Ok(RecvOutcome::Closed) => return Err(CallError::Disconnected),
+                Err(e) => return Err(e.into()),
+                Ok(RecvOutcome::Closed) => return Err(TransportError::Closed.into()),
                 Ok(RecvOutcome::TimedOut) => {}
                 Ok(RecvOutcome::Frame) => match decode_reply(&mut self.in_buf, kind) {
                     // A frame that fails to decode is injector damage on the
@@ -219,7 +182,7 @@ impl<T: Transport> Client<T> {
                     // The server's last word was a typed busy answer; after
                     // exhausting retries that *is* the reply.
                     Some(e) => Ok(Reply::Err(e)),
-                    None => Err(CallError::TimedOut { attempts }),
+                    None => Err(ClientError::TimedOut { attempts }),
                 };
             }
             let rng = rng.get_or_insert_with(|| Rng::new(policy.jitter_seed ^ unique));
@@ -228,7 +191,7 @@ impl<T: Transport> Client<T> {
                 std::thread::sleep(pause);
             }
             attempts += 1;
-            self.transport.send(&self.out_buf).map_err(send_err)?;
+            self.transport.send(&self.out_buf)?;
         }
     }
 }
@@ -374,7 +337,7 @@ mod tests {
         let (reply, summary, _) =
             with_faulty_server(plan, |client| client.call_with(&mkdir("m"), &policy));
         match reply {
-            Err(CallError::TimedOut { attempts }) => assert_eq!(attempts, 1),
+            Err(ClientError::TimedOut { attempts }) => assert_eq!(attempts, 1),
             other => panic!("{other:?}"),
         }
         assert_eq!(summary.requests, 1, "executed once; never retransmitted");
@@ -401,7 +364,10 @@ mod tests {
             (first, second)
         });
         assert_eq!(replies.0.unwrap(), Reply::Err(Errno::ENOENT));
-        assert!(matches!(replies.1, Err(CallError::Disconnected)));
+        assert!(matches!(
+            replies.1,
+            Err(ClientError::Transport(TransportError::Closed))
+        ));
         assert_eq!(counters.disconnects, 1);
         assert_eq!(summary.shutdown, Shutdown::Disconnected);
     }
@@ -480,7 +446,7 @@ mod tests {
         };
         let got = client.destroy_with(&policy);
         assert!(
-            matches!(got, Err(CallError::Refused(Errno::EINVAL))),
+            matches!(got, Err(ClientError::Refused(Errno::EINVAL))),
             "{got:?}"
         );
         peer.join().unwrap();
@@ -497,7 +463,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         match client.call_with(&lookup("void"), &policy) {
-            Err(CallError::TimedOut { attempts }) => assert_eq!(attempts, 1),
+            Err(ClientError::TimedOut { attempts }) => assert_eq!(attempts, 1),
             other => panic!("{other:?}"),
         }
     }

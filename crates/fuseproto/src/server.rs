@@ -26,8 +26,9 @@
 
 use std::collections::VecDeque;
 
+use hpcc_kernel::Errno;
+
 use crate::dispatch::Dispatch;
-use crate::errno::Errno;
 use crate::op::{Reply, ReplyKind, Request};
 use crate::transport::{Transport, TransportError};
 use crate::wire::{
@@ -343,8 +344,9 @@ pub struct PendingCall {
 }
 
 /// A client-side failure: the transport broke, a reply frame was malformed,
-/// the server answered a different request than the one pending, or it
-/// refused to end the session.
+/// the server answered a different request than the one pending, it
+/// refused to end the session, or a policy-driven call ran out of retries.
+/// Always typed, never a hang.
 #[derive(Debug)]
 pub enum ClientError {
     /// The transport failed or closed before the reply arrived.
@@ -360,8 +362,14 @@ pub enum ClientError {
     },
     /// The server answered `FUSE_DESTROY` with this errno instead of an
     /// acknowledgement (e.g. `EINVAL` for a destroy frame damaged in
-    /// flight): the session did not end.
+    /// flight), after any retries: the session did not end.
     Refused(Errno),
+    /// A [`Client::call_with`] spent its retry budget (attempts or
+    /// deadline) without a usable reply.
+    TimedOut {
+        /// Attempts made, the original send included.
+        attempts: u32,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -373,6 +381,9 @@ impl std::fmt::Display for ClientError {
                 write!(f, "reply for request {got}, expected {expected}")
             }
             ClientError::Refused(e) => write!(f, "server refused destroy: {e}"),
+            ClientError::TimedOut { attempts } => {
+                write!(f, "call timed out after {attempts} attempt(s)")
+            }
         }
     }
 }

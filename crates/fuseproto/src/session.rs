@@ -31,10 +31,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard};
 
 use hpcc_kernel::sync::{read_recover, write_recover};
+use hpcc_kernel::{Errno, KResult};
 use hpcc_vfs::{Access, Actor, FileType, Filesystem, Ino, Mode, Setattr};
 
-use crate::errno::{Errno, OpResult};
-use crate::memfs::wire;
 use crate::op::{
     Attr, DirEntry, Entry, FsCreds, OpenFlags, Opened, ReadReply, StatfsReply, Written,
 };
@@ -74,7 +73,7 @@ enum Handle {
 fn file_handle(
     handle: Option<&Handle>,
     permits: fn(OpenFlags) -> bool,
-) -> OpResult<(Ino, &AtomicU64)> {
+) -> KResult<(Ino, &AtomicU64)> {
     match handle {
         Some(Handle::File { ino, flags, offset }) if permits(*flags) => Ok((*ino, offset)),
         Some(Handle::Dir { .. }) => Err(Errno::EISDIR),
@@ -131,7 +130,7 @@ impl HandleTable {
 
     /// Removes `fh` if `kind` accepts its handle; otherwise (a missing
     /// handle, or the wrong release flavor) `EBADF`, leaving it open.
-    fn remove(&self, fh: u64, kind: fn(&Handle) -> bool) -> OpResult<()> {
+    fn remove(&self, fh: u64, kind: fn(&Handle) -> bool) -> KResult<()> {
         let mut shard = write_recover(self.shard(fh));
         match shard.get(&fh) {
             Some(h) if kind(h) => {
@@ -166,14 +165,13 @@ impl HandleTable {
 pub struct Session<B> {
     backend: B,
     handles: HandleTable,
-    ops_dispatched: AtomicU64,
 }
 
 /// The entry for `ino`: the inode and its attributes as `actor` sees them.
-fn stat_entry(fs: &Filesystem, actor: &Actor<'_>, ino: Ino) -> OpResult<Entry> {
+fn stat_entry(fs: &Filesystem, actor: &Actor<'_>, ino: Ino) -> KResult<Entry> {
     Ok(Entry {
         ino,
-        attr: Attr::from(fs.stat_ino(actor, ino).map_err(wire)?),
+        attr: Attr::from(fs.stat_ino(actor, ino)?),
     })
 }
 
@@ -183,7 +181,6 @@ impl<B: FsOps> Session<B> {
         Session {
             backend,
             handles: HandleTable::new(),
-            ops_dispatched: AtomicU64::new(0),
         }
     }
 
@@ -204,11 +201,6 @@ impl<B: FsOps> Session<B> {
         self.handles.len()
     }
 
-    /// Total operations dispatched (typed calls and wire requests alike).
-    pub fn ops_dispatched(&self) -> u64 {
-        self.ops_dispatched.load(Ordering::Relaxed)
-    }
-
     /// Drops every open handle, as a FUSE daemon does when its client
     /// disconnects without releasing. Used by
     /// [`Dispatch::disconnect`](crate::Dispatch::disconnect).
@@ -216,19 +208,12 @@ impl<B: FsOps> Session<B> {
         self.handles.clear();
     }
 
-    /// Every op's prologue: count it, then let the backend admit (or
-    /// refuse) the request's credentials before anything executes.
-    fn admit(&self, cred: &FsCreds) -> OpResult<()> {
-        self.ops_dispatched.fetch_add(1, Ordering::Relaxed);
-        self.backend.admit(cred)
-    }
-
     /// Resolves an absolute path to an entry, following intermediate
     /// symlinks (and the final one when `follow_final`, selecting stat vs
     /// lstat semantics). A convenience for clients holding path strings;
     /// the protocol itself never sees a multi-component path.
-    pub fn resolve_path(&self, cred: &FsCreds, path: &str, follow_final: bool) -> OpResult<Entry> {
-        self.admit(cred)?;
+    pub fn resolve_path(&self, cred: &FsCreds, path: &str, follow_final: bool) -> KResult<Entry> {
+        self.backend.admit(cred)?;
         self.backend.read(cred, |fs, actor| {
             let ino = self.backend.resolve(fs, actor, path, follow_final)?;
             stat_entry(fs, actor, ino)
@@ -238,44 +223,44 @@ impl<B: FsOps> Session<B> {
     // ------------------------------------------------------------- typed ops
 
     /// `lookup`: one component under a parent directory.
-    pub fn lookup(&self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<Entry> {
-        self.admit(cred)?;
+    pub fn lookup(&self, cred: &FsCreds, parent: Ino, name: &str) -> KResult<Entry> {
+        self.backend.admit(cred)?;
         self.backend.read(cred, |fs, actor| {
-            stat_entry(fs, actor, fs.lookup_at(actor, parent, name).map_err(wire)?)
+            stat_entry(fs, actor, fs.lookup_at(actor, parent, name)?)
         })
     }
 
     /// `getattr`.
-    pub fn getattr(&self, cred: &FsCreds, ino: Ino) -> OpResult<Attr> {
-        self.admit(cred)?;
+    pub fn getattr(&self, cred: &FsCreds, ino: Ino) -> KResult<Attr> {
+        self.backend.admit(cred)?;
         self.backend
             .read(cred, |fs, actor| Ok(stat_entry(fs, actor, ino)?.attr))
     }
 
     /// `setattr`: applies a metadata change (mode / ownership / size),
     /// returning the new attributes.
-    pub fn setattr(&self, cred: &FsCreds, ino: Ino, changes: &Setattr) -> OpResult<Attr> {
-        self.admit(cred)?;
+    pub fn setattr(&self, cred: &FsCreds, ino: Ino, changes: &Setattr) -> KResult<Attr> {
+        self.backend.admit(cred)?;
         self.backend.write(cred, |fs, actor| {
-            fs.setattr_ino(actor, ino, changes).map_err(wire)?;
+            fs.setattr_ino(actor, ino, changes)?;
             Ok(stat_entry(fs, actor, ino)?.attr)
         })
     }
 
     /// `readlink`.
-    pub fn readlink(&self, cred: &FsCreds, ino: Ino) -> OpResult<String> {
-        self.admit(cred)?;
+    pub fn readlink(&self, cred: &FsCreds, ino: Ino) -> KResult<String> {
+        self.backend.admit(cred)?;
         self.backend
-            .read(cred, |fs, actor| fs.readlink_ino(actor, ino).map_err(wire))
+            .read(cred, |fs, actor| fs.readlink_ino(actor, ino))
     }
 
     /// `open`: checks access once, here (per POSIX), applies `O_TRUNC` to a
     /// writable open, then allocates a file handle. Directories are opened
     /// with `opendir` (`EISDIR`); other non-regular files are `EINVAL`.
-    pub fn open(&self, cred: &FsCreds, ino: Ino, flags: OpenFlags) -> OpResult<Opened> {
-        self.admit(cred)?;
-        let check = |fs: &Filesystem, actor: &Actor<'_>| -> OpResult<()> {
-            let inode = fs.inode(ino).map_err(wire)?;
+    pub fn open(&self, cred: &FsCreds, ino: Ino, flags: OpenFlags) -> KResult<Opened> {
+        self.backend.admit(cred)?;
+        let check = |fs: &Filesystem, actor: &Actor<'_>| -> KResult<()> {
+            let inode = fs.inode(ino)?;
             if inode.is_dir() {
                 return Err(Errno::EISDIR);
             }
@@ -283,12 +268,10 @@ impl<B: FsOps> Session<B> {
                 return Err(Errno::EINVAL);
             }
             if flags.readable() {
-                fs.check_access_ino(actor, ino, Access::READ)
-                    .map_err(wire)?;
+                fs.check_access_ino(actor, ino, Access::READ)?;
             }
             if flags.writable() {
-                fs.check_access_ino(actor, ino, Access::WRITE)
-                    .map_err(wire)?;
+                fs.check_access_ino(actor, ino, Access::WRITE)?;
             }
             Ok(())
         };
@@ -296,7 +279,7 @@ impl<B: FsOps> Session<B> {
             self.backend.write(cred, |fs, actor| {
                 check(fs, actor)?;
                 if flags.writable() && flags.truncates() {
-                    fs.truncate_ino(actor, ino, 0).map_err(wire)?;
+                    fs.truncate_ino(actor, ino, 0)?;
                 }
                 Ok(())
             })?;
@@ -320,10 +303,10 @@ impl<B: FsOps> Session<B> {
         name: &str,
         mode: Mode,
         flags: OpenFlags,
-    ) -> OpResult<(Entry, Opened)> {
-        self.admit(cred)?;
+    ) -> KResult<(Entry, Opened)> {
+        self.backend.admit(cred)?;
         let entry = self.backend.write(cred, |fs, actor| {
-            let ino = fs.create_at(actor, parent, name, mode).map_err(wire)?;
+            let ino = fs.create_at(actor, parent, name, mode)?;
             stat_entry(fs, actor, ino)
         })?;
         let fh = self.handles.insert(Handle::File {
@@ -337,13 +320,13 @@ impl<B: FsOps> Session<B> {
     /// `read` at an explicit offset. Zero-copy: the reply windows the
     /// file's shared bytes. Advances the handle's sequential position to
     /// `offset + len`.
-    pub fn read(&self, cred: &FsCreds, fh: u64, offset: u64, size: u32) -> OpResult<ReadReply> {
-        self.admit(cred)?;
+    pub fn read(&self, cred: &FsCreds, fh: u64, offset: u64, size: u32) -> KResult<ReadReply> {
+        self.backend.admit(cred)?;
         let shard = self.handles.read_shard(fh);
         let (ino, pos) = file_handle(shard.get(&fh), OpenFlags::readable)?;
-        let bytes = self.backend.read(cred, |fs, actor| {
-            fs.file_bytes_ino(actor, ino).map_err(wire)
-        })?;
+        let bytes = self
+            .backend
+            .read(cred, |fs, actor| fs.file_bytes_ino(actor, ino))?;
         let reply = ReadReply::new(bytes, offset, size);
         pos.store(offset + reply.len() as u64, Ordering::Relaxed);
         Ok(reply)
@@ -353,7 +336,7 @@ impl<B: FsOps> Session<B> {
     /// Two threads streaming through the *same* handle race on the cursor
     /// exactly as two processes sharing a file description do.
     // hpcc-lint: allow(test_only_api) — harness: crates/fuseproto/tests/concurrent_stress.rs streams through shared handles with it
-    pub fn read_next(&self, cred: &FsCreds, fh: u64, size: u32) -> OpResult<ReadReply> {
+    pub fn read_next(&self, cred: &FsCreds, fh: u64, size: u32) -> KResult<ReadReply> {
         let offset = {
             let shard = self.handles.read_shard(fh);
             let (_, pos) = file_handle(shard.get(&fh), |_| true)?;
@@ -365,29 +348,29 @@ impl<B: FsOps> Session<B> {
     /// `write` at an explicit offset (`pwrite` semantics) through an open
     /// handle. A handle not opened for writing is `EBADF`, as for
     /// `write(2)`.
-    pub fn write(&self, cred: &FsCreds, fh: u64, offset: u64, data: &[u8]) -> OpResult<Written> {
-        self.admit(cred)?;
+    pub fn write(&self, cred: &FsCreds, fh: u64, offset: u64, data: &[u8]) -> KResult<Written> {
+        self.backend.admit(cred)?;
         let shard = self.handles.read_shard(fh);
         let (ino, pos) = file_handle(shard.get(&fh), OpenFlags::writable)?;
-        let size = self.backend.write(cred, |fs, actor| {
-            fs.write_at_ino(actor, ino, offset, data).map_err(wire)
-        })?;
+        let size = self
+            .backend
+            .write(cred, |fs, actor| fs.write_at_ino(actor, ino, offset, data))?;
         pos.store(offset + size as u64, Ordering::Relaxed);
         Ok(Written { size })
     }
 
     /// `release`: closes a file handle.
-    pub fn release(&self, cred: &FsCreds, fh: u64) -> OpResult<()> {
-        self.admit(cred)?;
+    pub fn release(&self, cred: &FsCreds, fh: u64) -> KResult<()> {
+        self.backend.admit(cred)?;
         self.handles
             .remove(fh, |h| matches!(h, Handle::File { .. }))
     }
 
     /// `opendir`: snapshots the directory's entries into a cursor handle.
-    pub fn opendir(&self, cred: &FsCreds, ino: Ino) -> OpResult<Opened> {
-        self.admit(cred)?;
+    pub fn opendir(&self, cred: &FsCreds, ino: Ino) -> KResult<Opened> {
+        self.backend.admit(cred)?;
         let entries = self.backend.read(cred, |fs, actor| {
-            let entries = fs.readdir_ino(actor, ino).map_err(wire)?;
+            let entries = fs.readdir_ino(actor, ino)?;
             Ok::<_, Errno>(
                 entries
                     .into_iter()
@@ -417,8 +400,8 @@ impl<B: FsOps> Session<B> {
         fh: u64,
         offset: usize,
         max: usize,
-    ) -> OpResult<Vec<DirEntry>> {
-        self.admit(cred)?;
+    ) -> KResult<Vec<DirEntry>> {
+        self.backend.admit(cred)?;
         match self.handles.read_shard(fh).get(&fh) {
             Some(Handle::Dir { entries }) => {
                 let start = offset.min(entries.len());
@@ -431,34 +414,32 @@ impl<B: FsOps> Session<B> {
     }
 
     /// `releasedir`: closes a directory handle.
-    pub fn releasedir(&self, cred: &FsCreds, fh: u64) -> OpResult<()> {
-        self.admit(cred)?;
+    pub fn releasedir(&self, cred: &FsCreds, fh: u64) -> KResult<()> {
+        self.backend.admit(cred)?;
         self.handles.remove(fh, |h| matches!(h, Handle::Dir { .. }))
     }
 
     /// `mkdir`.
-    pub fn mkdir(&self, cred: &FsCreds, parent: Ino, name: &str, mode: Mode) -> OpResult<Entry> {
-        self.admit(cred)?;
+    pub fn mkdir(&self, cred: &FsCreds, parent: Ino, name: &str, mode: Mode) -> KResult<Entry> {
+        self.backend.admit(cred)?;
         self.backend.write(cred, |fs, actor| {
-            let ino = fs.mkdir_at(actor, parent, name, mode).map_err(wire)?;
+            let ino = fs.mkdir_at(actor, parent, name, mode)?;
             stat_entry(fs, actor, ino)
         })
     }
 
     /// `unlink`: removes a non-directory entry.
-    pub fn unlink(&self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<()> {
-        self.admit(cred)?;
-        self.backend.write(cred, |fs, actor| {
-            fs.unlink_at(actor, parent, name).map_err(wire)
-        })
+    pub fn unlink(&self, cred: &FsCreds, parent: Ino, name: &str) -> KResult<()> {
+        self.backend.admit(cred)?;
+        self.backend
+            .write(cred, |fs, actor| fs.unlink_at(actor, parent, name))
     }
 
     /// `rmdir`: removes an empty directory.
-    pub fn rmdir(&self, cred: &FsCreds, parent: Ino, name: &str) -> OpResult<()> {
-        self.admit(cred)?;
-        self.backend.write(cred, |fs, actor| {
-            fs.rmdir_at(actor, parent, name).map_err(wire)
-        })
+    pub fn rmdir(&self, cred: &FsCreds, parent: Ino, name: &str) -> KResult<()> {
+        self.backend.admit(cred)?;
+        self.backend
+            .write(cred, |fs, actor| fs.rmdir_at(actor, parent, name))
     }
 
     /// `rename`, possibly across directories.
@@ -469,32 +450,25 @@ impl<B: FsOps> Session<B> {
         name: &str,
         new_parent: Ino,
         new_name: &str,
-    ) -> OpResult<()> {
-        self.admit(cred)?;
+    ) -> KResult<()> {
+        self.backend.admit(cred)?;
         self.backend.write(cred, |fs, actor| {
             fs.rename_at(actor, parent, name, new_parent, new_name)
-                .map_err(wire)
         })
     }
 
     /// `symlink`.
-    pub fn symlink(
-        &self,
-        cred: &FsCreds,
-        parent: Ino,
-        name: &str,
-        target: &str,
-    ) -> OpResult<Entry> {
-        self.admit(cred)?;
+    pub fn symlink(&self, cred: &FsCreds, parent: Ino, name: &str, target: &str) -> KResult<Entry> {
+        self.backend.admit(cred)?;
         self.backend.write(cred, |fs, actor| {
-            let ino = fs.symlink_at(actor, parent, name, target).map_err(wire)?;
+            let ino = fs.symlink_at(actor, parent, name, target)?;
             stat_entry(fs, actor, ino)
         })
     }
 
     /// `statfs`. A frozen image reports read-only.
-    pub fn statfs(&self, cred: &FsCreds) -> OpResult<StatfsReply> {
-        self.admit(cred)?;
+    pub fn statfs(&self, cred: &FsCreds) -> KResult<StatfsReply> {
+        self.backend.admit(cred)?;
         Ok(self.backend.read(cred, |fs, _| StatfsReply {
             inodes: fs.inode_count() as u64,
             bytes: fs.total_file_bytes(),
@@ -503,27 +477,24 @@ impl<B: FsOps> Session<B> {
     }
 
     /// `getxattr`.
-    pub fn getxattr(&self, cred: &FsCreds, ino: Ino, name: &str) -> OpResult<Vec<u8>> {
-        self.admit(cred)?;
-        self.backend.read(cred, |fs, actor| {
-            fs.get_xattr_ino(actor, ino, name).map_err(wire)
-        })
+    pub fn getxattr(&self, cred: &FsCreds, ino: Ino, name: &str) -> KResult<Vec<u8>> {
+        self.backend.admit(cred)?;
+        self.backend
+            .read(cred, |fs, actor| fs.get_xattr_ino(actor, ino, name))
     }
 
     /// `setxattr`.
-    pub fn setxattr(&self, cred: &FsCreds, ino: Ino, name: &str, value: &[u8]) -> OpResult<()> {
-        self.admit(cred)?;
-        self.backend.write(cred, |fs, actor| {
-            fs.set_xattr_ino(actor, ino, name, value).map_err(wire)
-        })
+    pub fn setxattr(&self, cred: &FsCreds, ino: Ino, name: &str, value: &[u8]) -> KResult<()> {
+        self.backend.admit(cred)?;
+        self.backend
+            .write(cred, |fs, actor| fs.set_xattr_ino(actor, ino, name, value))
     }
 
     /// `listxattr`.
-    pub fn listxattr(&self, cred: &FsCreds, ino: Ino) -> OpResult<Vec<String>> {
-        self.admit(cred)?;
-        self.backend.read(cred, |fs, actor| {
-            fs.list_xattrs_ino(actor, ino).map_err(wire)
-        })
+    pub fn listxattr(&self, cred: &FsCreds, ino: Ino) -> KResult<Vec<String>> {
+        self.backend.admit(cred)?;
+        self.backend
+            .read(cred, |fs, actor| fs.list_xattrs_ino(actor, ino))
     }
 }
 

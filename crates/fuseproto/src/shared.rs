@@ -23,11 +23,10 @@
 
 use std::sync::Arc;
 
-use hpcc_kernel::{Credentials, UserNamespace};
+use hpcc_kernel::{Credentials, Errno, KResult, UserNamespace};
 use hpcc_vfs::{Actor, Filesystem, FrozenResolver, Ino};
 
-use crate::errno::{Errno, OpResult};
-use crate::memfs::{derive_credentials, wire};
+use crate::memfs::derive_credentials;
 use crate::op::FsCreds;
 use crate::ops::FsOps;
 use crate::session::Session;
@@ -123,7 +122,7 @@ impl FrozenImage {
 
 impl FsOps for FrozenImage {
     /// Only the principal the reader was opened for.
-    fn admit(&self, cred: &FsCreds) -> OpResult<()> {
+    fn admit(&self, cred: &FsCreds) -> KResult<()> {
         if *cred == self.cred {
             Ok(())
         } else {
@@ -141,8 +140,8 @@ impl FsOps for FrozenImage {
     fn write<R>(
         &self,
         _cred: &FsCreds,
-        _op: impl FnOnce(&mut Filesystem, &Actor<'_>) -> OpResult<R>,
-    ) -> OpResult<R> {
+        _op: impl FnOnce(&mut Filesystem, &Actor<'_>) -> KResult<R>,
+    ) -> KResult<R> {
         Err(Errno::EROFS)
     }
 
@@ -155,14 +154,13 @@ impl FsOps for FrozenImage {
         actor: &Actor<'_>,
         path: &str,
         follow_final: bool,
-    ) -> OpResult<Ino> {
+    ) -> KResult<Ino> {
         let resolver = &self.image.inner.resolver;
         if follow_final {
             resolver.resolve(fs, actor, path)
         } else {
             resolver.resolve_no_follow(fs, actor, path)
         }
-        .map_err(wire)
     }
 }
 

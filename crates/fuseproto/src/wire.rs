@@ -27,7 +27,9 @@
 //! ```
 //!
 //! `error` is 0 on success or the **negated** POSIX errno (`-2` = `ENOENT`),
-//! exactly as a FUSE daemon writes it; error replies carry no payload.
+//! exactly as a FUSE daemon writes it; error replies carry no payload. Any
+//! other value, including a code the kernel's [`Errno`] does not model, is a
+//! [`WireError::BadErrno`].
 //! Success payloads are *not* self-describing — the client supplies the
 //! [`ReplyKind`] it expects for the request's unique id
 //! ([`Operation::reply_kind`]) as the decode schema, as a real FUSE client
@@ -56,10 +58,9 @@
 //! [`decode_reply`] hands the receive buffer itself to the decoded
 //! [`ReadReply`] and copies only a payload too small for its buffer.
 
-use hpcc_kernel::{Gid, Uid};
+use hpcc_kernel::{Errno, Gid, Uid};
 use hpcc_vfs::{FileBytes, FileType, Mode, Setattr};
 
-use crate::errno::Errno;
 use crate::op::{
     Attr, DirEntry, Entry, FsCreds, OpenFlags, Opened, Operation, ReadReply, Reply, ReplyKind,
     Request, StatfsReply, Written,
@@ -159,7 +160,8 @@ pub enum WireError {
         /// How many bytes were not consumed.
         extra: usize,
     },
-    /// A reply error field that is not a negated errno (or zero).
+    /// A reply error field that is neither zero nor a negated errno the
+    /// kernel models (a positive value, `i32::MIN`, or an unknown code).
     BadErrno(i32),
     /// The frame's checksum trailer does not match its contents — bytes
     /// were corrupted in flight.
@@ -853,11 +855,12 @@ pub fn decode_reply(buf: &mut Vec<u8>, kind: ReplyKind) -> Result<(u64, Reply), 
     let error = r.i32()?;
     let unique = r.u64()?;
     if error != 0 {
-        if error > 0 {
-            return Err(WireError::BadErrno(error));
-        }
+        let errno = error
+            .checked_neg()
+            .and_then(Errno::from_code)
+            .ok_or(WireError::BadErrno(error))?;
         r.finish()?;
-        return Ok((unique, Reply::Err(Errno::from_code(-error))));
+        return Ok((unique, Reply::Err(errno)));
     }
     let reply = match kind {
         ReplyKind::Unit => Reply::Unit,
@@ -1156,18 +1159,11 @@ mod tests {
             1, 2, 3, 5, 9, 11, 13, 17, 18, 19, 20, 21, 22, 23, 27, 28, 30, 31, 32, 36, 38, 39, 40,
             61, 87, 95, 122,
         ] {
-            let e = Errno::from_code(code);
-            assert!(e.to_kernel().is_some(), "table drift: {code}");
+            let e = Errno::from_code(code).expect("a modelled code");
             for kind in [ReplyKind::Entry, ReplyKind::Data, ReplyKind::Unit] {
                 assert_eq!(round_trip_reply(&Reply::Err(e), kind), Reply::Err(e));
             }
         }
-        // Codes outside the kernel table still travel faithfully.
-        let weird = Errno::from_code(4096);
-        assert_eq!(
-            round_trip_reply(&Reply::Err(weird), ReplyKind::Attr),
-            Reply::Err(weird)
-        );
     }
 
     #[test]
@@ -1260,14 +1256,19 @@ mod tests {
         });
         assert_eq!(decode_request(&buf), Err(WireError::Truncated));
 
-        // A positive (non-negated) reply error field.
-        let mut buf = Vec::new();
-        encode_reply(&mut buf, 1, &Reply::Err(Errno::ENOENT));
-        tamper(&mut buf, |b| b[4..8].copy_from_slice(&2i32.to_le_bytes()));
-        assert_eq!(
-            decode_reply(&mut buf, ReplyKind::Unit),
-            Err(WireError::BadErrno(2))
-        );
+        // A reply error field that does not negate a modelled errno: a
+        // positive value, an unmodelled code, and one whose negation
+        // overflows.
+        for error in [2, -4096, i32::MIN] {
+            let mut buf = Vec::new();
+            encode_reply(&mut buf, 1, &Reply::Err(Errno::ENOENT));
+            tamper(&mut buf, |b| b[4..8].copy_from_slice(&error.to_le_bytes()));
+            assert_eq!(
+                decode_reply(&mut buf, ReplyKind::Unit),
+                Err(WireError::BadErrno(error)),
+                "error field {error}"
+            );
+        }
     }
 
     /// Any un-resealed mutation is caught by the trailer before field
@@ -1552,17 +1553,17 @@ mod proptests {
             prop_assert!(decode_reply(&mut frame[..cut].to_vec(), kind).is_err());
         }
 
-        /// Every errno the kernel models — and unmapped codes too — survives
-        /// the negated-errno encoding under any expected reply kind.
+        /// Every errno the kernel models survives the negated-errno
+        /// encoding under any expected reply kind.
         #[test]
         fn errno_replies_round_trip(
-            idx in 0usize..28,
+            idx in 0usize..27,
             ksel in any::<u8>(),
             unique in any::<u64>(),
         ) {
-            const CODES: [i32; 28] = [
+            const CODES: [i32; 27] = [
                 1, 2, 3, 5, 9, 11, 13, 17, 18, 19, 20, 21, 22, 23, 27, 28,
-                30, 31, 32, 36, 38, 39, 40, 61, 87, 95, 122, 4096,
+                30, 31, 32, 36, 38, 39, 40, 61, 87, 95, 122,
             ];
             let kinds = [
                 ReplyKind::Entry, ReplyKind::Attr, ReplyKind::Opened,
@@ -1570,7 +1571,7 @@ mod proptests {
                 ReplyKind::Link, ReplyKind::Statfs, ReplyKind::Xattr,
                 ReplyKind::Names, ReplyKind::Unit,
             ];
-            let e = Errno::from_code(CODES[idx]);
+            let e = Errno::from_code(CODES[idx]).expect("a modelled code");
             let kind = kinds[ksel as usize % kinds.len()];
             let mut buf = Vec::new();
             encode_reply(&mut buf, unique, &Reply::Err(e));

@@ -325,9 +325,6 @@ fn one_session_shared_across_threads_keeps_handles_isolated() {
         }
     });
     assert_eq!(reader.open_handles(), 0);
-    // 8 threads × 1000 iterations × 4 counted ops each (resolve, open,
-    // read, release) — the atomic counter must not lose updates.
-    assert_eq!(reader.ops_dispatched(), (THREADS * 1000 * 4) as u64);
 }
 
 /// One writable session driven from many threads at once: every op takes

@@ -46,8 +46,6 @@ pub struct Registry {
     /// Registry host name (informational).
     pub host: String,
     repositories: BTreeMap<String, BTreeMap<String, TagEntry>>,
-    push_count: u64,
-    pull_count: u64,
 }
 
 impl Registry {
@@ -80,12 +78,11 @@ impl Registry {
                 image: image.clone(),
             },
         );
-        self.push_count += 1;
         Ok(digest)
     }
 
     /// Pulls an image by reference.
-    pub fn pull(&mut self, reference: &str) -> Result<Image, RegistryError> {
+    pub fn pull(&self, reference: &str) -> Result<Image, RegistryError> {
         let (repo, tag) = Self::split_reference(reference);
         let r = self
             .repositories
@@ -94,7 +91,6 @@ impl Registry {
         let entry = r
             .get(&tag)
             .ok_or_else(|| RegistryError::UnknownTag(tag.clone()))?;
-        self.pull_count += 1;
         Ok(entry.image.clone())
     }
 
@@ -121,16 +117,6 @@ impl Registry {
     /// Lists repositories.
     pub fn repositories(&self) -> Vec<String> {
         self.repositories.keys().cloned().collect()
-    }
-
-    /// Number of pushes served.
-    pub fn push_count(&self) -> u64 {
-        self.push_count
-    }
-
-    /// Number of pulls served.
-    pub fn pull_count(&self) -> u64 {
-        self.pull_count
     }
 }
 
@@ -160,8 +146,6 @@ mod tests {
         let pulled = reg.pull("atse/app:1.2").unwrap();
         assert_eq!(pulled, img);
         assert_eq!(reg.head("atse/app:1.2").unwrap(), digest);
-        assert_eq!(reg.push_count(), 1);
-        assert_eq!(reg.pull_count(), 1);
     }
 
     #[test]

@@ -2,104 +2,117 @@
 //!
 //! Numbers match Linux x86-64 so that transcripts such as
 //! `setegid 65534 failed - setegid (22: Invalid argument)` (paper Figure 3)
-//! can be reproduced verbatim.
+//! can be reproduced verbatim. They are also the protocol's errnos: a FUSE
+//! daemon answers a failed request with the same number, negated, in
+//! `fuse_out_header.error`.
 
 use std::fmt;
 
 /// Error numbers returned by simulated system calls.
 ///
 /// Only the values that the paper's scenarios can produce are included, plus a
-/// few that naturally arise from a POSIX-like VFS (e.g. `ENOTDIR`).
+/// few that naturally arise from a POSIX-like VFS (e.g. `ENOTDIR`). Each
+/// variant's discriminant is its Linux number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(i32)]
 pub enum Errno {
     /// Operation not permitted.
-    EPERM,
+    EPERM = 1,
     /// No such file or directory.
-    ENOENT,
+    ENOENT = 2,
     /// No such process.
-    ESRCH,
+    ESRCH = 3,
     /// Input/output error.
-    EIO,
+    EIO = 5,
     /// Bad file descriptor.
-    EBADF,
-    /// Permission denied.
-    EACCES,
-    /// File exists.
-    EEXIST,
-    /// Cross-device link.
-    EXDEV,
-    /// No such device.
-    ENODEV,
-    /// Not a directory.
-    ENOTDIR,
-    /// Is a directory.
-    EISDIR,
-    /// Invalid argument.
-    EINVAL,
-    /// Too many open files in system.
-    ENFILE,
-    /// File too large.
-    EFBIG,
-    /// No space left on device.
-    ENOSPC,
-    /// Read-only file system.
-    EROFS,
-    /// Too many links.
-    EMLINK,
-    /// Broken pipe.
-    EPIPE,
-    /// File name too long.
-    ENAMETOOLONG,
-    /// Function not implemented.
-    ENOSYS,
-    /// Directory not empty.
-    ENOTEMPTY,
-    /// Too many symbolic links encountered.
-    ELOOP,
-    /// Operation not supported.
-    EOPNOTSUPP,
-    /// Quota exceeded.
-    EDQUOT,
-    /// No data available (used for missing xattrs).
-    ENODATA,
-    /// Too many users (used when namespace limits are exhausted).
-    EUSERS,
+    EBADF = 9,
     /// Resource temporarily unavailable.
-    EAGAIN,
+    EAGAIN = 11,
+    /// Permission denied.
+    EACCES = 13,
+    /// File exists.
+    EEXIST = 17,
+    /// Cross-device link.
+    EXDEV = 18,
+    /// No such device.
+    ENODEV = 19,
+    /// Not a directory.
+    ENOTDIR = 20,
+    /// Is a directory.
+    EISDIR = 21,
+    /// Invalid argument.
+    EINVAL = 22,
+    /// Too many open files in system.
+    ENFILE = 23,
+    /// File too large.
+    EFBIG = 27,
+    /// No space left on device.
+    ENOSPC = 28,
+    /// Read-only file system.
+    EROFS = 30,
+    /// Too many links.
+    EMLINK = 31,
+    /// Broken pipe.
+    EPIPE = 32,
+    /// File name too long.
+    ENAMETOOLONG = 36,
+    /// Function not implemented.
+    ENOSYS = 38,
+    /// Directory not empty.
+    ENOTEMPTY = 39,
+    /// Too many symbolic links encountered.
+    ELOOP = 40,
+    /// No data available (used for missing xattrs).
+    ENODATA = 61,
+    /// Too many users (used when namespace limits are exhausted).
+    EUSERS = 87,
+    /// Operation not supported.
+    EOPNOTSUPP = 95,
+    /// Quota exceeded.
+    EDQUOT = 122,
 }
 
 impl Errno {
     /// The numeric value as reported by the Linux kernel on x86-64.
     pub fn code(self) -> i32 {
-        match self {
-            Errno::EPERM => 1,
-            Errno::ENOENT => 2,
-            Errno::ESRCH => 3,
-            Errno::EIO => 5,
-            Errno::EBADF => 9,
-            Errno::EAGAIN => 11,
-            Errno::EACCES => 13,
-            Errno::EEXIST => 17,
-            Errno::EXDEV => 18,
-            Errno::ENODEV => 19,
-            Errno::ENOTDIR => 20,
-            Errno::EISDIR => 21,
-            Errno::EINVAL => 22,
-            Errno::ENFILE => 23,
-            Errno::EFBIG => 27,
-            Errno::ENOSPC => 28,
-            Errno::EROFS => 30,
-            Errno::EMLINK => 31,
-            Errno::EPIPE => 32,
-            Errno::ENAMETOOLONG => 36,
-            Errno::ENOSYS => 38,
-            Errno::ENOTEMPTY => 39,
-            Errno::ELOOP => 40,
-            Errno::ENODATA => 61,
-            Errno::EUSERS => 87,
-            Errno::EOPNOTSUPP => 95,
-            Errno::EDQUOT => 122,
-        }
+        self as i32
+    }
+
+    /// The variant whose number is `code`, if the kernel models one: the
+    /// inverse of [`Errno::code`].
+    pub fn from_code(code: i32) -> Option<Errno> {
+        use Errno::*;
+        [
+            EPERM,
+            ENOENT,
+            ESRCH,
+            EIO,
+            EBADF,
+            EAGAIN,
+            EACCES,
+            EEXIST,
+            EXDEV,
+            ENODEV,
+            ENOTDIR,
+            EISDIR,
+            EINVAL,
+            ENFILE,
+            EFBIG,
+            ENOSPC,
+            EROFS,
+            EMLINK,
+            EPIPE,
+            ENAMETOOLONG,
+            ENOSYS,
+            ENOTEMPTY,
+            ELOOP,
+            ENODATA,
+            EUSERS,
+            EOPNOTSUPP,
+            EDQUOT,
+        ]
+        .into_iter()
+        .find(|e| e.code() == code)
     }
 
     /// The human-readable message, matching `strerror(3)` on glibc.
@@ -135,39 +148,6 @@ impl Errno {
         }
     }
 
-    /// The symbolic name, e.g. `"EPERM"`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Errno::EPERM => "EPERM",
-            Errno::ENOENT => "ENOENT",
-            Errno::ESRCH => "ESRCH",
-            Errno::EIO => "EIO",
-            Errno::EBADF => "EBADF",
-            Errno::EAGAIN => "EAGAIN",
-            Errno::EACCES => "EACCES",
-            Errno::EEXIST => "EEXIST",
-            Errno::EXDEV => "EXDEV",
-            Errno::ENODEV => "ENODEV",
-            Errno::ENOTDIR => "ENOTDIR",
-            Errno::EISDIR => "EISDIR",
-            Errno::EINVAL => "EINVAL",
-            Errno::ENFILE => "ENFILE",
-            Errno::EFBIG => "EFBIG",
-            Errno::ENOSPC => "ENOSPC",
-            Errno::EROFS => "EROFS",
-            Errno::EMLINK => "EMLINK",
-            Errno::EPIPE => "EPIPE",
-            Errno::ENAMETOOLONG => "ENAMETOOLONG",
-            Errno::ENOSYS => "ENOSYS",
-            Errno::ENOTEMPTY => "ENOTEMPTY",
-            Errno::ELOOP => "ELOOP",
-            Errno::ENODATA => "ENODATA",
-            Errno::EUSERS => "EUSERS",
-            Errno::EOPNOTSUPP => "EOPNOTSUPP",
-            Errno::EDQUOT => "EDQUOT",
-        }
-    }
-
     /// Formats the errno the way tools in the paper's transcripts do,
     /// e.g. `"(1: Operation not permitted)"`.
     pub fn transcript(self) -> String {
@@ -177,7 +157,7 @@ impl Errno {
 
 impl fmt::Display for Errno {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({})", self.name(), self.message())
+        write!(f, "{self:?} ({})", self.message())
     }
 }
 
@@ -194,11 +174,16 @@ mod tests {
     fn codes_match_linux() {
         assert_eq!(Errno::EPERM.code(), 1);
         assert_eq!(Errno::ENOENT.code(), 2);
+        assert_eq!(Errno::EBADF.code(), 9);
         assert_eq!(Errno::EACCES.code(), 13);
         assert_eq!(Errno::EEXIST.code(), 17);
+        assert_eq!(Errno::EXDEV.code(), 18);
+        assert_eq!(Errno::ENOTDIR.code(), 20);
         assert_eq!(Errno::EINVAL.code(), 22);
+        assert_eq!(Errno::EROFS.code(), 30);
         assert_eq!(Errno::ENOSYS.code(), 38);
         assert_eq!(Errno::ENOTEMPTY.code(), 39);
+        assert_eq!(Errno::ELOOP.code(), 40);
     }
 
     #[test]
@@ -229,40 +214,52 @@ mod tests {
         takes_err(Errno::EIO);
     }
 
+    /// Every variant.
+    const ALL: [Errno; 27] = [
+        Errno::EPERM,
+        Errno::ENOENT,
+        Errno::ESRCH,
+        Errno::EIO,
+        Errno::EBADF,
+        Errno::EAGAIN,
+        Errno::EACCES,
+        Errno::EEXIST,
+        Errno::EXDEV,
+        Errno::ENODEV,
+        Errno::ENOTDIR,
+        Errno::EISDIR,
+        Errno::EINVAL,
+        Errno::ENFILE,
+        Errno::EFBIG,
+        Errno::ENOSPC,
+        Errno::EROFS,
+        Errno::EMLINK,
+        Errno::EPIPE,
+        Errno::ENAMETOOLONG,
+        Errno::ENOSYS,
+        Errno::ENOTEMPTY,
+        Errno::ELOOP,
+        Errno::ENODATA,
+        Errno::EUSERS,
+        Errno::EOPNOTSUPP,
+        Errno::EDQUOT,
+    ];
+
     #[test]
     fn all_variants_have_distinct_codes() {
-        let all = [
-            Errno::EPERM,
-            Errno::ENOENT,
-            Errno::ESRCH,
-            Errno::EIO,
-            Errno::EBADF,
-            Errno::EAGAIN,
-            Errno::EACCES,
-            Errno::EEXIST,
-            Errno::EXDEV,
-            Errno::ENODEV,
-            Errno::ENOTDIR,
-            Errno::EISDIR,
-            Errno::EINVAL,
-            Errno::ENFILE,
-            Errno::EFBIG,
-            Errno::ENOSPC,
-            Errno::EROFS,
-            Errno::EMLINK,
-            Errno::EPIPE,
-            Errno::ENAMETOOLONG,
-            Errno::ENOSYS,
-            Errno::ENOTEMPTY,
-            Errno::ELOOP,
-            Errno::ENODATA,
-            Errno::EUSERS,
-            Errno::EOPNOTSUPP,
-            Errno::EDQUOT,
-        ];
-        let mut codes: Vec<i32> = all.iter().map(|e| e.code()).collect();
+        let mut codes: Vec<i32> = ALL.iter().map(|e| e.code()).collect();
         codes.sort_unstable();
         codes.dedup();
-        assert_eq!(codes.len(), all.len());
+        assert_eq!(codes.len(), ALL.len());
+    }
+
+    #[test]
+    fn from_code_inverts_code() {
+        for e in ALL {
+            assert_eq!(Errno::from_code(e.code()), Some(e), "{e:?}");
+        }
+        for unmodelled in [0, 4, 4096, -2, i32::MIN, i32::MAX] {
+            assert_eq!(Errno::from_code(unmodelled), None, "{unmodelled}");
+        }
     }
 }

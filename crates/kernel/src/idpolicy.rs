@@ -165,7 +165,6 @@ pub fn policy_gid_map(
 #[derive(Debug, Clone, Default)]
 pub struct KernelOwnershipDb {
     claims: BTreeMap<u64, Owner>,
-    claim_calls: u64,
 }
 
 impl KernelOwnershipDb {
@@ -178,7 +177,6 @@ impl KernelOwnershipDb {
     /// Always succeeds for the namespace owner — the real file stays owned by
     /// the invoking user.
     pub fn claim(&mut self, ino: u64, owner: Owner) {
-        self.claim_calls += 1;
         self.claims.insert(ino, owner);
     }
 
@@ -197,11 +195,6 @@ impl KernelOwnershipDb {
     /// True when no claims are recorded.
     pub fn is_empty(&self) -> bool {
         self.claims.is_empty()
-    }
-
-    /// Total `chown`-style claim calls handled.
-    pub fn claim_calls(&self) -> u64 {
-        self.claim_calls
     }
 
     /// Drops the claim for an inode (file deleted).
@@ -385,7 +378,6 @@ mod tests {
             Owner::new(1000, 1000)
         );
         assert_eq!(db.len(), 2);
-        assert_eq!(db.claim_calls(), 2);
         let exported = db.export();
         assert_eq!(exported.len(), 2);
         db.forget(42);

@@ -93,11 +93,6 @@ impl Kernel {
         self.processes.get(&pid)
     }
 
-    /// Number of user namespaces ever created (excluding the initial one).
-    pub fn user_namespaces_created(&self) -> u32 {
-        self.user_namespaces_created
-    }
-
     /// Spawns a login session process for an ordinary user.
     // hpcc-lint: allow(test_only_api) — harness: tests/security_model.rs starts its §2.1.2 helper and §3.1 kernel scenarios from a user process
     pub fn spawn_user_process(

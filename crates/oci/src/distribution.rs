@@ -45,8 +45,6 @@ pub struct DistributionRegistry {
     blobs: BlobStore,
     /// Users known to the registry (token holders).
     users: Vec<String>,
-    push_count: u64,
-    pull_count: u64,
 }
 
 /// What a pull returns: the selected manifest plus a reconstructed [`Image`].
@@ -66,8 +64,6 @@ impl DistributionRegistry {
             repos: BTreeMap::new(),
             blobs: BlobStore::new(),
             users: users.iter().map(|s| s.to_string()).collect(),
-            push_count: 0,
-            pull_count: 0,
         }
     }
 
@@ -105,16 +101,6 @@ impl DistributionRegistry {
     /// Blob-store statistics (dedup savings etc.).
     pub fn blob_stats(&self) -> &BlobStore {
         &self.blobs
-    }
-
-    /// Total pushes accepted.
-    pub fn push_count(&self) -> u64 {
-        self.push_count
-    }
-
-    /// Total pulls served.
-    pub fn pull_count(&self) -> u64 {
-        self.pull_count
     }
 
     fn authenticate(&self, user: &str) -> Result<(), ApiError> {
@@ -204,7 +190,6 @@ impl DistributionRegistry {
             .entry(tag.to_string())
             .or_default()
             .upsert(digest, manifest_size, platform);
-        self.push_count += 1;
         Ok(digest)
     }
 
@@ -228,7 +213,7 @@ impl DistributionRegistry {
     /// index, fetches blobs, and reconstructs an [`Image`]. This is what a
     /// compute node does before distributed launch (Figure 6 step 3).
     pub fn pull_for_platform(
-        &mut self,
+        &self,
         user: &str,
         repo: &str,
         tag: &str,
@@ -267,7 +252,6 @@ impl DistributionRegistry {
             architecture: want.architecture.clone(),
             ..Default::default()
         };
-        self.pull_count += 1;
         Ok(PulledImage {
             manifest,
             image: Image {
@@ -317,7 +301,6 @@ mod tests {
             .unwrap();
         assert_eq!(pulled.manifest.digest(), digest);
         assert_eq!(pulled.image.layers[0].tar, b"aarch64 ATSE layer");
-        assert_eq!(reg.pull_count(), 1);
     }
 
     #[test]
@@ -423,7 +406,6 @@ mod tests {
             .unwrap();
         // One layer blob + one config blob, not two of each.
         assert_eq!(reg.blob_stats().len(), 2);
-        assert_eq!(reg.push_count(), 2);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::collections::BTreeMap;
 
 use hpcc_distro::{apt, yum, Catalog, UserDb};
 use hpcc_fakeroot::{FakerootSession, Flavor, LieDatabase};
-use hpcc_fuseproto::{Errno as OpErrno, FsCreds, MemFs, OpResult, OpenFlags, Session};
-use hpcc_kernel::{Credentials, Gid, Uid, UserNamespace};
+use hpcc_fuseproto::{FsCreds, MemFs, OpenFlags, Session};
+use hpcc_kernel::{Credentials, Errno, Gid, KResult, Uid, UserNamespace};
 use hpcc_vfs::{Actor, FileType, Filesystem, Mode};
 
 use crate::parse::{parse_line, Connector, Pipeline, SimpleCommand, Statement};
@@ -32,11 +32,11 @@ fn split_parent(path: &str) -> (&str, &str) {
 
 /// `rm` through the op protocol. Non-recursive is a single `unlink`;
 /// recursive mirrors `remove_tree`'s tolerance for a missing target.
-fn rm_via_ops(sess: &OpsSession<'_>, cred: &FsCreds, path: &str, recursive: bool) -> OpResult<()> {
+fn rm_via_ops(sess: &OpsSession<'_>, cred: &FsCreds, path: &str, recursive: bool) -> KResult<()> {
     let (dir, name) = split_parent(path);
     let parent = match sess.resolve_path(cred, dir, true) {
         Ok(e) => e,
-        Err(e) if e == OpErrno::ENOENT && recursive => return Ok(()),
+        Err(Errno::ENOENT) if recursive => return Ok(()),
         Err(e) => return Err(e),
     };
     if !recursive {
@@ -44,7 +44,7 @@ fn rm_via_ops(sess: &OpsSession<'_>, cred: &FsCreds, path: &str, recursive: bool
     }
     let entry = match sess.lookup(cred, parent.ino, name) {
         Ok(e) => e,
-        Err(e) if e == OpErrno::ENOENT => return Ok(()),
+        Err(Errno::ENOENT) => return Ok(()),
         Err(e) => return Err(e),
     };
     remove_entry_recursive(
@@ -67,7 +67,7 @@ fn remove_entry_recursive(
     name: &str,
     ino: hpcc_vfs::Ino,
     file_type: FileType,
-) -> OpResult<()> {
+) -> KResult<()> {
     if file_type != FileType::Directory {
         return sess.unlink(cred, parent, name);
     }
@@ -89,10 +89,10 @@ fn open_for_write_via_ops(
     sess: &OpsSession<'_>,
     cred: &FsCreds,
     path: &str,
-) -> OpResult<hpcc_fuseproto::Opened> {
+) -> KResult<hpcc_fuseproto::Opened> {
     match sess.resolve_path(cred, path, true) {
         Ok(entry) => sess.open(cred, entry.ino, OpenFlags::WRONLY | OpenFlags::TRUNC),
-        Err(e) if e == OpErrno::ENOENT => {
+        Err(Errno::ENOENT) => {
             let (dir, name) = split_parent(path);
             let parent = sess.resolve_path(cred, dir, true)?;
             if let Ok(existing) = sess.lookup(cred, parent.ino, name) {
@@ -115,7 +115,7 @@ fn redirect_via_ops(
     cred: &FsCreds,
     path: &str,
     content: &[u8],
-) -> OpResult<()> {
+) -> KResult<()> {
     let opened = open_for_write_via_ops(sess, cred, path)?;
     let wrote = sess.write(cred, opened.fh, 0, content).map(|_| ());
     sess.release(cred, opened.fh)?;
@@ -553,7 +553,7 @@ impl<'a> ExecEnv<'a> {
             if sess.resolve_path(&cred, path, true).is_ok() {
                 continue;
             }
-            let created: OpResult<()> = open_for_write_via_ops(&sess, &cred, path)
+            let created: KResult<()> = open_for_write_via_ops(&sess, &cred, path)
                 .and_then(|opened| sess.release(&cred, opened.fh));
             if let Err(e) = created {
                 return CmdResult {
@@ -600,7 +600,7 @@ impl<'a> ExecEnv<'a> {
         let (sess, cred) = self.ops_session();
         for (arg, path) in &files {
             if let Err(e) = rm_via_ops(&sess, &cred, path, recursive) {
-                if e != OpErrno::ENOENT || !force {
+                if e != Errno::ENOENT || !force {
                     return CmdResult {
                         lines: vec![format!("rm: cannot remove '{}': {}", arg, e.message())],
                         status: 1,
@@ -743,13 +743,13 @@ impl<'a> ExecEnv<'a> {
         let mut lines = Vec::new();
         for (arg, path) in &files {
             // lookup → open → read → release, like a process on a mount.
-            let text: OpResult<String> = (|| {
+            let text: KResult<String> = (|| {
                 let entry = sess.resolve_path(&cred, path, true)?;
                 let opened = sess.open(&cred, entry.ino, OpenFlags::RDONLY)?;
                 let data = sess.read(&cred, opened.fh, 0, u32::MAX)?;
                 let text = std::str::from_utf8(data.as_slice())
                     .map(|s| s.to_string())
-                    .map_err(|_| OpErrno::EINVAL);
+                    .map_err(|_| Errno::EINVAL);
                 sess.release(&cred, opened.fh)?;
                 text
             })();

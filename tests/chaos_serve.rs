@@ -21,8 +21,9 @@ use std::time::Duration;
 
 use hpcc_repro::core::{BuildOptions, Builder};
 use hpcc_repro::fuseproto::{
-    wire, CallError, ChannelTransport, Client, Fault, FaultPlan, FaultTransport, FsCreds,
-    OpenFlags, Operation, Reply, Request, RetryPolicy, ServeConfig, Server, Shutdown, FUSE_ROOT_ID,
+    wire, ChannelTransport, Client, ClientError, Fault, FaultPlan, FaultTransport, FsCreds,
+    OpenFlags, Operation, Reply, Request, RetryPolicy, ServeConfig, Server, Shutdown,
+    TransportError, FUSE_ROOT_ID,
 };
 use hpcc_repro::image::{Image, ImageConfig};
 use hpcc_repro::runtime::{Container, Invoker};
@@ -203,7 +204,11 @@ fn run_schedule(c: &Container, reference: &[Vec<u8>], seed: u64, totals: &mut To
                     "seed {seed}: call {i} failed ({e}) on a schedule with no disconnect"
                 );
                 assert!(
-                    matches!(e, CallError::Disconnected | CallError::TimedOut { .. }),
+                    matches!(
+                        e,
+                        ClientError::Transport(TransportError::Closed)
+                            | ClientError::TimedOut { .. }
+                    ),
                     "seed {seed}: call {i}: untyped failure {e}"
                 );
                 severed = true;
