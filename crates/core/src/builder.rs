@@ -7,15 +7,16 @@
 //!   `--force` automatic injection of `fakeroot(1)` (paper §5).
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hpcc_distro::{base_image, catalog_for, Catalog};
 use hpcc_fakeroot::LieDatabase;
 use hpcc_image::{Digest, Image, ImageConfig, Registry};
-use hpcc_kernel::sync::{lock_recover, wait_recover};
-use hpcc_kernel::{Credentials, Sysctl, UserNamespace};
-use hpcc_runtime::{Container, Invoker, PrivilegeType, StorageDriver, SubIdDb};
+use hpcc_kernel::sync::lock_recover;
+use hpcc_kernel::{Credentials, Errno, KResult, Sysctl, UserNamespace};
+use hpcc_runtime::{container_identity, Container, Invoker, PrivilegeType, StorageDriver, SubIdDb};
 use hpcc_vfs::{Actor, Filesystem, FsBackend};
 
 use crate::cache::ShardedBuildCache;
@@ -133,6 +134,12 @@ pub struct BuiltImage {
     pub arch: String,
     /// Privilege type used.
     pub privilege: PrivilegeType,
+    /// The build-cache chain digest of the image's last instruction, if it
+    /// was built with the cache on. A `FROM` of this tag chains its cache
+    /// keys from it, so they bind the tag's content, not its name. `None`
+    /// for an image built with the cache off or pulled: a stage `FROM` such
+    /// a tag runs uncached, and so does every stage that reads that stage.
+    pub final_state: Option<Digest>,
 }
 
 /// Report of one executed stage: the transcript reproduces the shape of the
@@ -299,7 +306,22 @@ pub enum PushOwnership {
     FromFakerootDb,
 }
 
-/// A container image builder.
+/// A container image builder: one build tool (and so one privilege type)
+/// run by one invoking user.
+///
+/// A builder owns its tag namespace (the images it built or pulled) and
+/// shares two things with other builders: the instruction cache and the
+/// [`BaseEnvMemo`] ([`Builder::with_shared`]). Its containers' credentials
+/// and user namespace come from the runtime's [`container_identity`] for
+/// its privilege type, for every purpose: launching a base image, entering
+/// a local tag, a cached `FROM` or an earlier stage, keying caches, and
+/// reading a built image to push it. A Type II builder whose invoker has no
+/// subordinate range therefore fails each of these with `EPERM`.
+///
+/// Every `FROM` builds the environment its stage runs in through one
+/// constructor into one type, whatever it names: a base image (launched
+/// once per launch identity through the memo), a local tag, a tree from the
+/// build cache, or an earlier stage.
 pub struct Builder {
     /// The build tool emulated.
     pub kind: BuilderKind,
@@ -311,96 +333,47 @@ pub struct Builder {
     /// their probes and stores on a single lock.
     pub(crate) cache: Arc<ShardedBuildCache>,
     store: HashMap<String, BuiltImage>,
-    /// Launched base-image environments memoized per `(reference, arch)`,
-    /// shareable across builders (see [`BaseEnvMemo`]).
+    /// Launched base-image environments memoized per `(launch identity,
+    /// reference, arch)`, shareable across builders (see [`BaseEnvMemo`]).
     base_envs: Arc<BaseEnvMemo>,
-}
-
-/// Memoized result of launching a base image: the launched rootfs plus the
-/// exact credentials/namespace the container runtime produced.
-struct BaseEnvTemplate {
-    fs: Filesystem,
-    creds: Credentials,
-    userns: UserNamespace,
-    catalog: Arc<Catalog>,
-    base_reference: String,
 }
 
 /// Memo key: `(builder launch identity, base reference, arch)`. The identity
 /// component binds everything that shapes the launched environment —
-/// privilege type, invoker, subuid ranges — so builders with different
-/// privilege models sharing one memo can never adopt each other's
+/// privilege type, credentials, user namespace maps — so builders with
+/// different privilege models sharing one memo can never adopt each other's
 /// credentials.
 type EnvKey = (String, String, String);
 
-/// One memo slot: derivation state plus a condvar waiters block on while the
-/// leader launches the base environment.
-struct EnvSlot {
-    state: Mutex<EnvSlotState>,
-    cv: Condvar,
-}
-
-enum EnvSlotState {
-    /// A leader is deriving; waiters block on the condvar.
-    Pending,
-    /// Derivation finished; every caller adopts this template.
-    Ready(Arc<BaseEnvTemplate>),
-    /// Derivation failed (or the leader panicked); waiters propagate the
-    /// message. The slot was removed from the map, so a later call retries.
-    Failed(String),
-}
-
-impl EnvSlot {
-    fn new() -> Self {
-        EnvSlot {
-            state: Mutex::new(EnvSlotState::Pending),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// Restores a memo slot to a sane state if the deriving leader panics:
-/// waiters are failed over instead of blocking forever on the condvar.
-struct LeaderGuard<'a> {
-    memo: &'a BaseEnvMemo,
-    key: &'a EnvKey,
-    slot: &'a Arc<EnvSlot>,
-    armed: bool,
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.memo.fail_slot(
-                self.key,
-                self.slot,
-                "error: base environment derivation panicked".to_string(),
-            );
-        }
-    }
-}
+/// One memo cell: empty until the key's derivation succeeds or fails.
+type EnvCell = OnceLock<Result<BuildEnv, String>>;
 
 /// Process-wide memo of launched base-image environments, keyed by
-/// `(reference, arch)`.
+/// `(launch identity, reference, arch)`.
 ///
 /// Constructing a base tree, packaging it as an image, and launching a build
-/// container is deterministic for a fixed builder kind, so cold
+/// container is deterministic for a fixed launch identity, so cold
 /// (instruction-cache-off) builds after the first adopt a CoW snapshot of the
 /// launched rootfs instead of repeating the pack/unpack round trip — the
-/// dominant cost of an uncached `FROM` (PERF.md §6). Historically this memo
-/// lived per-[`Builder`], so concurrent tenants on a build farm re-derived
-/// identical base environments; it is now a shared handle
-/// ([`Builder::with_shared`]) with in-flight dedup: when N builders race on
-/// the same key, one leads the derivation and the rest block until the
-/// leader's template is ready, so the launch happens exactly once.
+/// dominant cost of an uncached `FROM` (PERF.md §6). A build farm hands one
+/// memo to every tenant's builder ([`Builder::with_shared`]).
 ///
-/// This is image-environment storage, not the instruction cache: `--no-cache`
-/// semantics (fresh instruction execution) are unaffected. All locks recover
-/// from poisoning, so a panicked build thread cannot wedge the memo for other
-/// tenants.
+/// Each key has one [`OnceLock`], which gives the memo its contract:
+///
+/// * a key is derived once however many builders race on it: one runs the
+///   derivation, the others block on the cell and then share its result;
+/// * a failed derivation reaches the callers blocked on the cell, and the
+///   cell leaves the map, so a later call retries;
+/// * a derivation that panics leaves its cell empty, and the next caller
+///   derives the key itself, so a panic wedges no caller.
+///
+/// The map lock is held only to find or insert a key's cell, never while a
+/// derivation runs, so unrelated keys proceed. This is image-environment
+/// storage, not the instruction cache: `--no-cache` semantics (fresh
+/// instruction execution) are unaffected.
 #[derive(Default)]
 pub struct BaseEnvMemo {
-    slots: Mutex<HashMap<EnvKey, Arc<EnvSlot>>>,
+    cells: Mutex<HashMap<EnvKey, Arc<EnvCell>>>,
     derivations: AtomicU64,
 }
 
@@ -418,7 +391,7 @@ impl BaseEnvMemo {
 
     /// Number of memoized (ready or in-flight) environments.
     pub fn len(&self) -> usize {
-        lock_recover(&self.slots).len()
+        lock_recover(&self.cells).len()
     }
 
     /// Whether the memo holds no environments.
@@ -426,69 +399,25 @@ impl BaseEnvMemo {
         self.len() == 0
     }
 
-    /// Returns the memoized template for `key`, deriving it via `derive` if
-    /// absent. Exactly one concurrent caller runs `derive`; the others block
-    /// until the leader finishes and then share the leader's template (or
-    /// propagate its error).
-    fn get_or_derive<F>(&self, key: &EnvKey, derive: F) -> Result<Arc<BaseEnvTemplate>, String>
-    where
-        F: FnOnce() -> Result<BaseEnvTemplate, String>,
-    {
-        let (slot, lead) = {
-            let mut slots = lock_recover(&self.slots);
-            match slots.get(key) {
-                Some(slot) => (Arc::clone(slot), false),
-                None => {
-                    let slot = Arc::new(EnvSlot::new());
-                    slots.insert(key.clone(), Arc::clone(&slot));
-                    (slot, true)
-                }
+    /// The environment memoized for `key`, derived by `derive` if the key
+    /// has none yet.
+    fn get_or_derive(
+        &self,
+        key: EnvKey,
+        derive: impl FnOnce() -> Result<BuildEnv, String>,
+    ) -> Result<BuildEnv, String> {
+        let cell = Arc::clone(lock_recover(&self.cells).entry(key).or_default());
+        let env = cell.get_or_init(|| {
+            let env = derive();
+            if env.is_ok() {
+                self.derivations.fetch_add(1, Ordering::Relaxed);
             }
-        };
-        if lead {
-            // Derive outside the map lock so unrelated keys proceed, with a
-            // drop guard so a panicking derivation fails waiters over
-            // instead of stranding them on the condvar.
-            let mut guard = LeaderGuard {
-                memo: self,
-                key,
-                slot: &slot,
-                armed: true,
-            };
-            let result = derive();
-            guard.armed = false;
-            drop(guard);
-            return match result {
-                Ok(template) => {
-                    let template = Arc::new(template);
-                    self.derivations.fetch_add(1, Ordering::Relaxed);
-                    *lock_recover(&slot.state) = EnvSlotState::Ready(Arc::clone(&template));
-                    slot.cv.notify_all();
-                    Ok(template)
-                }
-                Err(message) => {
-                    self.fail_slot(key, &slot, message.clone());
-                    Err(message)
-                }
-            };
+            env
+        });
+        if env.is_err() {
+            lock_recover(&self.cells).retain(|_, c| !Arc::ptr_eq(c, &cell));
         }
-        let mut state = lock_recover(&slot.state);
-        while matches!(*state, EnvSlotState::Pending) {
-            state = wait_recover(&slot.cv, state, &slot.state);
-        }
-        match &*state {
-            EnvSlotState::Ready(template) => Ok(Arc::clone(template)),
-            EnvSlotState::Failed(message) => Err(message.clone()),
-            EnvSlotState::Pending => unreachable!("condvar loop exits only on a settled slot"),
-        }
-    }
-
-    /// Marks a slot failed, removes it from the map (so later calls retry),
-    /// and wakes every waiter.
-    fn fail_slot(&self, key: &EnvKey, slot: &Arc<EnvSlot>, message: String) {
-        lock_recover(&self.slots).remove(key);
-        *lock_recover(&slot.state) = EnvSlotState::Failed(message);
-        slot.cv.notify_all();
+        env.clone()
     }
 }
 
@@ -501,13 +430,45 @@ impl std::fmt::Debug for BaseEnvMemo {
     }
 }
 
-/// The mutable environment a stage executes in.
+/// The environment a stage executes in: the filesystem its `FROM` starts
+/// from, the identity the stage's processes run with, and the package
+/// catalog of the base image's distribution.
+#[derive(Clone)]
 pub(crate) struct BuildEnv {
     pub(crate) fs: Filesystem,
     pub(crate) creds: Credentials,
     pub(crate) userns: UserNamespace,
     pub(crate) catalog: Arc<Catalog>,
     pub(crate) base_reference: String,
+}
+
+impl BuildEnv {
+    /// The one constructor, whatever the `FROM` names: a base image (the
+    /// launched container's rootfs and identity, through the memo), a local
+    /// tag, a cached `FROM`, or an earlier stage (the tree and the
+    /// builder's identity). `base_reference` names the base image the tree
+    /// descends from, whose distribution supplies the catalog.
+    pub(crate) fn new(
+        fs: Filesystem,
+        (creds, userns): (Credentials, UserNamespace),
+        base_reference: &str,
+        arch: &str,
+    ) -> Result<BuildEnv, String> {
+        let catalog = catalog_for(base_reference, arch)
+            .ok_or_else(|| format!("error: no catalog for {}", base_reference))?;
+        Ok(BuildEnv {
+            fs,
+            creds,
+            userns,
+            catalog,
+            base_reference: base_reference.to_string(),
+        })
+    }
+}
+
+/// The transcript line of a build container the runtime refused to create.
+pub(crate) fn launch_error(errno: Errno) -> String {
+    format!("error: cannot create build container: {}", errno)
 }
 
 impl Builder {
@@ -594,71 +555,69 @@ impl Builder {
         t
     }
 
-    pub(crate) fn setup_from(&self, reference: &str, arch: &str) -> Result<BuildEnv, String> {
-        // Local tag takes precedence over remote base images (the LANL
-        // three-stage pipeline chains FROM on locally built tags, §5.3.3).
-        if let Some(built) = self.store.get(reference) {
-            let catalog = catalog_for(&built.base_reference, arch)
-                .ok_or_else(|| format!("no catalog for {}", built.base_reference))?;
-            return Ok(BuildEnv {
-                fs: built.fs.clone(),
-                creds: self.container_creds(),
-                userns: self.container_userns(),
-                catalog,
-                base_reference: built.base_reference.clone(),
-            });
+    /// The credentials and user namespace of this builder's containers:
+    /// the runtime's [`container_identity`] for its privilege type.
+    pub(crate) fn identity(&self) -> KResult<(Credentials, UserNamespace)> {
+        let none = SubIdDb::new();
+        let subuid = match &self.kind {
+            BuilderKind::RootlessPodman { subuid, .. } => subuid,
+            _ => &none,
+        };
+        container_identity(self.privilege_type(), &self.invoker, subuid)
+    }
+
+    /// The launch-identity component of cache and memo keys: the privilege
+    /// type plus the identity [`Builder::identity`] gives this builder's
+    /// containers (effective IDs and both ID maps), or its error. Two
+    /// builders share memoized environments and cached trees only when a
+    /// container launched by either would be byte-identical.
+    pub(crate) fn launch_identity(&self) -> String {
+        let privilege = self.privilege_type();
+        let (creds, ns) = match self.identity() {
+            Ok(identity) => identity,
+            Err(errno) => return format!("{}|{:?}", privilege, errno),
+        };
+        // Plain numbers, not `Debug`: a cache key is formatted once per
+        // stage, and `Debug` of the maps costs several times as much.
+        let mut id = String::with_capacity(64);
+        let _ = write!(id, "{}|{}|{}", privilege, creds.euid.0, creds.egid.0);
+        for (map, tag) in [(&ns.uid_map, 'u'), (&ns.gid_map, 'g')] {
+            for e in map.entries() {
+                let (inside, outside, count) = (e.inside_start, e.outside_start, e.count);
+                let _ = write!(id, "|{tag}{inside}:{outside}:{count}");
+            }
         }
-        // Memoized launch: the second and later cold builds from the same
-        // base adopt a CoW snapshot of the launched rootfs (a refcount bump)
-        // instead of rebuilding the base tree and tar round-tripping it
-        // through a fresh container. The memo is shared across builders, so
-        // under a build farm the first tenant to reach a base leads the
-        // derivation and concurrent tenants wait and adopt.
+        id
+    }
+
+    /// The environment of a `FROM` naming a base image, launched through
+    /// the memo: the second and later cold builds from the same base adopt
+    /// a CoW snapshot of the launched rootfs (a refcount bump) instead of
+    /// rebuilding the base tree and tar round-tripping it through a fresh
+    /// container. The memo is shared across builders, so under a build farm
+    /// the first tenant to reach a base derives it and concurrent tenants
+    /// wait and adopt. `identity` is this builder's
+    /// [`Builder::launch_identity`], which the stage has already formatted
+    /// for its cache keys.
+    pub(crate) fn base_env(
+        &self,
+        identity: &str,
+        reference: &str,
+        arch: &str,
+    ) -> Result<BuildEnv, String> {
         let key = (
-            self.launch_identity(),
+            identity.to_string(),
             reference.to_string(),
             arch.to_string(),
         );
-        let template = self
-            .base_envs
-            .get_or_derive(&key, || self.derive_base_env(reference, arch))?;
-        Ok(BuildEnv {
-            fs: template.fs.clone(),
-            creds: template.creds.clone(),
-            userns: template.userns.clone(),
-            catalog: Arc::clone(&template.catalog),
-            base_reference: template.base_reference.clone(),
-        })
-    }
-
-    /// The launch-identity component of this builder's [`EnvKey`]s: privilege
-    /// type plus everything about the invoker that shapes the launched
-    /// credentials and user namespace. Two builders share memoized
-    /// environments only when a container launched by either would be
-    /// byte-identical.
-    pub(crate) fn launch_identity(&self) -> String {
-        match &self.kind {
-            BuilderKind::Docker => "type1".to_string(),
-            BuilderKind::RootlessPodman { subuid, .. } => {
-                let range = subuid.ranges_for(&self.invoker.name).first().copied();
-                format!(
-                    "type2|{}|{:?}|{:?}|{:?}",
-                    self.invoker.name,
-                    self.invoker.uid,
-                    self.invoker.gid,
-                    range.map(|r| (r.start, r.count))
-                )
-            }
-            BuilderKind::ChImage => {
-                format!("type3|{:?}|{:?}", self.invoker.uid, self.invoker.gid)
-            }
-        }
+        self.base_envs
+            .get_or_derive(key, || self.derive_base_env(reference, arch))
     }
 
     /// Derives a base environment from scratch: build the canonical base
-    /// tree, package it as an image, launch a build container under this
-    /// builder's privilege type, and capture the result as a template.
-    fn derive_base_env(&self, reference: &str, arch: &str) -> Result<BaseEnvTemplate, String> {
+    /// tree, package it as an image, and launch a build container under this
+    /// builder's privilege type.
+    fn derive_base_env(&self, reference: &str, arch: &str) -> Result<BuildEnv, String> {
         let base = base_image(reference, arch)
             .ok_or_else(|| format!("error: no base image: {}", reference))?;
         // Package the canonical root-owned base tree as an image, then let
@@ -682,61 +641,13 @@ impl Builder {
             } => Container::launch_type2(&image, &self.invoker, subuid, *driver, *backend, sysctl),
             BuilderKind::ChImage => Container::launch_type3(&image, &self.invoker),
         }
-        .map_err(|e| format!("error: cannot create build container: {}", e))?;
-        Ok(BaseEnvTemplate {
-            fs: container.rootfs,
-            creds: container.creds,
-            userns: container.userns,
-            catalog: base.catalog,
-            base_reference: reference.to_string(),
-        })
-    }
-
-    /// Builds the environment for a `FROM` instruction served from the build
-    /// cache: the cached filesystem is adopted as-is (copy-on-write), so the
-    /// base-image tree is never reconstructed and no container is launched.
-    pub(crate) fn env_for_cached_from(
-        &self,
-        reference: &str,
-        arch: &str,
-        cached_fs: &Filesystem,
-    ) -> Result<BuildEnv, String> {
-        let base_reference = match self.store.get(reference) {
-            Some(built) => built.base_reference.clone(),
-            None => reference.to_string(),
-        };
-        let catalog = catalog_for(&base_reference, arch)
-            .ok_or_else(|| format!("error: no base image: {}", reference))?;
-        Ok(BuildEnv {
-            fs: cached_fs.clone(),
-            creds: self.container_creds(),
-            userns: self.container_userns(),
-            catalog,
-            base_reference,
-        })
-    }
-
-    pub(crate) fn container_creds(&self) -> Credentials {
-        match self.kind {
-            BuilderKind::Docker => Credentials::host_root(),
-            _ => self.invoker.host_creds().entered_own_namespace(),
-        }
-    }
-
-    pub(crate) fn container_userns(&self) -> UserNamespace {
-        match &self.kind {
-            BuilderKind::Docker => UserNamespace::initial(),
-            BuilderKind::RootlessPodman { subuid, .. } => {
-                let range = subuid.ranges_for(&self.invoker.name).first().copied();
-                match range {
-                    Some(r) => {
-                        UserNamespace::type2(self.invoker.uid, self.invoker.gid, r.start, r.count)
-                    }
-                    None => UserNamespace::type3(self.invoker.uid, self.invoker.gid),
-                }
-            }
-            BuilderKind::ChImage => UserNamespace::type3(self.invoker.uid, self.invoker.gid),
-        }
+        .map_err(launch_error)?;
+        BuildEnv::new(
+            container.rootfs,
+            (container.creds, container.userns),
+            reference,
+            arch,
+        )
     }
 
     /// Builds a Dockerfile through the stage graph and returns the build's
@@ -787,7 +698,8 @@ impl Builder {
     /// so external schedulers (the build farm) can finalize builds whose
     /// stages they executed themselves. The image owns its config and lie
     /// database: they are moved out of the artifact, or copied once if a
-    /// cache entry still shares them.
+    /// cache entry still shares them. The artifact's final state is kept
+    /// too: a later `FROM <tag>` chains its cache keys from it.
     pub fn store_artifact(
         &mut self,
         tag: &str,
@@ -804,6 +716,7 @@ impl Builder {
                 base_reference: artifact.base_reference,
                 arch: arch.to_string(),
                 privilege: self.privilege_type(),
+                final_state: artifact.final_state,
             },
         );
     }
@@ -821,8 +734,7 @@ impl Builder {
             .store
             .get(tag)
             .ok_or_else(|| format!("no such image: {}", tag))?;
-        let creds = self.container_creds();
-        let userns = self.container_userns();
+        let (creds, userns) = self.identity().map_err(|e| format!("push failed: {}", e))?;
         let actor = Actor::new(&creds, &userns);
         let mut cfg = built.config.clone();
         cfg.architecture = built.arch.clone();
@@ -868,6 +780,7 @@ impl Builder {
                 base_reference: reference.to_string(),
                 arch: image.config.architecture.clone(),
                 privilege: self.privilege_type(),
+                final_state: None,
             },
         );
         Ok(())
@@ -1325,6 +1238,163 @@ mod tests {
         assert!(img.fs.exists(&actor, "/opt/spack/bin/spack"));
     }
 
+    /// `FROM centos:7` plus one `yum install`.
+    fn yum_image(package: &str) -> String {
+        format!("FROM centos:7\nRUN yum install -y {package}\n")
+    }
+
+    /// Whether the image tagged `tag` holds `path`, read as host root.
+    fn holds(b: &Builder, tag: &str, path: &str) -> bool {
+        let (creds, ns) = (Credentials::host_root(), UserNamespace::initial());
+        b.image(tag)
+            .unwrap()
+            .fs
+            .exists(&Actor::new(&creds, &ns), path)
+    }
+
+    const APP_ON_BASE: &str = "FROM base\nENV STACK=atse\n";
+    const MPIRUN: &str = "/usr/lib64/openmpi/bin/mpirun";
+
+    #[test]
+    fn from_a_rebuilt_local_tag_never_adopts_the_old_tree() {
+        // Each app reads `base` in its first stage; the later stages read
+        // that stage through `FROM` or `COPY --from`. Built with the cache
+        // on, the tag records its final state and every stage reading it
+        // misses (the copying stage's `FROM centos:7` still hits). Built
+        // with it off, the tag has no state to chain from, so no stage that
+        // reads it, directly or through an earlier stage, runs cached.
+        let two_stages = "FROM base AS build\nENV STACK=atse\nFROM build\nENV X=1\n";
+        let copy_from = "FROM base AS build\nENV STACK=atse\n\
+                         FROM centos:7\nCOPY --from=build /usr/lib64 /opt/lib64\n";
+        let copied = "/opt/lib64/openmpi/bin/mpirun";
+        let cases = [
+            (APP_ON_BASE, MPIRUN, true, (0, 2)),
+            (APP_ON_BASE, MPIRUN, false, (0, 0)),
+            (two_stages, MPIRUN, true, (0, 4)),
+            (two_stages, MPIRUN, false, (0, 0)),
+            (copy_from, copied, true, (1, 3)),
+            (copy_from, copied, false, (0, 0)),
+        ];
+        for (dockerfile, path, base_cache, expected) in cases {
+            let mut b = Builder::ch_image(alice());
+            let mut base = BuildOptions::new("base");
+            base.use_cache = base_cache;
+            let app = BuildOptions::new("app").with_cache();
+            assert!(b.build(&yum_image("gcc"), &base, None).success);
+            let state = b.image("base").unwrap().final_state;
+            assert_eq!(state.is_some(), base_cache);
+            let r = b.build(dockerfile, &app, None);
+            assert!(r.success, "{}", r.transcript_text());
+            assert!(b.build(&yum_image("openmpi"), &base, None).success);
+            let r = b.build(dockerfile, &app, None);
+            assert!(r.success, "{}", r.transcript_text());
+            let counts = (r.cache_hits, r.cache_misses);
+            assert_eq!(counts, expected, "{dockerfile}{}", r.transcript_text());
+            assert!(
+                holds(&b, "app", path),
+                "{dockerfile}{}",
+                r.transcript_text()
+            );
+        }
+    }
+
+    #[test]
+    fn builders_sharing_a_cache_never_adopt_each_others_local_tags() {
+        let cache = Arc::new(ShardedBuildCache::new());
+        let memo = Arc::new(BaseEnvMemo::new());
+        let tenant = || {
+            let (cache, memo) = (Arc::clone(&cache), Arc::clone(&memo));
+            Builder::with_shared(BuilderKind::ChImage, alice(), cache, memo)
+        };
+        let (mut a, mut b) = (tenant(), tenant());
+        let opts = |tag: &str| BuildOptions::new(tag).with_cache();
+        assert!(a.build(&yum_image("openmpi"), &opts("base"), None).success);
+        assert!(a.build(APP_ON_BASE, &opts("app"), None).success);
+        assert!(b.build(&yum_image("spack"), &opts("base"), None).success);
+        let r = b.build(APP_ON_BASE, &opts("app"), None);
+        assert!(r.success, "{}", r.transcript_text());
+        assert!(holds(&b, "app", "/opt/spack/bin/spack"));
+        assert!(!holds(&b, "app", MPIRUN));
+    }
+
+    #[test]
+    fn identical_rebuild_of_a_local_tag_keeps_every_hit() {
+        let mut b = Builder::ch_image(alice());
+        let opts = |tag: &str| BuildOptions::new(tag).with_cache();
+        let app = "FROM base\nRUN yum install -y spack\nENV STACK=atse\n";
+        assert!(b.build(&yum_image("openmpi"), &opts("base"), None).success);
+        assert!(b.build(app, &opts("app"), None).success);
+        let base = b.build(&yum_image("openmpi"), &opts("base"), None);
+        assert_eq!(base.cache_misses, 0, "{}", base.transcript_text());
+        let r = b.build(app, &opts("app"), None);
+        let counts = (r.cache_hits, r.cache_misses);
+        assert_eq!(counts, (3, 0), "{}", r.transcript_text());
+    }
+
+    #[test]
+    fn cached_and_uncached_from_run_the_same_stage() {
+        let mut b = Builder::ch_image(alice());
+        let opts = |tag: &str| BuildOptions::new(tag).with_force().with_cache();
+        let base = b.build(&yum_image("openssh"), &opts("base"), None);
+        assert!(base.success, "{}", base.transcript_text());
+        assert!(holds(&b, "base", "/usr/bin/fakeroot"));
+        // Different `app.c` bytes: the second build hits only `FROM`.
+        let app = "FROM base\nCOPY app.c /src/app.c\nRUN yum install -y gcc\n";
+        let uncached = b.build(app, &opts("app"), Some(&app_context(b"v1")));
+        let cached = b.build(app, &opts("app"), Some(&app_context(b"v2")));
+        assert_eq!((cached.cache_hits, cached.cache_misses), (1, 2));
+        assert_eq!(cached.transcript()[0], "1 FROM base (cached)");
+        let check = "workarounds: init step 1: checking: $ command -v fakeroot";
+        assert!(uncached.transcript_text().contains(check));
+        let plain = |r: &BuildReport| -> Vec<String> {
+            let strip = |l: String| l.strip_suffix(" (cached)").map(str::to_string).unwrap_or(l);
+            r.transcript().into_iter().map(strip).collect()
+        };
+        assert_eq!(plain(&cached), plain(&uncached));
+        assert_eq!(cached.force_config, uncached.force_config);
+        assert_eq!(cached.instructions_modified, uncached.instructions_modified);
+        assert!(cached.success && uncached.success);
+    }
+
+    #[test]
+    fn type2_without_a_subuid_range_is_refused_every_container_identity() {
+        let mut podman = Builder::rootless_podman(alice(), SubIdDb::new());
+        // FROM: the runtime refuses to launch the build container.
+        let r = podman.build(centos7_dockerfile(), &BuildOptions::new("foo"), None);
+        let refused = launch_error(Errno::EPERM);
+        assert_eq!(r.error_text().as_deref(), Some(refused.as_str()));
+        // push and push_to_oci of a pulled image read it as the builder's
+        // containers would, which the runtime refuses too.
+        let mut registry = Registry::new("registry.lanl.example");
+        let mut ch = Builder::ch_image(alice());
+        let opts = BuildOptions::new("foo").with_force();
+        assert!(ch.build(centos7_dockerfile(), &opts, None).success);
+        ch.push(
+            "foo",
+            "hpc/openssh:1.0",
+            &mut registry,
+            PushOwnership::Flatten,
+        )
+        .unwrap();
+        podman
+            .pull(&mut registry, "hpc/openssh:1.0", "openssh")
+            .unwrap();
+        let err = podman
+            .push(
+                "openssh",
+                "hpc/openssh:2.0",
+                &mut registry,
+                PushOwnership::Preserve,
+            )
+            .unwrap_err();
+        assert_eq!(err, format!("push failed: {}", Errno::EPERM));
+        let mut oci = hpcc_oci::DistributionRegistry::new("registry.example.gov", &["alice"]);
+        let layers = crate::ocipush::LayerMode::SingleFlattened;
+        let err = crate::ocipush::push_to_oci(&podman, "openssh", &mut oci, "hpc/app", "1", layers)
+            .unwrap_err();
+        assert_eq!(err, hpcc_oci::ApiError::Denied);
+    }
+
     #[test]
     fn push_flatten_and_pull_roundtrip() {
         let mut registry = Registry::new("registry.lanl.example");
@@ -1492,6 +1562,29 @@ mod tests {
             b.build(centos7_fr_dockerfile(), &BuildOptions::new("y"), None)
                 .success
         );
+    }
+
+    #[test]
+    fn memo_derives_a_key_again_after_its_derivation_panicked() {
+        let memo = BaseEnvMemo::new();
+        let key = || {
+            let id = Builder::ch_image(alice()).launch_identity();
+            (id, "centos:7".to_string(), "x86_64".to_string())
+        };
+        let env = || {
+            let root = (Credentials::host_root(), UserNamespace::initial());
+            BuildEnv::new(Filesystem::new_local(), root, "centos:7", "x86_64")
+        };
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_derive(key(), || panic!("derivation panicked"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(memo.derivations(), 0);
+        assert!(memo.get_or_derive(key(), env).is_ok());
+        assert_eq!(memo.derivations(), 1);
+        // Memoized now: a later call does not derive.
+        assert!(memo.get_or_derive(key(), || unreachable!()).is_ok());
+        assert_eq!(memo.derivations(), 1);
     }
 
     #[test]

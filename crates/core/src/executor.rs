@@ -19,7 +19,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use hpcc_distro::catalog_for;
 use hpcc_fakeroot::LieDatabase;
 use hpcc_image::{sha256, Digest, ImageConfig};
 use hpcc_kernel::sync::lock_recover;
@@ -28,7 +27,9 @@ use hpcc_kernel::{KResult, UserNamespace};
 use hpcc_shell::ExecEnv;
 use hpcc_vfs::{Actor, FileBytes, Filesystem, Mode};
 
-use crate::builder::{BuildEnv, BuildOptions, BuildReport, Builder, BuilderKind, StageReport};
+use crate::builder::{
+    launch_error, BuildEnv, BuildOptions, BuildReport, Builder, BuilderKind, StageReport,
+};
 use crate::cache::{CachedState, StateKey};
 use crate::dockerfile::Instruction;
 use crate::error::BuildError;
@@ -50,7 +51,8 @@ pub struct StageArtifact {
     /// The underlying base-image reference (for catalogs and `BuiltImage`).
     pub base_reference: String,
     /// Chain digest after the stage's last instruction (present when the
-    /// build cache is enabled) — downstream cache keys bind to it.
+    /// stage ran with the build cache on) — downstream cache keys bind to
+    /// it, and a stage that reads an artifact without one runs uncached.
     pub final_state: Option<Digest>,
 }
 
@@ -205,6 +207,12 @@ struct StageCtx<'a> {
     fakeroot_db: Arc<LieDatabase>,
     force_cfg: Option<ForceConfig>,
     force_initialized: bool,
+    /// Whether the stage probes and stores the build cache: the build's
+    /// setting, unless the stage reads content with no recorded state — a
+    /// local tag built with the cache off or pulled, or an earlier stage
+    /// that ran uncached, through `FROM` or `COPY --from` — which leaves
+    /// its keys nothing to bind that content by.
+    use_cache: bool,
     parent: Option<Digest>,
     cache_hits: usize,
     cache_misses: usize,
@@ -255,6 +263,14 @@ impl<'a> StageCtx<'a> {
             fakeroot_db: Arc::new(LieDatabase::new()),
             force_cfg: None,
             force_initialized: false,
+            use_cache: options.use_cache
+                && !matches!(&node.base, StageBase::Image(reference)
+                    if builder.image(reference).is_some_and(|built| built.final_state.is_none()))
+                && node.deps.iter().all(|d| {
+                    upstream
+                        .get(d)
+                        .is_some_and(|artifact| artifact.final_state.is_some())
+                }),
             parent: None,
             cache_hits: 0,
             cache_misses: 0,
@@ -318,7 +334,7 @@ impl<'a> StageCtx<'a> {
         let n = idx + 1;
         self.report.instructions_total = n;
         let display = display_instruction(n, instruction);
-        let state_id = if self.options.use_cache {
+        let state_id = if self.use_cache {
             Some(self.state_id_for(idx, instruction))
         } else {
             None
@@ -348,7 +364,7 @@ impl<'a> StageCtx<'a> {
         // Every handler starts its transcript with the instruction line.
         self.report.transcript.push(display);
         match instruction {
-            Instruction::From { .. } => self.execute_from()?,
+            Instruction::From { .. } => self.execute_from(None)?,
             Instruction::Run(cmd) => self.execute_run(cmd)?,
             Instruction::Copy {
                 sources,
@@ -402,12 +418,14 @@ impl<'a> StageCtx<'a> {
         Ok(())
     }
 
-    /// The cache chain digest for an instruction. Cross-stage edges are bound
-    /// to the *content* of the upstream stage: `FROM <stage>` chains from the
-    /// upstream artifact's final state digest, and `COPY --from=` mixes the
+    /// The cache chain digest for an instruction. A `FROM` is bound to the
+    /// *content* it starts from, not to a name: `FROM <stage>` chains from
+    /// the upstream artifact's final state digest and `FROM <local tag>`
+    /// from the tag's recorded final state, while `COPY --from=` mixes the
     /// source stage's final state into the key, so a changed upstream stage
-    /// invalidates downstream hits. A context `COPY` likewise binds each
-    /// source's SHA-256, so an edited file misses under unchanged text.
+    /// or a rebuilt tag invalidates downstream hits. A context `COPY`
+    /// likewise binds each source's SHA-256, so an edited file misses under
+    /// unchanged text.
     ///
     /// The inputs stream straight into one SHA-256 (see [`StateKey`]): the
     /// parent, the launch identity, `--force`, the arch, the instruction
@@ -416,7 +434,9 @@ impl<'a> StageCtx<'a> {
     fn state_id_for(&self, idx: usize, instruction: &Instruction) -> Digest {
         let parent = match (idx, &self.node.base) {
             (0, StageBase::Stage(s)) => self.upstream.get(s).and_then(|a| a.final_state),
-            (0, StageBase::Image(_)) => None,
+            (0, StageBase::Image(reference)) => {
+                self.builder.image(reference).and_then(|b| b.final_state)
+            }
             _ => self.parent,
         };
         let mut key = StateKey::new(parent.as_ref());
@@ -472,105 +492,73 @@ impl<'a> StageCtx<'a> {
     ) -> Result<(), String> {
         display.push_str(" (cached)");
         self.report.transcript.push(display);
-        if let Some(e) = self.env.as_mut() {
-            e.fs = hit.fs.clone();
-        } else if let Instruction::From { .. } = instruction {
-            // FROM served from cache: build the env around the cached
-            // filesystem directly — no base image is constructed and no
-            // container is launched on the fully cached path.
-            let env = match &self.node.base {
-                StageBase::Image(reference) => {
-                    self.builder
-                        .env_for_cached_from(reference, &self.options.arch, &hit.fs)
-                }
-                StageBase::Stage(s) => self.env_from_stage(*s, hit.fs.clone()),
-            };
-            match env {
-                Ok(fresh) => self.env = Some(fresh),
-                Err(msg) => {
-                    self.report.transcript.push(msg.clone());
-                    return Err(msg);
-                }
-            }
+        match (self.env.as_mut(), instruction) {
+            (Some(e), _) => e.fs = hit.fs.clone(),
+            (None, Instruction::From { .. }) => self.execute_from(Some(&hit.fs))?,
+            (None, _) => {}
         }
         self.config = Arc::clone(&hit.config);
         self.fakeroot_db = Arc::clone(&hit.fakeroot_db);
-        // Force-config detection still applies after FROM.
-        if let (Instruction::From { .. }, BuilderKind::ChImage) = (instruction, &self.builder.kind)
-        {
-            if let Some(e) = &self.env {
-                self.force_cfg = detect_config(&e.fs, &e.creds, &e.userns);
-                if self.options.force {
-                    if let Some(cfg) = &self.force_cfg {
-                        self.report.force_config = Some(cfg.name.to_string());
-                        self.report.transcript.push(format!(
-                            "will use --force: {}: {}",
-                            cfg.name, cfg.description
-                        ));
-                    }
-                }
-                // If fakeroot is already in the cached image the init phase
-                // is satisfied.
-                let actor = Actor::new(&e.creds, &e.userns);
-                self.force_initialized = e.fs.exists(&actor, "/usr/bin/fakeroot");
-            }
-        }
         Ok(())
     }
 
-    /// Builds the environment for a `FROM` that adopts an earlier stage's
-    /// artifact: a CoW snapshot of the upstream filesystem, no container
-    /// launch and no base-image reconstruction.
-    fn env_from_stage(&self, source: usize, fs: Filesystem) -> Result<BuildEnv, String> {
-        let art = self
-            .upstream
-            .get(&source)
-            .ok_or_else(|| format!("error: stage {} has no built artifact", source))?;
-        let catalog = catalog_for(&art.base_reference, &self.options.arch)
-            .ok_or_else(|| format!("error: no catalog for {}", art.base_reference))?;
-        Ok(BuildEnv {
-            fs,
-            creds: self.builder.container_creds(),
-            userns: self.builder.container_userns(),
-            catalog,
-            base_reference: art.base_reference.clone(),
-        })
-    }
-
-    fn execute_from(&mut self) -> Result<(), String> {
-        let env = match &self.node.base {
-            StageBase::Image(reference) => self.builder.setup_from(reference, &self.options.arch),
-            StageBase::Stage(s) => {
-                let fs = self
-                    .upstream
-                    .get(s)
-                    .map(|a| a.fs.clone())
-                    .ok_or_else(|| format!("error: stage {} has no built artifact", s))?;
-                self.env_from_stage(*s, fs)
-            }
-        };
-        match env {
-            Ok(e) => {
-                if let BuilderKind::ChImage = self.builder.kind {
-                    self.force_cfg = detect_config(&e.fs, &e.creds, &e.userns);
-                    if self.options.force {
-                        if let Some(cfg) = &self.force_cfg {
-                            self.report.force_config = Some(cfg.name.to_string());
-                            self.report.transcript.push(format!(
-                                "will use --force: {}: {}",
-                                cfg.name, cfg.description
-                            ));
-                        }
-                    }
-                }
-                self.env = Some(e);
-                Ok(())
-            }
+    /// `FROM`, cached or not. The environment comes from one constructor,
+    /// and one epilogue follows: `ch-image` detects the `--force`
+    /// configuration and announces it when `--force` is on. Its init checks
+    /// stay pending until the first modified `RUN` that executes.
+    ///
+    /// A cache hit passes the cached tree, which the environment adopts in
+    /// place of its source's own: on the fully cached path no base image is
+    /// built and no container is launched.
+    fn execute_from(&mut self, cached: Option<&Filesystem>) -> Result<(), String> {
+        let env = match self.env_for_from(cached) {
+            Ok(env) => env,
             Err(msg) => {
                 self.report.transcript.push(msg.clone());
-                Err(msg)
+                return Err(msg);
+            }
+        };
+        if let BuilderKind::ChImage = self.builder.kind {
+            self.force_cfg = detect_config(&env.fs, &env.creds, &env.userns);
+            if let (true, Some(cfg)) = (self.options.force, &self.force_cfg) {
+                self.report.force_config = Some(cfg.name.to_string());
+                self.report.transcript.push(format!(
+                    "will use --force: {}: {}",
+                    cfg.name, cfg.description
+                ));
             }
         }
+        self.env = Some(env);
+        Ok(())
+    }
+
+    /// The environment a `FROM` starts in: an earlier stage's artifact, a
+    /// local tag (which takes precedence over remote base images: the LANL
+    /// three-stage pipeline chains `FROM` on locally built tags, §5.3.3), or
+    /// a base image, launched through the memo unless the cache supplies the
+    /// tree. Either way `cached`, if given, replaces the source's tree.
+    fn env_for_from(&self, cached: Option<&Filesystem>) -> Result<BuildEnv, String> {
+        let arch = &self.options.arch;
+        let (fs, base_reference) = match &self.node.base {
+            StageBase::Stage(s) => {
+                let art = self
+                    .upstream
+                    .get(s)
+                    .ok_or_else(|| format!("error: stage {} has no built artifact", s))?;
+                (&art.fs, art.base_reference.as_str())
+            }
+            StageBase::Image(reference) => match (self.builder.image(reference), cached) {
+                (Some(built), _) => (&built.fs, built.base_reference.as_str()),
+                (None, Some(fs)) => (fs, reference.as_str()),
+                (None, None) => {
+                    return self
+                        .builder
+                        .base_env(&self.builder_identity, reference, arch)
+                }
+            },
+        };
+        let identity = self.builder.identity().map_err(launch_error)?;
+        BuildEnv::new(cached.unwrap_or(fs).clone(), identity, base_reference, arch)
     }
 
     fn execute_run(&mut self, cmd: &str) -> Result<(), String> {

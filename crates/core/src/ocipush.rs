@@ -116,6 +116,8 @@ fn diff_filesystem(base: &Filesystem, built: &Filesystem, built_actor: &Actor) -
 /// * The §6.2.5 annotation is attached from the image's LABEL; the registry
 ///   additionally enforces its own per-repository policy and may reject the
 ///   push with [`ApiError::Unsupported`].
+/// * The image is read with the identity of the builder's containers; a
+///   builder the runtime refuses one (`EPERM`) gets [`ApiError::Denied`].
 pub fn push_to_oci(
     builder: &Builder,
     tag: &str,
@@ -125,8 +127,10 @@ pub fn push_to_oci(
     layer_mode: LayerMode,
 ) -> Result<OciPushReport, ApiError> {
     let built = builder.image(tag).ok_or(ApiError::NameUnknown)?;
-    let creds = builder.container_creds();
-    let userns = builder.container_userns();
+    // The image is read as the builder's containers see it; a builder that
+    // cannot create one (a Type II invoker with no subordinate range) is
+    // denied.
+    let (creds, userns) = builder.identity().map_err(|_| ApiError::Denied)?;
     let actor = Actor::new(&creds, &userns);
     let mut cfg: ImageConfig = built.config.clone();
     cfg.architecture = built.arch.clone();

@@ -1,10 +1,11 @@
 //! Container instances for the three privilege types.
 //!
 //! A [`Container`] owns a writable root filesystem, the user namespace it
-//! executes in, and the credentials of its processes. The three constructors
-//! mirror the paper's taxonomy: Type I (privileged, Docker-style), Type II
+//! executes in, and the credentials of its processes. The launches mirror
+//! the paper's taxonomy: Type I (privileged, Docker-style), Type II
 //! (rootless Podman with privileged helpers), and Type III (Charliecloud,
-//! fully unprivileged).
+//! fully unprivileged). Which credentials and namespace each type gets is
+//! decided once, by [`container_identity`].
 
 use std::sync::OnceLock;
 
@@ -100,23 +101,72 @@ fn add_pseudo_filesystems(fs: &mut Filesystem) {
     .ok();
 }
 
+/// The credentials and user namespace a container of type `privilege` gives
+/// its processes: the one place the paper's taxonomy (§2.2) becomes an
+/// identity. Every launch below asks it, and so does every builder.
+///
+/// * Type I: host root in the initial namespace, whoever invoked it — root
+///   inside the container is root on the host.
+/// * Type II: the invoker, holding every capability in a namespace that maps
+///   container root to the invoker and container IDs from 1 up to the
+///   invoker's first range in `subuid`. With no range the privileged helper
+///   refuses the map: `EPERM`.
+/// * Type III: the invoker, holding every capability in a namespace that
+///   maps one ID, container root, to the invoker. `subuid` is not read.
+pub fn container_identity(
+    privilege: PrivilegeType,
+    invoker: &Invoker,
+    subuid: &SubIdDb,
+) -> KResult<(Credentials, UserNamespace)> {
+    let userns = match privilege {
+        PrivilegeType::TypeI => return Ok((Credentials::host_root(), UserNamespace::initial())),
+        PrivilegeType::TypeII => {
+            let range = subuid
+                .ranges_for(&invoker.name)
+                .first()
+                .ok_or(Errno::EPERM)?;
+            UserNamespace::type2(invoker.uid, invoker.gid, range.start, range.count)
+        }
+        PrivilegeType::TypeIII => UserNamespace::type3(invoker.uid, invoker.gid),
+    };
+    Ok((invoker.host_creds().entered_own_namespace(), userns))
+}
+
 impl Container {
+    /// The one constructor behind every launch: the processes get
+    /// [`container_identity`]'s answer for `privilege`, `prepare` builds the
+    /// root filesystem inside that namespace, and the rootfs gains the
+    /// kernel's pseudo filesystems.
+    fn launch(
+        privilege: PrivilegeType,
+        invoker: &Invoker,
+        subuid: &SubIdDb,
+        image: &Image,
+        prepare: impl FnOnce(&UserNamespace) -> KResult<(Filesystem, StorageCost)>,
+    ) -> KResult<Container> {
+        let (creds, userns) = container_identity(privilege, invoker, subuid)?;
+        let (mut rootfs, storage_cost) = prepare(&userns)?;
+        add_pseudo_filesystems(&mut rootfs);
+        Ok(Container {
+            privilege,
+            rootfs,
+            userns,
+            creds,
+            arch: image.config.architecture.clone(),
+            storage_cost,
+            shared: OnceLock::new(),
+        })
+    }
+
     /// Type I: privileged setup, shared IDs with the host. Root inside the
     /// container **is** root on the host.
     pub fn launch_type1(image: &Image, arch_check: Option<&str>) -> KResult<Container> {
         if let Some(host_arch) = arch_check {
             check_arch(image, host_arch)?;
         }
-        let mut rootfs = image.unpack(None)?;
-        add_pseudo_filesystems(&mut rootfs);
-        Ok(Container {
-            privilege: PrivilegeType::TypeI,
-            rootfs,
-            userns: UserNamespace::initial(),
-            creds: Credentials::host_root(),
-            arch: image.config.architecture.clone(),
-            storage_cost: StorageCost::default(),
-            shared: OnceLock::new(),
+        let (root, no_ranges) = (Invoker::root(), SubIdDb::new());
+        Container::launch(PrivilegeType::TypeI, &root, &no_ranges, image, |_| {
+            Ok((image.unpack(None)?, StorageCost::default()))
         })
     }
 
@@ -133,27 +183,18 @@ impl Container {
         backend: FsBackend,
         sysctl: &Sysctl,
     ) -> KResult<Container> {
-        let ranges = subuid.ranges_for(&invoker.name);
-        let range = ranges.first().ok_or(Errno::EPERM)?;
-        let userns = UserNamespace::type2(invoker.uid, invoker.gid, range.start, range.count);
         let persistence = match driver {
             StorageDriver::FuseOverlayFs => IdPersistence::UserXattrs,
             _ => IdPersistence::SubordinateIds,
         };
-        let (mut base, cost) =
-            prepare_rootfs(image, driver, backend, sysctl, invoker.uid.0, persistence)?;
-        // Re-map recorded container IDs to subordinate host IDs (what really
-        // happens when the rootless engine extracts layers inside the userns).
-        remap_ownership_into(&mut base, &userns)?;
-        add_pseudo_filesystems(&mut base);
-        Ok(Container {
-            privilege: PrivilegeType::TypeII,
-            rootfs: base,
-            userns,
-            creds: invoker.host_creds().entered_own_namespace(),
-            arch: image.config.architecture.clone(),
-            storage_cost: cost,
-            shared: OnceLock::new(),
+        Container::launch(PrivilegeType::TypeII, invoker, subuid, image, |userns| {
+            let (mut rootfs, cost) =
+                prepare_rootfs(image, driver, backend, sysctl, invoker.uid.0, persistence)?;
+            // Re-map recorded container IDs to subordinate host IDs (what
+            // really happens when the rootless engine extracts layers inside
+            // the userns).
+            remap_ownership_into(&mut rootfs, userns)?;
+            Ok((rootfs, cost))
         })
     }
 
@@ -161,17 +202,9 @@ impl Container {
     /// become owned by the invoking user (paper §5.2), and only one UID/GID
     /// is mapped.
     pub fn launch_type3(image: &Image, invoker: &Invoker) -> KResult<Container> {
-        let mut rootfs = image.unpack(Some((invoker.uid, invoker.gid)))?;
-        add_pseudo_filesystems(&mut rootfs);
-        let userns = UserNamespace::type3(invoker.uid, invoker.gid);
-        Ok(Container {
-            privilege: PrivilegeType::TypeIII,
-            rootfs,
-            userns,
-            creds: invoker.host_creds().entered_own_namespace(),
-            arch: image.config.architecture.clone(),
-            storage_cost: StorageCost::default(),
-            shared: OnceLock::new(),
+        let (owner, no_ranges) = (Some((invoker.uid, invoker.gid)), SubIdDb::new());
+        Container::launch(PrivilegeType::TypeIII, invoker, &no_ranges, image, |_| {
+            Ok((image.unpack(owner)?, StorageCost::default()))
         })
     }
 
@@ -186,24 +219,9 @@ impl Container {
         backend: FsBackend,
         sysctl: &Sysctl,
     ) -> KResult<Container> {
-        let (mut rootfs, cost) = prepare_rootfs(
-            image,
-            driver,
-            backend,
-            sysctl,
-            invoker.uid.0,
-            IdPersistence::SingleUser,
-        )?;
-        add_pseudo_filesystems(&mut rootfs);
-        let userns = UserNamespace::type3(invoker.uid, invoker.gid);
-        Ok(Container {
-            privilege: PrivilegeType::TypeIII,
-            rootfs,
-            userns,
-            creds: invoker.host_creds().entered_own_namespace(),
-            arch: image.config.architecture.clone(),
-            storage_cost: cost,
-            shared: OnceLock::new(),
+        let (persistence, no_ranges) = (IdPersistence::SingleUser, SubIdDb::new());
+        Container::launch(PrivilegeType::TypeIII, invoker, &no_ranges, image, |_| {
+            prepare_rootfs(image, driver, backend, sysctl, invoker.uid.0, persistence)
         })
     }
 
@@ -395,6 +413,26 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, Errno::EPERM);
+        let identity = container_identity(PrivilegeType::TypeII, &alice(), &SubIdDb::new());
+        assert_eq!(identity.unwrap_err(), Errno::EPERM);
+    }
+
+    #[test]
+    fn every_launch_gets_the_identity_of_its_type() {
+        let image = sample_image("x86_64");
+        let (driver, backend, sysctl) = (StorageDriver::Vfs, FsBackend::Tmpfs, Sysctl::modern());
+        let launches = [
+            Container::launch_type1(&image, None),
+            Container::launch_type2(&image, &alice(), &subdb(), driver, backend, &sysctl),
+            Container::launch_type3(&image, &alice()),
+            Container::launch_podman_unprivileged(&image, &alice(), driver, backend, &sysctl),
+        ];
+        for c in launches.map(Result::unwrap) {
+            let (creds, userns) = container_identity(c.privilege, &alice(), &subdb()).unwrap();
+            assert_eq!(c.creds, creds, "{}", c.privilege);
+            assert_eq!(c.userns.uid_map, userns.uid_map, "{}", c.privilege);
+            assert_eq!(c.userns.gid_map, userns.gid_map, "{}", c.privilege);
+        }
     }
 
     #[test]
