@@ -164,9 +164,9 @@ fn bench_cached_rebuild(c: &mut Criterion) {
 fn bench_cold_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("cold_build");
     // A *fresh builder* per iteration: nothing is memoized, so this pays
-    // base-tree construction, the pack/unpack tar round trip, and every RUN
-    // — the true first-build-on-a-new-node cost the paper's "build
-    // anywhere" workflow exercises.
+    // base-tree construction, the tree's launch under Type III ownership,
+    // and every RUN — the true first-build-on-a-new-node cost the paper's
+    // "build anywhere" workflow exercises.
     group.bench_function("centos7_uncached", |b| {
         b.iter(|| {
             let mut builder = Builder::ch_image(alice());

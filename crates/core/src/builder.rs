@@ -11,12 +11,14 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use hpcc_distro::{base_image, catalog_for, Catalog};
+use hpcc_distro::{base_image, catalog_for, os_release_reference, Catalog};
 use hpcc_fakeroot::LieDatabase;
 use hpcc_image::{Digest, Image, ImageConfig, Registry};
 use hpcc_kernel::sync::lock_recover;
 use hpcc_kernel::{Credentials, Errno, KResult, Sysctl, UserNamespace};
-use hpcc_runtime::{container_identity, Container, Invoker, PrivilegeType, StorageDriver, SubIdDb};
+use hpcc_runtime::{
+    container_identity, Container, Invoker, Launch, PrivilegeType, StorageDriver, SubIdDb,
+};
 use hpcc_vfs::{Actor, Filesystem, FsBackend};
 
 use crate::cache::ShardedBuildCache;
@@ -340,9 +342,9 @@ pub struct Builder {
 
 /// Memo key: `(builder launch identity, base reference, arch)`. The identity
 /// component binds everything that shapes the launched environment —
-/// privilege type, credentials, user namespace maps — so builders with
-/// different privilege models sharing one memo can never adopt each other's
-/// credentials.
+/// privilege type, credentials, user namespace maps, and a Type II
+/// builder's storage driver, backend and kernel — so builders sharing one
+/// memo can never adopt each other's credentials or store.
 type EnvKey = (String, String, String);
 
 /// One memo cell: empty until the key's derivation succeeds or fails.
@@ -351,12 +353,13 @@ type EnvCell = OnceLock<Result<BuildEnv, String>>;
 /// Process-wide memo of launched base-image environments, keyed by
 /// `(launch identity, reference, arch)`.
 ///
-/// Constructing a base tree, packaging it as an image, and launching a build
-/// container is deterministic for a fixed launch identity, so cold
-/// (instruction-cache-off) builds after the first adopt a CoW snapshot of the
-/// launched rootfs instead of repeating the pack/unpack round trip — the
-/// dominant cost of an uncached `FROM` (PERF.md §6). A build farm hands one
-/// memo to every tenant's builder ([`Builder::with_shared`]).
+/// Constructing a base tree and launching it as a build container (the
+/// runtime applies the privilege type's ownership rule to the tree in
+/// place; nothing is packed or unpacked, PERF.md §17) is deterministic for
+/// a fixed launch identity, so cold (instruction-cache-off) builds after
+/// the first adopt a CoW snapshot of the launched rootfs instead of
+/// constructing and launching the tree again (PERF.md §6). A build farm
+/// hands one memo to every tenant's builder ([`Builder::with_shared`]).
 ///
 /// Each key has one [`OnceLock`], which gives the memo its contract:
 ///
@@ -568,9 +571,11 @@ impl Builder {
 
     /// The launch-identity component of cache and memo keys: the privilege
     /// type plus the identity [`Builder::identity`] gives this builder's
-    /// containers (effective IDs and both ID maps), or its error. Two
-    /// builders share memoized environments and cached trees only when a
-    /// container launched by either would be byte-identical.
+    /// containers (effective IDs and both ID maps), or its error, and for a
+    /// Type II builder what else its launch reads: the storage driver, the
+    /// backend of its store and the kernel's overlayfs-in-userns switch.
+    /// Two builders share memoized environments and cached trees only when
+    /// a container launched by either would be byte-identical.
     pub(crate) fn launch_identity(&self) -> String {
         let privilege = self.privilege_type();
         let (creds, ns) = match self.identity() {
@@ -579,7 +584,7 @@ impl Builder {
         };
         // Plain numbers, not `Debug`: a cache key is formatted once per
         // stage, and `Debug` of the maps costs several times as much.
-        let mut id = String::with_capacity(64);
+        let mut id = String::with_capacity(96);
         let _ = write!(id, "{}|{}|{}", privilege, creds.euid.0, creds.egid.0);
         for (map, tag) in [(&ns.uid_map, 'u'), (&ns.gid_map, 'g')] {
             for e in map.entries() {
@@ -587,14 +592,24 @@ impl Builder {
                 let _ = write!(id, "|{tag}{inside}:{outside}:{count}");
             }
         }
+        if let BuilderKind::RootlessPodman {
+            driver,
+            backend,
+            sysctl,
+            ..
+        } = &self.kind
+        {
+            let overlay = u8::from(sysctl.unprivileged_overlayfs);
+            let _ = write!(id, "|{}|{:?}|ovl{overlay}", driver.name(), backend);
+        }
         id
     }
 
     /// The environment of a `FROM` naming a base image, launched through
     /// the memo: the second and later cold builds from the same base adopt
     /// a CoW snapshot of the launched rootfs (a refcount bump) instead of
-    /// rebuilding the base tree and tar round-tripping it through a fresh
-    /// container. The memo is shared across builders, so under a build farm
+    /// rebuilding the base tree and launching it again. The memo is shared
+    /// across builders, so under a build farm
     /// the first tenant to reach a base derives it and concurrent tenants
     /// wait and adopt. `identity` is this builder's
     /// [`Builder::launch_identity`], which the stage has already formatted
@@ -615,33 +630,31 @@ impl Builder {
     }
 
     /// Derives a base environment from scratch: build the canonical base
-    /// tree, package it as an image, and launch a build container under this
-    /// builder's privilege type.
+    /// tree and hand it to [`Container::launch`] under this builder's
+    /// privilege type, which applies that type's ownership rule to the tree
+    /// in place. The tree is never packed into a layer, hashed or unpacked.
     fn derive_base_env(&self, reference: &str, arch: &str) -> Result<BuildEnv, String> {
         let base = base_image(reference, arch)
             .ok_or_else(|| format!("error: no base image: {}", reference))?;
-        // Package the canonical root-owned base tree as an image, then let
-        // the runtime instantiate it under the right privilege type.
-        let root_creds = Credentials::host_root();
-        let host_ns = UserNamespace::initial();
-        let actor = Actor::new(&root_creds, &host_ns);
-        let cfg = ImageConfig {
-            architecture: arch.to_string(),
-            ..Default::default()
-        };
-        let image = Image::from_fs_preserved(reference, &base.fs, &actor, cfg)
-            .map_err(|e| format!("error: cannot package base image: {}", e))?;
-        let container = match &self.kind {
-            BuilderKind::Docker => Container::launch_type1(&image, None),
+        let launch = match &self.kind {
+            BuilderKind::Docker => Launch::TypeI,
             BuilderKind::RootlessPodman {
                 subuid,
                 driver,
                 backend,
                 sysctl,
-            } => Container::launch_type2(&image, &self.invoker, subuid, *driver, *backend, sysctl),
-            BuilderKind::ChImage => Container::launch_type3(&image, &self.invoker),
-        }
-        .map_err(launch_error)?;
+            } => Launch::TypeII {
+                invoker: &self.invoker,
+                subuid,
+                driver: *driver,
+                backend: *backend,
+                sysctl,
+            },
+            BuilderKind::ChImage => Launch::TypeIII {
+                invoker: &self.invoker,
+            },
+        };
+        let container = Container::launch(base.fs, arch, launch).map_err(launch_error)?;
         BuildEnv::new(
             container.rootfs,
             (container.creds, container.userns),
@@ -757,7 +770,10 @@ impl Builder {
 
     /// Pulls an image from a registry and stores it locally under `tag`,
     /// unpacking it per this builder's privilege type (a Type III pull
-    /// changes ownership to the invoking user, paper §5.2).
+    /// changes ownership to the invoking user, paper §5.2). The image's base
+    /// reference is the distribution its tree's `/etc/os-release` names, so
+    /// a later `FROM <tag>` finds that distribution's package catalog; an
+    /// image with no such file records the registry reference instead.
     pub fn pull(
         &mut self,
         registry: &mut Registry,
@@ -770,6 +786,7 @@ impl Builder {
             _ => Some((self.invoker.uid, self.invoker.gid)),
         };
         let fs = image.unpack(force_owner).map_err(|e| e.to_string())?;
+        let base_reference = os_release_reference(&fs).unwrap_or_else(|| reference.to_string());
         self.store.insert(
             tag.to_string(),
             BuiltImage {
@@ -777,7 +794,7 @@ impl Builder {
                 fs,
                 config: image.config.clone(),
                 fakeroot_db: LieDatabase::new(),
-                base_reference: reference.to_string(),
+                base_reference,
                 arch: image.config.architecture.clone(),
                 privilege: self.privilege_type(),
                 final_state: None,
@@ -1485,6 +1502,88 @@ mod tests {
         );
         assert!(r.success, "{}", r.transcript_text());
         assert_eq!(memo.derivations(), 2);
+    }
+
+    /// A rootless Podman builder for alice over `memo` (private when
+    /// `None`), on local disk.
+    fn podman(driver: StorageDriver, sysctl: Sysctl, memo: Option<&Arc<BaseEnvMemo>>) -> Builder {
+        let kind = BuilderKind::RootlessPodman {
+            subuid: default_subuid_for("alice"),
+            driver,
+            backend: FsBackend::LocalDisk,
+            sysctl,
+        };
+        match memo {
+            Some(memo) => {
+                let cache = Arc::new(ShardedBuildCache::new());
+                Builder::with_shared(kind, alice(), cache, Arc::clone(memo))
+            }
+            None => Builder::new(kind, alice()),
+        }
+    }
+
+    const FROM_CENTOS: &str = "FROM centos:7\n";
+
+    #[test]
+    fn a_type2_builder_never_adopts_a_base_env_of_another_storage_driver() {
+        let memo = Arc::new(BaseEnvMemo::new());
+        let opts = BuildOptions::new("base");
+        let mut vfs = podman(StorageDriver::Vfs, Sysctl::rhel76(), Some(&memo));
+        assert!(vfs.build(FROM_CENTOS, &opts, None).success);
+        let fuse = StorageDriver::FuseOverlayFs;
+        let mut shared = podman(fuse, Sysctl::rhel76(), Some(&memo));
+        let mut private = podman(fuse, Sysctl::rhel76(), None);
+        for b in [&mut shared, &mut private] {
+            let r = b.build(FROM_CENTOS, &opts, None);
+            assert!(r.success, "{}", r.transcript_text());
+        }
+        let (creds, ns) = (Credentials::host_root(), UserNamespace::initial());
+        let override_stat = |b: &Builder| {
+            let fs = &b.image("base").unwrap().fs;
+            let name = "user.containers.override_stat";
+            fs.get_xattr(&Actor::new(&creds, &ns), "/bin/sh", name).ok()
+        };
+        assert!(override_stat(&private).is_some());
+        assert_eq!(override_stat(&shared), override_stat(&private));
+        assert_eq!(memo.derivations(), 2);
+    }
+
+    #[test]
+    fn a_type2_builder_never_adopts_a_base_env_its_kernel_refuses() {
+        let memo = Arc::new(BaseEnvMemo::new());
+        let opts = BuildOptions::new("base");
+        let overlay = StorageDriver::OverlayFs;
+        let mut modern = podman(overlay, Sysctl::modern(), Some(&memo));
+        assert!(modern.build(FROM_CENTOS, &opts, None).success);
+        let refused = Some(launch_error(Errno::EPERM));
+        for memo in [Some(&memo), None] {
+            let r = podman(overlay, Sysctl::rhel76(), memo).build(FROM_CENTOS, &opts, None);
+            assert_eq!(r.error_text(), refused, "{}", r.transcript_text());
+        }
+    }
+
+    #[test]
+    fn from_a_pulled_tag_builds_on_its_distribution_uncached() {
+        let mut registry = Registry::new("registry.lanl.example");
+        let mut alice_ch = Builder::ch_image(alice());
+        let opts = BuildOptions::new("foo").with_force();
+        assert!(alice_ch.build(centos7_dockerfile(), &opts, None).success);
+        let flatten = PushOwnership::Flatten;
+        let pushed = alice_ch.push("foo", "hpc/openssh:1.0", &mut registry, flatten);
+        pushed.unwrap();
+        let mut bob = Builder::ch_image(Invoker::user("bob", 1001, 1001));
+        bob.pull(&mut registry, "hpc/openssh:1.0", "openssh")
+            .unwrap();
+        let app = "FROM openssh\nRUN yum install -y gcc\n";
+        let r = bob.build(app, &BuildOptions::new("app").with_cache(), None);
+        assert!(r.success, "{}", r.transcript_text());
+        // A pulled tag has no recorded state: the stage runs uncached.
+        assert_eq!((r.cache_hits, r.cache_misses), (0, 0));
+        assert!(
+            holds(&bob, "app", "/usr/bin/gcc"),
+            "{}",
+            r.transcript_text()
+        );
     }
 
     #[test]

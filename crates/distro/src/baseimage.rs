@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 
-use hpcc_kernel::{Gid, Uid};
-use hpcc_vfs::{Filesystem, Mode};
+use hpcc_kernel::{Credentials, Gid, Uid, UserNamespace};
+use hpcc_vfs::{Actor, Filesystem, Mode};
 
 use crate::catalog::{catalog_for, APT_UID};
 use crate::package::Catalog;
@@ -217,11 +217,26 @@ pub fn base_image(reference: &str, arch: &str) -> Option<BaseImage> {
     }
 }
 
+/// The base-image reference of the distribution installed in `fs`, read
+/// from its `/etc/os-release` as `ID:VERSION_ID` (`centos:7`,
+/// `debian:10`): what an image that was pulled rather than built here
+/// descends from. `None` when the file is missing or lacks either field.
+pub fn os_release_reference(fs: &Filesystem) -> Option<String> {
+    let (creds, ns) = (Credentials::host_root(), UserNamespace::initial());
+    let text = fs
+        .read_to_string(&Actor::new(&creds, &ns), "/etc/os-release")
+        .ok()?;
+    let field = |key: &str| {
+        text.lines()
+            .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
+            .map(|value| value.trim_matches('"'))
+    };
+    Some(format!("{}:{}", field("ID")?, field("VERSION_ID")?))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcc_kernel::{Credentials, UserNamespace};
-    use hpcc_vfs::Actor;
 
     fn root_actor() -> (Credentials, UserNamespace) {
         (Credentials::host_root(), UserNamespace::initial())
@@ -275,6 +290,19 @@ mod tests {
         for img in [centos7("x86_64"), debian10("amd64")] {
             assert_eq!(img.fs.distinct_owner_uids(), vec![Uid(0)]);
         }
+    }
+
+    #[test]
+    fn os_release_names_each_base_image() {
+        assert_eq!(
+            os_release_reference(&centos7("x86_64").fs).unwrap(),
+            "centos:7"
+        );
+        assert_eq!(
+            os_release_reference(&debian10("amd64").fs).unwrap(),
+            "debian:10"
+        );
+        assert_eq!(os_release_reference(&Filesystem::new_local()), None);
     }
 
     #[test]

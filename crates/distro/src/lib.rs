@@ -17,7 +17,7 @@ pub mod passwd;
 pub mod yum;
 
 pub use apt::{apt_config_dump, apt_install, apt_update, sandbox_user};
-pub use baseimage::{base_image, centos7, debian10, BaseImage};
+pub use baseimage::{base_image, centos7, debian10, os_release_reference, BaseImage};
 pub use catalog::{
     catalog_for, centos7_catalog, debian10_catalog, APT_UID, SSHD_UID, SSH_KEYS_GID,
 };

@@ -5,7 +5,9 @@
 //! the paper's taxonomy: Type I (privileged, Docker-style), Type II
 //! (rootless Podman with privileged helpers), and Type III (Charliecloud,
 //! fully unprivileged). Which credentials and namespace each type gets is
-//! decided once, by [`container_identity`].
+//! decided once, by [`container_identity`], and how each type owns its root
+//! filesystem once, by [`Container::launch`], which takes the rootfs as a
+//! tree: an image launch unpacks the image and hands over the tree.
 
 use std::sync::OnceLock;
 
@@ -132,49 +134,151 @@ pub fn container_identity(
     Ok((invoker.host_creds().entered_own_namespace(), userns))
 }
 
+/// How a launch lays out a container's root filesystem: the privilege type,
+/// the invoking user, and for a Podman launch its storage.
+#[derive(Debug, Clone, Copy)]
+pub enum Launch<'a> {
+    /// Type I: privileged setup, IDs shared with the host. The tree keeps
+    /// the owners it records; root inside the container **is** root on the
+    /// host.
+    TypeI,
+    /// Type II, rootless-Podman-style: needs a subordinate range in
+    /// `/etc/subuid`/`/etc/subgid`. The storage driver checks its backend
+    /// and kernel and persists the container IDs the tree records (as
+    /// `user.containers.override_stat` xattrs under fuse-overlayfs, §6.1);
+    /// then every entry is re-owned by the host ID its container ID maps to,
+    /// which is why shared filesystems are unsupported for container
+    /// storage (§4.2).
+    TypeII {
+        /// The invoking user.
+        invoker: &'a Invoker,
+        /// `/etc/subuid` / `/etc/subgid` contents.
+        subuid: &'a SubIdDb,
+        /// Storage driver.
+        driver: StorageDriver,
+        /// Backend of the container store.
+        backend: FsBackend,
+        /// Kernel configuration of the node.
+        sysctl: &'a Sysctl,
+    },
+    /// Type III, Charliecloud-style, fully unprivileged: every entry
+    /// becomes owned by the invoking user (§5.2), and only one UID/GID is
+    /// mapped.
+    TypeIII {
+        /// The invoking user.
+        invoker: &'a Invoker,
+    },
+    /// "Unprivileged Podman" (§4.1.1, Figure 5): no subordinate ranges,
+    /// single-ID map, `--ignore_chown_errors`. Functionally close to Type
+    /// III but keeps Podman's storage stack.
+    PodmanUnprivileged {
+        /// The invoking user.
+        invoker: &'a Invoker,
+        /// Storage driver.
+        driver: StorageDriver,
+        /// Backend of the container store.
+        backend: FsBackend,
+        /// Kernel configuration of the node.
+        sysctl: &'a Sysctl,
+    },
+}
+
 impl Container {
     /// The one constructor behind every launch: the processes get
-    /// [`container_identity`]'s answer for `privilege`, `prepare` builds the
-    /// root filesystem inside that namespace, and the rootfs gains the
-    /// kernel's pseudo filesystems.
-    fn launch(
-        privilege: PrivilegeType,
-        invoker: &Invoker,
-        subuid: &SubIdDb,
-        image: &Image,
-        prepare: impl FnOnce(&UserNamespace) -> KResult<(Filesystem, StorageCost)>,
-    ) -> KResult<Container> {
+    /// [`container_identity`]'s answer for the launch's privilege type, and
+    /// `tree` (an image unpacked with its recorded ownership, or any tree)
+    /// becomes the rootfs under that type's ownership rule, applied in one
+    /// in-place pass over its inode table; then the rootfs gains the
+    /// kernel's pseudo filesystems. The root directory keeps its owner.
+    pub fn launch(mut tree: Filesystem, arch: &str, launch: Launch<'_>) -> KResult<Container> {
+        let no_ranges = SubIdDb::new();
+        let host_root;
+        let (privilege, invoker, subuid) = match launch {
+            Launch::TypeI => {
+                host_root = Invoker::root();
+                (PrivilegeType::TypeI, &host_root, &no_ranges)
+            }
+            Launch::TypeII {
+                invoker, subuid, ..
+            } => (PrivilegeType::TypeII, invoker, subuid),
+            Launch::TypeIII { invoker } | Launch::PodmanUnprivileged { invoker, .. } => {
+                (PrivilegeType::TypeIII, invoker, &no_ranges)
+            }
+        };
         let (creds, userns) = container_identity(privilege, invoker, subuid)?;
-        let (mut rootfs, storage_cost) = prepare(&userns)?;
-        add_pseudo_filesystems(&mut rootfs);
+        let storage_cost = match launch {
+            Launch::TypeI => StorageCost::default(),
+            Launch::TypeII {
+                driver,
+                backend,
+                sysctl,
+                ..
+            } => {
+                let persistence = match driver {
+                    StorageDriver::FuseOverlayFs => IdPersistence::UserXattrs,
+                    _ => IdPersistence::SubordinateIds,
+                };
+                let uid = invoker.uid.0;
+                let cost = prepare_rootfs(&mut tree, driver, backend, sysctl, uid, persistence)?;
+                // Re-map recorded container IDs to subordinate host IDs (what
+                // really happens when the rootless engine extracts layers
+                // inside the userns).
+                tree.for_each_entry_mut(|inode| {
+                    inode.uid = userns
+                        .uid_to_host(inode.uid)
+                        .unwrap_or(userns.owner_host_uid);
+                    inode.gid = userns
+                        .gid_to_host(inode.gid)
+                        .unwrap_or(userns.owner_host_gid);
+                });
+                cost
+            }
+            Launch::TypeIII { .. } => {
+                tree.for_each_entry_mut(|inode| {
+                    inode.uid = invoker.uid;
+                    inode.gid = invoker.gid;
+                });
+                StorageCost::default()
+            }
+            Launch::PodmanUnprivileged {
+                driver,
+                backend,
+                sysctl,
+                ..
+            } => {
+                let single = IdPersistence::SingleUser;
+                prepare_rootfs(&mut tree, driver, backend, sysctl, invoker.uid.0, single)?
+            }
+        };
+        add_pseudo_filesystems(&mut tree);
         Ok(Container {
             privilege,
-            rootfs,
+            rootfs: tree,
             userns,
             creds,
-            arch: image.config.architecture.clone(),
+            arch: arch.to_string(),
             storage_cost,
             shared: OnceLock::new(),
         })
     }
 
-    /// Type I: privileged setup, shared IDs with the host. Root inside the
-    /// container **is** root on the host.
+    /// Launches `image`: unpacks it with its recorded ownership, then
+    /// [`Container::launch`].
+    fn launch_image(image: &Image, launch: Launch<'_>) -> KResult<Container> {
+        Container::launch(image.unpack(None)?, &image.config.architecture, launch)
+    }
+
+    /// Type I: [`Launch::TypeI`] of `image`, refused (`ENOSYS`) when
+    /// `arch_check` names a host architecture the image cannot execute on.
+    // hpcc-lint: allow(test_only_api) — §2.2: tests/base_image_launch.rs launches each base image as a Type I image beside its tree
     pub fn launch_type1(image: &Image, arch_check: Option<&str>) -> KResult<Container> {
         if let Some(host_arch) = arch_check {
             check_arch(image, host_arch)?;
         }
-        let (root, no_ranges) = (Invoker::root(), SubIdDb::new());
-        Container::launch(PrivilegeType::TypeI, &root, &no_ranges, image, |_| {
-            Ok((image.unpack(None)?, StorageCost::default()))
-        })
+        Container::launch_image(image, Launch::TypeI)
     }
 
-    /// Type II: rootless-Podman-style. Requires subordinate ranges in
-    /// `/etc/subuid`/`/etc/subgid`; the container root filesystem stores
-    /// subordinate host IDs (or xattrs, depending on the driver), which is
-    /// why shared filesystems are unsupported for container storage
-    /// (paper §4.2).
+    /// Type II: [`Launch::TypeII`] of `image`.
     pub fn launch_type2(
         image: &Image,
         invoker: &Invoker,
@@ -183,34 +287,22 @@ impl Container {
         backend: FsBackend,
         sysctl: &Sysctl,
     ) -> KResult<Container> {
-        let persistence = match driver {
-            StorageDriver::FuseOverlayFs => IdPersistence::UserXattrs,
-            _ => IdPersistence::SubordinateIds,
+        let launch = Launch::TypeII {
+            invoker,
+            subuid,
+            driver,
+            backend,
+            sysctl,
         };
-        Container::launch(PrivilegeType::TypeII, invoker, subuid, image, |userns| {
-            let (mut rootfs, cost) =
-                prepare_rootfs(image, driver, backend, sysctl, invoker.uid.0, persistence)?;
-            // Re-map recorded container IDs to subordinate host IDs (what
-            // really happens when the rootless engine extracts layers inside
-            // the userns).
-            remap_ownership_into(&mut rootfs, userns)?;
-            Ok((rootfs, cost))
-        })
+        Container::launch_image(image, launch)
     }
 
-    /// Type III: Charliecloud-style, fully unprivileged. All image files
-    /// become owned by the invoking user (paper §5.2), and only one UID/GID
-    /// is mapped.
+    /// Type III: [`Launch::TypeIII`] of `image`.
     pub fn launch_type3(image: &Image, invoker: &Invoker) -> KResult<Container> {
-        let (owner, no_ranges) = (Some((invoker.uid, invoker.gid)), SubIdDb::new());
-        Container::launch(PrivilegeType::TypeIII, invoker, &no_ranges, image, |_| {
-            Ok((image.unpack(owner)?, StorageCost::default()))
-        })
+        Container::launch_image(image, Launch::TypeIII { invoker })
     }
 
-    /// "Unprivileged Podman" (paper §4.1.1, Figure 5): no subordinate ranges,
-    /// single-ID map, `--ignore_chown_errors`. Functionally close to Type III
-    /// but retains Podman's storage stack.
+    /// Unprivileged Podman: [`Launch::PodmanUnprivileged`] of `image`.
     // hpcc-lint: allow(test_only_api) — §4.1.1, Figure 5: tests/paper_figures.rs launches unprivileged Podman
     pub fn launch_podman_unprivileged(
         image: &Image,
@@ -219,10 +311,13 @@ impl Container {
         backend: FsBackend,
         sysctl: &Sysctl,
     ) -> KResult<Container> {
-        let (persistence, no_ranges) = (IdPersistence::SingleUser, SubIdDb::new());
-        Container::launch(PrivilegeType::TypeIII, invoker, &no_ranges, image, |_| {
-            prepare_rootfs(image, driver, backend, sysctl, invoker.uid.0, persistence)
-        })
+        let launch = Launch::PodmanUnprivileged {
+            invoker,
+            driver,
+            backend,
+            sysctl,
+        };
+        Container::launch_image(image, launch)
     }
 
     /// An [`Actor`] for operations performed by the container's root process.
@@ -314,22 +409,6 @@ pub fn check_arch(image: &Image, host_arch: &str) -> KResult<()> {
     } else {
         Err(Errno::ENOSYS) // exec format error stand-in
     }
-}
-
-fn remap_ownership_into(fs: &mut Filesystem, ns: &UserNamespace) -> KResult<()> {
-    let paths: Vec<(String, hpcc_vfs::Ino)> = fs.walk();
-    for (_, ino) in paths {
-        let (uid, gid) = {
-            let inode = fs.inode(ino)?;
-            (inode.uid, inode.gid)
-        };
-        let host_uid = ns.uid_to_host(uid).unwrap_or(ns.owner_host_uid);
-        let host_gid = ns.gid_to_host(gid).unwrap_or(ns.owner_host_gid);
-        let inode = fs.inode_mut(ino)?;
-        inode.uid = host_uid;
-        inode.gid = host_gid;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ pub mod privilege;
 pub mod storage;
 pub mod subid;
 
-pub use container::{check_arch, container_identity, Container, Invoker};
+pub use container::{check_arch, container_identity, Container, Invoker, Launch};
 pub use privilege::{
     implementations, render_implementation_table, BuildSupport, Implementation, PrivilegeType,
 };

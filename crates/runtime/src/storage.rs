@@ -6,10 +6,8 @@
 //! attributes*, which clashes with default-configured Lustre, GPFS and NFS
 //! (§6.1) — that interaction is modelled here.
 
-use hpcc_kernel::{Errno, KResult, Sysctl, Uid};
-use hpcc_vfs::{tar, Filesystem, FsBackend};
-
-use hpcc_image::Image;
+use hpcc_kernel::{Errno, Gid, KResult, Sysctl, Uid};
+use hpcc_vfs::{Filesystem, FsBackend};
 
 /// Storage drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,20 +100,23 @@ pub enum IdPersistence {
     SingleUser,
 }
 
-/// Prepares a writable container root filesystem from an image using the
-/// given driver, on the given backend, for the invoking (unprivileged) user.
+/// Prepares a writable container root filesystem from an image tree using
+/// the given driver, on the given backend, for the invoking (unprivileged)
+/// user: the tree becomes the container store, on `backend`, with the
+/// container IDs it records persisted as `id_persistence` says.
 ///
-/// Returns the rootfs plus a cost record. Fails where the real stack fails:
-/// fuse-overlayfs on xattr-less shared filesystems, subordinate-ID creation
-/// on shared filesystems, overlayfs-in-userns on old kernels.
+/// Returns the cost record. Fails where the real stack fails, before
+/// touching the tree: fuse-overlayfs on xattr-less shared filesystems,
+/// subordinate-ID creation on shared filesystems, overlayfs-in-userns on
+/// old kernels.
 pub fn prepare_rootfs(
-    image: &Image,
+    rootfs: &mut Filesystem,
     driver: StorageDriver,
     backend: FsBackend,
     sysctl: &Sysctl,
     invoker_uid: u32,
     id_persistence: IdPersistence,
-) -> KResult<(Filesystem, StorageCost)> {
+) -> KResult<StorageCost> {
     driver.available_unprivileged(sysctl, &backend)?;
     if id_persistence == IdPersistence::SubordinateIds
         && !backend.supports_subordinate_uid_creation()
@@ -125,61 +126,40 @@ pub fn prepare_rootfs(
     if id_persistence == IdPersistence::UserXattrs && !backend.supports_user_xattrs() {
         return Err(Errno::EOPNOTSUPP);
     }
-    let mut fs = Filesystem::new(backend);
-    let mut cost = StorageCost::default();
-    for layer in &image.layers {
-        for entry in tar::entries(&layer.tar) {
-            let entry = entry?;
-            cost.inodes_copied += 1;
-            cost.bytes_copied += entry.content.len() as u64;
-        }
-        let force_owner = match id_persistence {
-            IdPersistence::SingleUser => Some((Uid(invoker_uid), hpcc_kernel::Gid(invoker_uid))),
-            _ => None,
-        };
-        tar::unpack(
-            &mut fs,
-            &layer.tar,
-            "/",
-            &tar::UnpackOptions {
-                force_owner,
-                skip_devices: true,
-            },
-        )?;
-    }
-    // ID persistence via xattrs: one xattr per inode.
-    if id_persistence == IdPersistence::UserXattrs {
-        let paths: Vec<String> = fs.walk().into_iter().map(|(p, _)| p).collect();
-        let creds = hpcc_kernel::Credentials::host_root();
-        let ns = hpcc_kernel::UserNamespace::initial();
-        let actor = hpcc_vfs::Actor::new(&creds, &ns);
-        for p in paths {
-            let st = fs.lstat(&actor, &p)?;
-            if st.file_type == hpcc_vfs::FileType::Symlink {
-                continue;
+    rootfs.backend = backend;
+    match id_persistence {
+        IdPersistence::SubordinateIds => {}
+        // One xattr per inode recording its container IDs and mode.
+        IdPersistence::UserXattrs => rootfs.for_each_entry_mut(|inode| {
+            if !inode.is_symlink() {
+                let name = "user.containers.override_stat".to_string();
+                let value = format!("{}:{}:{:o}", inode.uid, inode.gid, inode.mode.bits());
+                inode.xattrs.insert(name, value.into_bytes());
             }
-            let value = format!("{}:{}:{:o}", st.uid_host, st.gid_host, st.mode.bits());
-            fs.set_xattr(
-                &actor,
-                &p,
-                "user.containers.override_stat",
-                value.as_bytes(),
-            )?;
-        }
+        }),
+        IdPersistence::SingleUser => rootfs.for_each_entry_mut(|inode| {
+            inode.uid = Uid(invoker_uid);
+            inode.gid = Gid(invoker_uid);
+        }),
     }
-    cost.cost_units = (cost.bytes_copied as f64 * driver.space_overhead_factor()) as u64
-        + cost.inodes_copied as u64;
-    Ok((fs, cost))
+    // Every inode but `/` is materialized in the store.
+    let inodes_copied = rootfs.inode_count() - 1;
+    let bytes_copied = rootfs.total_file_bytes();
+    Ok(StorageCost {
+        inodes_copied,
+        bytes_copied,
+        cost_units: (bytes_copied as f64 * driver.space_overhead_factor()) as u64
+            + inodes_copied as u64,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcc_image::ImageConfig;
-    use hpcc_kernel::{Credentials, Gid, UserNamespace};
+    use hpcc_kernel::{Credentials, UserNamespace};
     use hpcc_vfs::{Actor, Mode};
 
-    fn sample_image() -> Image {
+    fn sample_tree() -> Filesystem {
         let mut fs = Filesystem::new_local();
         fs.install_file("/bin/sh", b"elf".to_vec(), Uid(0), Gid(0), Mode::EXEC_755)
             .unwrap();
@@ -191,22 +171,18 @@ mod tests {
             Mode::FILE_644,
         )
         .unwrap();
-        let creds = Credentials::host_root();
-        let ns = UserNamespace::initial();
-        let actor = Actor::new(&creds, &ns);
-        Image::from_fs_preserved("base:1", &fs, &actor, ImageConfig::default()).unwrap()
+        fs
     }
 
     #[test]
     fn vfs_driver_works_everywhere() {
-        let img = sample_image();
         for backend in [
             FsBackend::LocalDisk,
             FsBackend::default_nfs(),
             FsBackend::default_lustre(),
         ] {
             let r = prepare_rootfs(
-                &img,
+                &mut sample_tree(),
                 StorageDriver::Vfs,
                 backend,
                 &Sysctl::rhel76(),
@@ -219,10 +195,9 @@ mod tests {
 
     #[test]
     fn fuse_overlayfs_fails_on_default_nfs_and_lustre() {
-        let img = sample_image();
         for backend in [FsBackend::default_nfs(), FsBackend::default_lustre()] {
             let err = prepare_rootfs(
-                &img,
+                &mut sample_tree(),
                 StorageDriver::FuseOverlayFs,
                 backend,
                 &Sysctl::modern(),
@@ -234,7 +209,7 @@ mod tests {
         }
         // Works on local disk / tmpfs.
         assert!(prepare_rootfs(
-            &img,
+            &mut sample_tree(),
             StorageDriver::FuseOverlayFs,
             FsBackend::Tmpfs,
             &Sysctl::modern(),
@@ -246,9 +221,8 @@ mod tests {
 
     #[test]
     fn subordinate_ids_fail_on_shared_filesystems() {
-        let img = sample_image();
         let err = prepare_rootfs(
-            &img,
+            &mut sample_tree(),
             StorageDriver::Vfs,
             FsBackend::default_nfs(),
             &Sysctl::rhel76(),
@@ -261,10 +235,9 @@ mod tests {
 
     #[test]
     fn overlayfs_in_userns_needs_modern_kernel() {
-        let img = sample_image();
         assert_eq!(
             prepare_rootfs(
-                &img,
+                &mut sample_tree(),
                 StorageDriver::OverlayFs,
                 FsBackend::LocalDisk,
                 &Sysctl::rhel76(),
@@ -275,7 +248,7 @@ mod tests {
             Errno::EPERM
         );
         assert!(prepare_rootfs(
-            &img,
+            &mut sample_tree(),
             StorageDriver::OverlayFs,
             FsBackend::LocalDisk,
             &Sysctl::modern(),
@@ -287,10 +260,9 @@ mod tests {
 
     #[test]
     fn storage_cost_accounting_is_pinned() {
-        let img = sample_image();
         let cost = |driver| {
             prepare_rootfs(
-                &img,
+                &mut sample_tree(),
                 driver,
                 FsBackend::LocalDisk,
                 &Sysctl::modern(),
@@ -298,7 +270,6 @@ mod tests {
                 IdPersistence::SingleUser,
             )
             .unwrap()
-            .1
         };
         // Two directories and two files holding 3 + 26 bytes; the units are
         // the driver-weighted bytes plus one per inode.
@@ -314,9 +285,8 @@ mod tests {
 
     #[test]
     fn vfs_costs_more_than_overlay() {
-        let img = sample_image();
-        let (_, vfs_cost) = prepare_rootfs(
-            &img,
+        let vfs_cost = prepare_rootfs(
+            &mut sample_tree(),
             StorageDriver::Vfs,
             FsBackend::LocalDisk,
             &Sysctl::modern(),
@@ -324,8 +294,8 @@ mod tests {
             IdPersistence::SingleUser,
         )
         .unwrap();
-        let (_, ovl_cost) = prepare_rootfs(
-            &img,
+        let ovl_cost = prepare_rootfs(
+            &mut sample_tree(),
             StorageDriver::OverlayFs,
             FsBackend::LocalDisk,
             &Sysctl::modern(),
@@ -338,9 +308,9 @@ mod tests {
 
     #[test]
     fn single_user_persistence_flattens_ownership() {
-        let img = sample_image();
-        let (fs, _) = prepare_rootfs(
-            &img,
+        let mut fs = sample_tree();
+        prepare_rootfs(
+            &mut fs,
             StorageDriver::Vfs,
             FsBackend::LocalDisk,
             &Sysctl::modern(),
@@ -356,9 +326,9 @@ mod tests {
 
     #[test]
     fn xattr_persistence_records_override_stat() {
-        let img = sample_image();
-        let (fs, _) = prepare_rootfs(
-            &img,
+        let mut fs = sample_tree();
+        prepare_rootfs(
+            &mut fs,
             StorageDriver::FuseOverlayFs,
             FsBackend::LocalDisk,
             &Sysctl::modern(),

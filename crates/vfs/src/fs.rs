@@ -1251,6 +1251,20 @@ impl Filesystem {
         });
     }
 
+    /// Applies `f` to every inode except the root directory's, in one pass
+    /// over the inode table (order unspecified; a hard-linked inode is
+    /// visited once). For whole-tree metadata rewrites, such as the
+    /// ownership rule a container runtime applies to an image tree, that
+    /// need no path: unlike [`Filesystem::walk`], it formats none.
+    pub fn for_each_entry_mut(&mut self, mut f: impl FnMut(&mut Inode)) {
+        let root = self.root;
+        self.inodes.for_each_mut(|inode| {
+            if inode.ino != root {
+                f(inode);
+            }
+        });
+    }
+
     /// Returns the distinct host UIDs owning files in this filesystem.
     pub fn distinct_owner_uids(&self) -> Vec<Uid> {
         let mut v: Vec<Uid> = Vec::new();

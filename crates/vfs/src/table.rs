@@ -214,8 +214,9 @@ impl InodeTable {
     }
 
     /// Mutates every inode in place (order unspecified). This necessarily
-    /// detaches the whole trie from any snapshot — it is the rare whole-tree
-    /// operation (`flatten_ownership`), not a hot path.
+    /// detaches the whole trie from any snapshot — it is a whole-tree
+    /// operation (`flatten_ownership`, a container launch's ownership rule),
+    /// not a per-instruction one. A table no snapshot shares copies nothing.
     pub fn for_each_mut<F: FnMut(&mut Inode)>(&mut self, mut f: F) {
         fn walk<F: FnMut(&mut Inode)>(arc: &mut Arc<Node>, f: &mut F) {
             match make_mut(arc) {

@@ -134,17 +134,11 @@ fn kernel_gates_user_namespace_creation() {
 
 #[test]
 fn rootless_podman_storage_on_shared_filesystems_fails() {
-    use hpcc_repro::image::{Image, ImageConfig};
-    use hpcc_repro::kernel::UserNamespace;
     use hpcc_repro::runtime::{prepare_rootfs, IdPersistence};
 
     let mut fs = Filesystem::new_local();
     fs.install_file("/bin/sh", b"elf".to_vec(), Uid(0), Gid(0), Mode::EXEC_755)
         .unwrap();
-    let root = Credentials::host_root();
-    let host = UserNamespace::initial();
-    let actor = Actor::new(&root, &host);
-    let image = Image::from_fs_preserved("base", &fs, &actor, ImageConfig::default()).unwrap();
 
     // xattr-based ID mapping fails on default NFS and Lustre (§6.1), works on
     // local disk and tmpfs (§4.2).
@@ -155,7 +149,7 @@ fn rootless_podman_storage_on_shared_filesystems_fails() {
         (FsBackend::LocalDisk, true),
     ] {
         let r = prepare_rootfs(
-            &image,
+            &mut fs.clone(),
             StorageDriver::FuseOverlayFs,
             backend,
             &Sysctl::modern(),
@@ -171,7 +165,7 @@ fn rootless_podman_storage_on_shared_filesystems_fails() {
         xattr_support: true,
     };
     assert!(prepare_rootfs(
-        &image,
+        &mut fs.clone(),
         StorageDriver::FuseOverlayFs,
         nfs_42,
         &Sysctl::modern(),
@@ -180,7 +174,7 @@ fn rootless_podman_storage_on_shared_filesystems_fails() {
     )
     .is_ok());
     assert!(prepare_rootfs(
-        &image,
+        &mut fs.clone(),
         StorageDriver::Vfs,
         nfs_42,
         &Sysctl::modern(),
