@@ -1279,7 +1279,9 @@ mod tests {
         // on, the tag records its final state and every stage reading it
         // misses (the copying stage's `FROM centos:7` still hits). Built
         // with it off, the tag has no state to chain from, so no stage that
-        // reads it, directly or through an earlier stage, runs cached.
+        // reads it through `FROM`, directly or through an earlier stage,
+        // runs cached, and the copying stage runs uncached from its
+        // `COPY --from` on (its `FROM centos:7` still hits).
         let two_stages = "FROM base AS build\nENV STACK=atse\nFROM build\nENV X=1\n";
         let copy_from = "FROM base AS build\nENV STACK=atse\n\
                          FROM centos:7\nCOPY --from=build /usr/lib64 /opt/lib64\n";
@@ -1290,7 +1292,7 @@ mod tests {
             (two_stages, MPIRUN, true, (0, 4)),
             (two_stages, MPIRUN, false, (0, 0)),
             (copy_from, copied, true, (1, 3)),
-            (copy_from, copied, false, (0, 0)),
+            (copy_from, copied, false, (1, 0)),
         ];
         for (dockerfile, path, base_cache, expected) in cases {
             let mut b = Builder::ch_image(alice());
@@ -1313,6 +1315,44 @@ mod tests {
                 r.transcript_text()
             );
         }
+    }
+
+    #[test]
+    fn a_stage_keeps_its_hits_before_a_stateless_copy_from() {
+        // `build` reads a tag built with the cache off, so it leaves no
+        // final state. `app` hits its `FROM` and `RUN` on the rebuild and
+        // runs its `COPY --from=build` uncached; `last` goes `FROM app`,
+        // which then has no state either, and runs uncached.
+        let dockerfile = "FROM base AS build\nENV STACK=atse\n\
+                          FROM centos:7 AS app\nRUN yum install -y spack\n\
+                          COPY --from=build /usr/lib64 /opt/lib64\n\
+                          FROM app\nENV X=1\n";
+        let mut b = Builder::ch_image(alice());
+        let mut base = BuildOptions::new("base");
+        base.use_cache = false;
+        assert!(b.build(&yum_image("openmpi"), &base, None).success);
+        let opts = BuildOptions::new("last").with_cache();
+        let first = b.build(dockerfile, &opts, None);
+        assert!(first.success, "{}", first.transcript_text());
+        let r = b.build(dockerfile, &opts, None);
+        assert!(r.success, "{}", r.transcript_text());
+        let per_stage: Vec<_> = r
+            .stages
+            .iter()
+            .map(|s| (s.cache_hits, s.cache_misses))
+            .collect();
+        assert_eq!(
+            per_stage,
+            [(0, 0), (2, 0), (0, 0)],
+            "{}",
+            r.transcript_text()
+        );
+        let app = &r.stages[1].transcript;
+        let run = "2 RUN [ '/bin/sh', '-c', 'yum install -y spack' ] (cached)";
+        assert_eq!(app[..2], ["1 FROM centos:7 AS app (cached)", run]);
+        assert_eq!(b.image("last").unwrap().final_state, None);
+        assert!(holds(&b, "last", "/opt/lib64/openmpi/bin/mpirun"));
+        assert!(holds(&b, "last", "/opt/spack/bin/spack"));
     }
 
     #[test]

@@ -207,11 +207,13 @@ struct StageCtx<'a> {
     fakeroot_db: Arc<LieDatabase>,
     force_cfg: Option<ForceConfig>,
     force_initialized: bool,
-    /// Whether the stage probes and stores the build cache: the build's
-    /// setting, unless the stage reads content with no recorded state — a
-    /// local tag built with the cache off or pulled, or an earlier stage
-    /// that ran uncached, through `FROM` or `COPY --from` — which leaves
-    /// its keys nothing to bind that content by.
+    /// Whether the next instruction probes and stores the build cache: the
+    /// build's setting, until the stage reads content with no recorded
+    /// state, which leaves its keys nothing to bind that content by. A
+    /// `FROM` of a local tag built with the cache off or pulled, or of an
+    /// earlier stage that ran uncached, turns it off for the whole stage;
+    /// a `COPY --from` of such a stage turns it off from that instruction
+    /// on, so the instructions before it keep their hits.
     use_cache: bool,
     parent: Option<Digest>,
     cache_hits: usize,
@@ -264,13 +266,14 @@ impl<'a> StageCtx<'a> {
             force_cfg: None,
             force_initialized: false,
             use_cache: options.use_cache
-                && !matches!(&node.base, StageBase::Image(reference)
-                    if builder.image(reference).is_some_and(|built| built.final_state.is_none()))
-                && node.deps.iter().all(|d| {
-                    upstream
-                        .get(d)
-                        .is_some_and(|artifact| artifact.final_state.is_some())
-                }),
+                && match &node.base {
+                    StageBase::Image(reference) => builder
+                        .image(reference)
+                        .is_none_or(|built| built.final_state.is_some()),
+                    StageBase::Stage(s) => upstream
+                        .get(s)
+                        .is_some_and(|artifact| artifact.final_state.is_some()),
+                },
             parent: None,
             cache_hits: 0,
             cache_misses: 0,
@@ -334,6 +337,12 @@ impl<'a> StageCtx<'a> {
         let n = idx + 1;
         self.report.instructions_total = n;
         let display = display_instruction(n, instruction);
+        if self.use_cache && self.copies_from_a_stateless_stage(idx) {
+            // Nothing binds the copied content: this instruction and every
+            // later one run uncached, and the stage records no final state.
+            self.use_cache = false;
+            self.parent = None;
+        }
         let state_id = if self.use_cache {
             Some(self.state_id_for(idx, instruction))
         } else {
@@ -472,6 +481,16 @@ impl<'a> StageCtx<'a> {
             _ => {}
         }
         key.finish()
+    }
+
+    /// Whether instruction `idx` is a `COPY --from` of a stage that left no
+    /// final state (it ran uncached).
+    fn copies_from_a_stateless_stage(&self, idx: usize) -> bool {
+        self.copy_from_edge(idx).is_some_and(|edge| {
+            self.upstream
+                .get(&edge.source_stage)
+                .is_none_or(|artifact| artifact.final_state.is_none())
+        })
     }
 
     /// The planned `COPY --from` edge of instruction `idx`, if it has one.

@@ -47,8 +47,9 @@
 //! the typed and wire surfaces respectively.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
+mod checksum;
 pub mod dispatch;
 pub mod fault;
 pub mod memfs;

@@ -43,7 +43,10 @@
 //! typed [`WireError::BadChecksum`] the server answers `EINVAL` and the
 //! client's retry policy resends through. The trailer sits at the end so
 //! every header offset (including the peekable unique id at bytes 8..16)
-//! is unchanged from the header layouts above.
+//! is unchanged from the header layouts above. The checksum itself lives in
+//! the crate's `checksum` module: a four-lane multiply chain for a frame
+//! under 256 bytes, and for a longer one (a read reply, a write request)
+//! eight lanes of 64-byte stripes, on AVX2 where the CPU has it.
 //!
 //! Decoding is strict: the header length must equal the frame length (so
 //! every truncated frame is rejected — see the property suite), the checksum
@@ -61,6 +64,7 @@
 use hpcc_kernel::{Errno, Gid, Uid};
 use hpcc_vfs::{FileBytes, FileType, Mode, Setattr};
 
+use crate::checksum::frame_checksum;
 use crate::op::{
     Attr, DirEntry, Entry, FsCreds, OpenFlags, Opened, Operation, ReadReply, Reply, ReplyKind,
     Request, StatfsReply, Written,
@@ -246,7 +250,7 @@ fn wire_len(len: usize) -> u32 {
 /// Copies up to `N` leading bytes of `b` into a fixed array, zero-filling
 /// the rest — the infallible little-endian decode step (callers size `b`
 /// with `chunks_exact`/`take`, and a short slice still cannot panic here).
-fn le_array<const N: usize>(b: &[u8]) -> [u8; N] {
+pub(crate) fn le_array<const N: usize>(b: &[u8]) -> [u8; N] {
     let mut out = [0u8; N];
     for (o, v) in out.iter_mut().zip(b) {
         *o = *v;
@@ -261,56 +265,6 @@ fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
-}
-
-/// The frame checksum: 64-bit multiply-mix in four independent lanes over
-/// 32-byte blocks, merged and folded to 32 bits. Not cryptographic — it
-/// exists to turn in-flight corruption into a typed decode error: within a
-/// lane each step xors the chunk then multiplies by an odd constant (a
-/// bijection), so any single flipped bit changes that lane's value and the
-/// merge diffuses it into the sum, and truncation changes the length folded
-/// into the seed. Four lanes rather than one chain because this runs over
-/// every frame on the gated wire path, encode and decode: the multiplies
-/// are latency-bound, and independent lanes let them pipeline, which is
-/// what keeps a 4 KiB read reply's checksum in the hundreds of
-/// nanoseconds rather than microseconds.
-fn frame_checksum(bytes: &[u8]) -> u32 {
-    const M: u64 = 0xA24B_AED4_963E_E407;
-    let seed: u64 = bytes.len() as u64 ^ 0x9E37_79B9_7F4A_7C15;
-    let mut lanes = [
-        seed,
-        seed.rotate_left(16) ^ M,
-        seed.rotate_left(32),
-        seed.rotate_left(48) ^ M,
-    ];
-    let mut blocks = bytes.chunks_exact(32);
-    for b in &mut blocks {
-        for (c, lane) in b.chunks_exact(8).zip(lanes.iter_mut()) {
-            let v = u64::from_le_bytes(le_array(c));
-            *lane = (*lane ^ v).wrapping_mul(M);
-        }
-    }
-    let [mut l0, l1, l2, l3] = lanes;
-    // Tail: remaining whole chunks plus a zero-padded final chunk, fed
-    // through lane 0 (serial, but at most three chunks plus padding).
-    let mut chunks = blocks.remainder().chunks_exact(8);
-    for c in &mut chunks {
-        let v = u64::from_le_bytes(le_array(c));
-        l0 = (l0 ^ v).wrapping_mul(M);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        // `le_array` zero-fills past the tail: exactly the padded chunk.
-        l0 = (l0 ^ u64::from_le_bytes(le_array(rem))).wrapping_mul(M);
-    }
-    // Merge: rotations keep the lanes from cancelling symmetrically, the
-    // multiplies diffuse each lane across the word before the 32-bit fold.
-    let mut h = l0;
-    h = (h ^ l1.rotate_left(1)).wrapping_mul(M);
-    h = (h ^ l2.rotate_left(2)).wrapping_mul(M);
-    h = (h ^ l3.rotate_left(3)).wrapping_mul(M);
-    h ^= h >> 29;
-    (h ^ (h >> 32)) as u32
 }
 
 /// Seals a finished frame: patches the leading length field to the final
